@@ -2,8 +2,8 @@
 
 Every query gets a pre-generated candidate list that excludes the true
 destination and every temporal conflict. Draws are keyed on
-(seed, query index), so regeneration and parallel generation are
-byte-for-byte stable.
+(seed, query index), so regeneration is byte-for-byte stable and does
+not depend on the order in which queries are generated.
 """
 
 import tempfile

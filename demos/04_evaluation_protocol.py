@@ -49,6 +49,6 @@ print("hits:", {k: round(v, 4) for k, v in engine.hits.items()})
 print("queries with ties:", engine.tied_queries, "of", engine.query_count)
 
 # Per-relation breakdown: the count-weighted mean reproduces the global MRR.
-breakdown = cl.per_relation_breakdown(engine)
+breakdown = engine.per_relation
 weighted = sum(mrr * n for mrr, n in breakdown.values()) / engine.query_count
 print(f"weighted per-relation mean {weighted:.12f} == global {engine.mrr:.12f}")

@@ -56,7 +56,6 @@ from .evaluation import (
     average_rank,
     evaluate_single_step,
     expand_queries,
-    per_relation_breakdown,
     time_aware_filter,
 )
 from .graph import (

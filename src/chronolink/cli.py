@@ -20,6 +20,7 @@ import os
 import resource
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -273,30 +274,19 @@ def cmd_negatives(run: _Run):
     train, valid, test, _bounds = load_splits(args.splits, graph)
     eval_graph = {"valid": valid, "test": test}[args.split]
     kind = infer_kind(graph)
+    if args.strategy == "node-type" and kind != "thg":
+        raise ConfigError("node-type sampling requires a THG dataset")
     universe, queries = _universe_and_queries(graph, eval_graph, kind)
     dataset_name = args.dataset or Path(args.graph).name
     provenance = Provenance(dataset=dataset_name, split=args.split)
     sample_set = generate_negative_set(
-        args.strategy,
-        universe if args.strategy != "node-type" else _with_types(universe, graph),
-        queries,
-        q=args.q,
-        seed=args.seed,
-        provenance=provenance,
-        threads=args.threads,
+        args.strategy, universe, queries, q=args.q, seed=args.seed, provenance=provenance
     )
     path = run.out_dir / "negatives.bin"
     write_negative_set(sample_set, path)
     run.add_output(path)
     run.config = {"strategy": args.strategy, "q": args.q, "split": args.split, "kind": kind}
     print(f"wrote {len(sample_set)} negative records to {path}")
-
-
-def _with_types(universe, graph):
-    # node-type sampling on a TKG-augmented universe still needs the THG types
-    if universe.node_types is not None:
-        return universe
-    raise ConfigError("node-type sampling requires a THG dataset")
 
 
 def _parse_params(raw: str | None) -> dict:
@@ -484,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", required=True, help="run directory for outputs + manifest")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--mem-budget", type=int, default=0, help="hard memory budget in MiB")
 
     p = sub.add_parser("fetch", help="download and verify a dataset")
@@ -600,7 +589,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("memory budget exceeded; aborting", file=sys.stderr)
         return EXIT_MEMORY
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        traceback.print_exc()
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
 

@@ -79,7 +79,7 @@ class EvalResult:
     mrr: float
     hits: dict  # k -> fraction of queries with rank <= k
     query_count: int
-    per_relation: dict  # relation -> (mrr, query count)
+    per_relation: dict  # relation -> (mrr, query count); count-weighted mean is mrr
     per_timestep: tuple  # ((timestamp, mrr, query count), ...) ascending
     tied_queries: int
     max_tie_group: int
@@ -265,8 +265,3 @@ def evaluate_single_step(
         tied_queries=tied_queries,
         max_tie_group=max_tie_group,
     )
-
-
-def per_relation_breakdown(result: EvalResult) -> dict:
-    """relation -> (mrr, query count); the count-weighted mean is the global MRR."""
-    return dict(result.per_relation)

@@ -1,7 +1,9 @@
 """Reproducible negative-candidate generation and its on-disk format.
 
-Candidate draws use a counter-based RNG keyed on (seed, query index), so
-per-query sampling is order-independent and safely parallelizable. Candidate
+Candidate draws use a counter-based RNG keyed on (seed, query index), so a
+query's draw does not depend on the order in which queries are generated. All
+strategies share one pool -> exclude -> draw -> pad routine and differ only in
+the pool each query draws from and whether short lists are padded. Candidate
 lists never contain the true destination and never contain a temporal
 conflict, i.e. a node c for which (source, relation, c, timestamp) is a true
 fact anywhere in the dataset.
@@ -33,7 +35,6 @@ from __future__ import annotations
 import struct
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -145,7 +146,7 @@ class NegativeSampleSet:
 
 def _query_rng(seed: int, query_index: int) -> np.random.Generator:
     # Counter-based: every query gets an independent stream derived from
-    # (seed, index), so generation order and parallelism cannot change draws.
+    # (seed, index), so generation order cannot change draws.
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, query_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -208,11 +209,29 @@ def _clamp_q(q: int, node_count: int) -> int:
     return q
 
 
-def _run_per_query(worker, queries, threads: int):
-    if threads <= 1:
-        return [worker(i) for i in range(len(queries))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(len(queries))))
+def _draw(universe: TemporalMultiGraph, queries, q: int, seed: int, pools, pad: bool) -> list:
+    """Candidate list per query: pool minus exclusions, sampled or padded to q.
+
+    ``pools[i]`` is the sorted pool of ``queries[i]``. A query keeps every
+    pool member that is neither its truth nor a temporal conflict. More than
+    q kept members are sampled down to q; with ``pad``, fewer than q are
+    topped up from the conflict-free nodes outside the pool, so the list has
+    min(q, available) entries.
+    """
+    everything = np.arange(universe.node_count, dtype=np.int64)
+    lists = []
+    for i, (query, pool) in enumerate(zip(queries, pools)):
+        excluded = _excluded(universe, query)
+        kept = np.setdiff1d(pool, excluded, assume_unique=True)
+        if len(kept) > q:
+            kept = np.sort(_query_rng(seed, i).choice(kept, size=q, replace=False))
+        elif pad and len(kept) < q:
+            outside = np.setdiff1d(everything, np.union1d(pool, excluded), assume_unique=True)
+            take = min(q - len(kept), len(outside))
+            padding = _query_rng(seed, i).choice(outside, size=take, replace=False)
+            kept = np.sort(np.concatenate([kept, padding]))
+        lists.append(kept)
+    return lists
 
 
 def generate_type_aware(
@@ -221,7 +240,6 @@ def generate_type_aware(
     q: int,
     seed: int,
     provenance: Provenance = Provenance(),
-    threads: int = 1,
 ) -> NegativeSampleSet:
     """1-vs-q sampling biased to observed objects of the query's edge type.
 
@@ -231,26 +249,11 @@ def generate_type_aware(
     """
     _check_queries(graph_all, queries)
     q = _clamp_q(q, graph_all.node_count)
-    pools = collect_tail_pools(graph_all)
+    tail_pools = collect_tail_pools(graph_all)
     empty = np.empty(0, dtype=np.int64)
-    everything = np.arange(graph_all.node_count, dtype=np.int64)
-
-    def worker(i):
-        query = queries[i]
-        rng = _query_rng(seed, i)
-        excluded = _excluded(graph_all, query)
-        pool = pools.get(query.relation, empty)
-        primary = np.setdiff1d(pool, excluded, assume_unique=True)
-        if len(primary) >= q:
-            return np.sort(rng.choice(primary, size=q, replace=False))
-        outside = np.setdiff1d(everything, np.union1d(pool, excluded), assume_unique=True)
-        take = min(q - len(primary), len(outside))
-        pad = rng.choice(outside, size=take, replace=False)
-        return np.sort(np.concatenate([primary, pad]))
-
-    return NegativeSampleSet(
-        "type-aware", q, seed, list(queries), _run_per_query(worker, queries, threads), provenance
-    )
+    pools = [tail_pools.get(query.relation, empty) for query in queries]
+    candidates = _draw(graph_all, queries, q, seed, pools, pad=True)
+    return NegativeSampleSet("type-aware", q, seed, list(queries), candidates, provenance)
 
 
 def generate_node_type(
@@ -260,7 +263,6 @@ def generate_node_type(
     q: int,
     seed: int,
     provenance: Provenance = Provenance(),
-    threads: int = 1,
     entire_type_universe: bool = False,
 ) -> NegativeSampleSet:
     """1-vs-q sampling restricted to nodes sharing the truth's node type.
@@ -276,28 +278,17 @@ def generate_node_type(
     if len(types) != graph_all.node_count:
         raise DataError("node_types must cover every node")
     _check_queries(graph_all, queries)
-    if not entire_type_universe:
-        q = _clamp_q(q, graph_all.node_count)
+    # no list can exceed node_count entries, so q = node_count never draws
+    q = graph_all.node_count if entire_type_universe else _clamp_q(q, graph_all.node_count)
     by_type = {int(t): np.flatnonzero(types == t).astype(np.int64) for t in np.unique(types)}
-
-    def worker(i):
-        query = queries[i]
-        truth_type = int(types[query.true_destination])
-        same_type = by_type.get(truth_type)
-        if same_type is None:
-            raise DataError(f"unknown node type {truth_type}")
-        universe = np.setdiff1d(same_type, _excluded(graph_all, query), assume_unique=True)
-        if entire_type_universe or len(universe) <= q:
-            return universe
-        rng = _query_rng(seed, i)
-        return np.sort(rng.choice(universe, size=q, replace=False))
-
+    pools = [by_type[int(types[query.true_destination])] for query in queries]
+    candidates = _draw(graph_all, queries, q, seed, pools, pad=False)
     return NegativeSampleSet(
         "node-type",
         0 if entire_type_universe else q,
         seed,
         list(queries),
-        _run_per_query(worker, queries, threads),
+        candidates,
         provenance,
     )
 
@@ -308,23 +299,13 @@ def generate_random(
     q: int,
     seed: int,
     provenance: Provenance = Provenance(),
-    threads: int = 1,
 ) -> NegativeSampleSet:
     """Uniform 1-vs-q sampling over all nodes (the ablation arm)."""
     _check_queries(graph_all, queries)
     q = _clamp_q(q, graph_all.node_count)
-
-    def worker(i):
-        query = queries[i]
-        universe = all_candidates(graph_all, query)
-        if len(universe) <= q:
-            return universe
-        rng = _query_rng(seed, i)
-        return np.sort(rng.choice(universe, size=q, replace=False))
-
-    return NegativeSampleSet(
-        "random", q, seed, list(queries), _run_per_query(worker, queries, threads), provenance
-    )
+    everything = np.arange(graph_all.node_count, dtype=np.int64)
+    candidates = _draw(graph_all, queries, q, seed, [everything] * len(queries), pad=False)
+    return NegativeSampleSet("random", q, seed, list(queries), candidates, provenance)
 
 
 def generate_all(
@@ -348,19 +329,16 @@ def generate_negative_set(
     q: int = 0,
     seed: int = 0,
     provenance: Provenance = Provenance(),
-    threads: int = 1,
 ) -> NegativeSampleSet:
     """Dispatch to the strategy-specific generator."""
     if strategy == "all":
         return generate_all(graph_all, queries, provenance)
     if strategy == "type-aware":
-        return generate_type_aware(graph_all, queries, q, seed, provenance, threads)
+        return generate_type_aware(graph_all, queries, q, seed, provenance)
     if strategy == "node-type":
-        return generate_node_type(
-            graph_all, graph_all.node_types, queries, q, seed, provenance, threads
-        )
+        return generate_node_type(graph_all, graph_all.node_types, queries, q, seed, provenance)
     if strategy == "random":
-        return generate_random(graph_all, queries, q, seed, provenance, threads)
+        return generate_random(graph_all, queries, q, seed, provenance)
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
@@ -422,7 +400,10 @@ class _Reader:
 
     def string(self) -> str:
         (length,) = struct.unpack("<H", self.take(2))
-        return self.take(length).decode("utf-8")
+        try:
+            return self.take(length).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptionError("provenance string is not utf-8") from None
 
 
 def write_negative_set(sample_set: NegativeSampleSet, path) -> None:
@@ -504,12 +485,18 @@ def read_negative_set(path) -> NegativeSampleSet:
         if direction_code not in directions:
             raise CorruptionError(f"unknown direction code {direction_code}")
         n_cands = reader.varint()
+        if n_cands > len(reader.data) - reader.offset:
+            # every candidate takes at least one varint byte
+            raise CorruptionError("candidate count exceeds the remaining file bytes")
         values = np.empty(n_cands, dtype=np.int64)
         running = 0
-        for j in range(n_cands):
-            step = reader.varint()
-            running = step if j == 0 else running + step
-            values[j] = running
+        try:
+            for j in range(n_cands):
+                step = reader.varint()
+                running = step if j == 0 else running + step
+                values[j] = running
+        except OverflowError:
+            raise CorruptionError("candidate id outside the int64 range") from None
         queries.append(EvalQuery(source, relation, timestamp, truth, directions[direction_code]))
         candidates.append(values)
     if reader.offset != len(reader.data):

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
+from chronolink import cli
 from chronolink.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_PROTOCOL,
+    EXIT_UNEXPECTED,
     main,
 )
 
@@ -147,6 +149,22 @@ def test_replay_detects_tampering(pipeline):
                  "--out-dir", str(tmp_path / "r2")]) == EXIT_INTEGRITY
 
 
+def test_replay_rejects_removed_threads_flag(pipeline, capsys):
+    tmp_path, graph_dir, splits_dir = pipeline
+    out = tmp_path / "neg"
+    assert main(["negatives", "--graph", str(graph_dir), "--splits", str(splits_dir),
+                 "--split", "valid", "--strategy", "random", "--q", "5",
+                 "--seed", "3", "--out-dir", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    manifest["argv"] += ["--threads", "1"]  # as written by older releases
+    (out / "run_manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["replay", "--manifest", str(out / "run_manifest.json"),
+              "--out-dir", str(tmp_path / "r")])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_manifest_contents(pipeline):
     tmp_path, graph_dir, splits_dir = pipeline
     manifest = json.loads((graph_dir / "run_manifest.json").read_text())
@@ -161,6 +179,26 @@ def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("node_count = 5\n")
     assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+def test_node_type_strategy_on_tkg_is_config_error(pipeline):
+    tmp_path, graph_dir, splits_dir = pipeline
+    assert main(["negatives", "--graph", str(graph_dir), "--splits", str(splits_dir),
+                 "--strategy", "node-type", "--q", "5",
+                 "--out-dir", str(tmp_path / "neg")]) == EXIT_CONFIG
+
+
+def test_unexpected_error_keeps_traceback(tmp_path, monkeypatch, capsys):
+    def explode(run):
+        raise RuntimeError("boom in synth")
+
+    monkeypatch.setattr(cli, "cmd_synth", explode)
+    assert main(["synth", "--config", "unused.cfg",
+                 "--out-dir", str(tmp_path / "x")]) == EXIT_UNEXPECTED
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "in explode" in err
+    assert "RuntimeError: boom in synth" in err
 
 
 def test_split_error_exit_code(tmp_path, g4_path):

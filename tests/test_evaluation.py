@@ -19,7 +19,6 @@ from chronolink import (
     generate_random,
     generate_type_aware,
     merge,
-    per_relation_breakdown,
     time_aware_filter,
 )
 from conftest import HashScorer
@@ -278,7 +277,7 @@ def test_per_relation_breakdown_weighted_mean():
     queries = expand_queries(test, "tkg")
     negatives = generate_type_aware(universe, queries, q=6, seed=4)
     result = evaluate_single_step(HashScorer(), merge(train, valid), test, negatives, g)
-    breakdown = per_relation_breakdown(result)
+    breakdown = result.per_relation
     weighted = sum(mrr * count for mrr, count in breakdown.values())
     assert weighted / result.query_count == pytest.approx(result.mrr, abs=1e-12)
     assert sum(count for _, count in breakdown.values()) == result.query_count
@@ -292,7 +291,7 @@ def test_per_relation_single_relation_graph():
     queries = expand_queries(test, "thg")
     negatives = generate_all(g, queries)
     result = evaluate_single_step(OracleScorer(), train, test, negatives, g, kind="thg")
-    assert per_relation_breakdown(result) == {0: (1.0, 2)}
+    assert result.per_relation == {0: (1.0, 2)}
 
 
 def test_per_relation_two_relation_hand_case():
@@ -310,7 +309,7 @@ def test_per_relation_two_relation_hand_case():
     queries = expand_queries(test, "thg")
     negatives = generate_all(g, queries)
     result = evaluate_single_step(RelationBiased(), train, test, negatives, g, kind="thg")
-    breakdown = per_relation_breakdown(result)
+    breakdown = result.per_relation
     assert breakdown[0] == (1.0, 1)
     assert breakdown[1][1] == 1 and breakdown[1][0] < 1.0
     assert result.mrr == pytest.approx((breakdown[0][0] + breakdown[1][0]) / 2)

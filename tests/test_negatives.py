@@ -1,4 +1,7 @@
+import hashlib
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from chronolink import (
     write_negative_set,
 )
 from chronolink.errors import ProtocolError
+from chronolink.negatives import _write_varint
 
 
 def _tkg_setup(seed=0, **overrides):
@@ -214,10 +218,10 @@ def test_candidates_sorted_strictly():
         assert (diffs > 0).all() if len(cands) > 1 else True
 
 
-def test_determinism_and_thread_independence():
+def test_determinism_and_seed_dependence():
     g, universe, queries = _tkg_setup(seed=4)
-    a = generate_type_aware(universe, queries, q=6, seed=13, threads=1)
-    b = generate_type_aware(universe, queries, q=6, seed=13, threads=4)
+    a = generate_type_aware(universe, queries, q=6, seed=13)
+    b = generate_type_aware(universe, queries, q=6, seed=13)
     assert a == b
     c = generate_type_aware(universe, queries, q=6, seed=14)
     assert c != a  # different seed, different draws
@@ -233,6 +237,68 @@ def test_seed_keyed_per_query_not_per_order():
     again = generate_random(universe, queries, q=4, seed=21)
     assert full == again
     assert len(tail) == len(queries) - 3
+
+
+# -- golden pins ---------------------------------------------------------------------------
+
+# sha256 of the TMGNSET1 bytes per strategy on small seeded synthetic graphs.
+# Any change to pools, exclusion, per-query draws, padding or the file layout
+# moves these digests.
+GOLDEN_SHA256 = {
+    "all":
+        "7735cfb33d0932b85e3d28ca8089596b57b18b4908bd52627d436381adbd2b46",
+    "type-aware":
+        "4d218812b04557e259b397186c3b9f3ef30aabf8e0dc6a8aa460f41d2b814f9d",
+    "type-aware-padded":
+        "8e5482a348f525d4fd127ddcb2ac4f49b22f528a16b78cd84a726d2329c11674",
+    "type-aware-clamped":
+        "9bd0e5ed5b6172e74e51329621e246e44f9cfe607a7bf72987292152563c6a89",
+    "random":
+        "380da850bdd1123fd84f96f09b8e2c23af72cc4bf09a68362f1a7f95a3d447df",
+    "node-type":
+        "d6f67f4babc88c4e173ae440b2026ffcd4cb0b5376437e446b78073c8c373470",
+    "node-type-entire":
+        "b41d69cbb8374d1f661afcbd27e2b163c3647398cf6f3c5658d02a96e58ad66b",
+}
+
+
+def _golden_set(case):
+    provenance = Provenance("golden", "test")
+    if case.startswith("node-type"):
+        g, queries = _thg_setup(seed=3)
+        return generate_node_type(g, g.node_types, queries, q=10, seed=8,
+                                  provenance=provenance,
+                                  entire_type_universe=case == "node-type-entire")
+    g, universe, queries = _tkg_setup(seed=3)
+    strategy, q = {
+        "all": ("all", 0),
+        "type-aware": ("type-aware", 6),
+        "type-aware-padded": ("type-aware", 20),
+        "type-aware-clamped": ("type-aware", 99),
+        "random": ("random", 6),
+    }[case]
+    return generate_negative_set(strategy, universe, queries, q=q, seed=8,
+                                 provenance=provenance)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+def test_golden_negative_file_bytes(tmp_path, case):
+    if case == "type-aware-clamped":
+        with pytest.warns(UserWarning, match="clamped"):
+            ns = _golden_set(case)
+    else:
+        ns = _golden_set(case)
+    if case == "type-aware-padded":
+        # the relation pools hold fewer than q conflict-free nodes for some
+        # queries, so those lists are padded from outside the pool
+        _, universe, _ = _tkg_setup(seed=3)
+        pools = collect_tail_pools(universe)
+        padded = [set(c.tolist()) - set(pools[query.relation].tolist())
+                  for query, c in zip(ns.queries, ns.candidates)]
+        assert any(padded)
+    path = tmp_path / "golden.bin"
+    write_negative_set(ns, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
 
 
 # -- serialization ----------------------------------------------------------------------
@@ -322,6 +388,46 @@ def test_fuzzed_byte_flips_detected(tmp_path, seed):
     # checksum catches it
     with pytest.raises((FormatError, CorruptionError)):
         read_negative_set(path)
+
+
+def _with_crc(body) -> bytes:
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
+@pytest.mark.parametrize("count,first_id,match", [
+    (10**12, 2, "candidate count"),  # would reach a multi-terabyte allocation
+    (1, 2**63, "int64 range"),
+])
+def test_crafted_record_is_corruption_error(tmp_path, count, first_id, match):
+    ns = NegativeSampleSet("random", 1, 0, [EvalQuery(0, 0, 0, 1)],
+                           [np.array([2], dtype=np.int64)])
+    path, _ = _roundtrip(ns, tmp_path)
+    body = bytearray(path.read_bytes()[:-4])
+    assert body[-2:] == b"\x01\x02"  # candidate count 1, then id 2
+    del body[-2:]
+    _write_varint(body, count)
+    _write_varint(body, first_id)
+    path.write_bytes(_with_crc(body))
+    with pytest.raises(CorruptionError, match=match):
+        read_negative_set(path)
+
+
+def test_mutations_with_valid_crc_fail_cleanly(tmp_path):
+    g, universe, queries = _tkg_setup(seed=1)
+    ns = generate_random(universe, queries[:6], q=4, seed=9,
+                         provenance=Provenance("synthetic", "test"))
+    path, _ = _roundtrip(ns, tmp_path)
+    body = path.read_bytes()[:-4]
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        mutated = bytearray(body)
+        for pos in rng.integers(len(mutated), size=int(rng.integers(1, 4))):
+            mutated[pos] = int(rng.integers(256))
+        path.write_bytes(_with_crc(mutated))
+        try:
+            read_negative_set(path)
+        except (CorruptionError, FormatError):
+            pass
 
 
 def test_missing_record_is_protocol_error():
