@@ -15,17 +15,22 @@ A window of 0 means unbounded history; a positive window truncates both the
 strict and the relaxed term. The exact functional form is versioned in
 :data:`RECURRENCY_FORMULA` so emitted numbers are never conflated with other
 implementations of the same idea.
+
+Both scorers read one sorted last-seen table, :class:`EdgeBankMemory`: int64
+codes ``key * node_count + destination`` with the latest time of each, where
+the key is the subject (pair mode) or ``subject * relation_count + relation``
+(triple mode). The recurrence baseline's strict term is the triple-mode table;
+its relaxed term bincounts occurrence columns grouped by relation.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, DataError, ProtocolError
 from .evaluation import DEFAULT_KS, Scorer, evaluate_single_step
 from .graph import TemporalMultiGraph
 from .negatives import EvalQuery, NegativeSampleSet
@@ -43,10 +48,14 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 class EdgeBankMemory:
-    """Key membership with per-key last-seen timestamps.
+    """Sorted last-seen table of (key, destination) codes.
 
-    In window mode a key is active iff ``last_seen >= t_now - window``; with
-    ``window=None`` every key ever seen stays active.
+    ``_codes`` are the sorted unique ``key * node_count + destination`` and
+    ``_times`` the latest timestamp of each, so the destinations of one key
+    are a contiguous run found by binary search. In window mode a key is
+    active iff ``last_seen >= t_now - window``; with ``window=None`` every key
+    ever seen stays active. The code widths are those of the first graph
+    observed into the empty table.
     """
 
     def __init__(self, key_mode: str = "pair", window: int | None = None):
@@ -56,42 +65,53 @@ class EdgeBankMemory:
             raise ConfigError("window must be non-negative")
         self.key_mode = key_mode
         self.window = window
-        self._store = {}  # source key -> {destination: last seen}
-        self._arrays = {}  # source key -> (destinations, last seen) as arrays
+        self.node_count = 0
+        self.relation_count = 0
+        self._codes = _EMPTY
+        self._times = _EMPTY
 
-    def _source_key(self, subject: int, relation: int):
-        return subject if self.key_mode == "pair" else (subject, relation)
+    def _keys(self, subjects, relations):
+        if self.key_mode == "pair":
+            return subjects
+        return subjects * self.relation_count + relations
 
-    def update(self, subject: int, relation: int, destination: int, timestamp: int) -> None:
-        key = self._source_key(subject, relation)
-        bucket = self._store.get(key)
-        if bucket is None:
-            bucket = self._store[key] = {}
-        bucket[destination] = timestamp  # re-observation refreshes last_seen
-        self._arrays.pop(key, None)
+    def observe(self, graph: TemporalMultiGraph) -> None:
+        """Merge one time-sorted chunk; a re-observed code takes its new time."""
+        n, r = graph.node_count, graph.relation_count
+        if n * n * (r if self.key_mode == "triple" else 1) >= 2**63:
+            raise DataError(f"{n} nodes and {r} relations overflow int64 {self.key_mode} codes")
+        if self._codes.size == 0:
+            self.node_count, self.relation_count = n, r
+        if n > self.node_count or r > self.relation_count:
+            raise DataError(f"{n} nodes and {r} relations exceed the memory's widths")
+        codes = self._keys(graph.subjects, graph.relations) * self.node_count + graph.objects
+        # a code's last row is its latest; reversed, np.unique's first index finds it
+        codes, last = np.unique(codes[::-1], return_index=True)
+        times = graph.timestamps[::-1][last]
+        at = np.searchsorted(self._codes, codes)
+        present = np.searchsorted(self._codes, codes, side="right") > at
+        self._times[at[present]] = times[present]
+        self._codes = np.insert(self._codes, at[~present], codes[~present])
+        self._times = np.insert(self._times, at[~present], times[~present])
 
-    def active_destinations(self, subject: int, relation: int, t_now: int) -> np.ndarray:
-        key = self._source_key(subject, relation)
-        bucket = self._store.get(key)
-        if not bucket:
-            return _EMPTY
-        cached = self._arrays.get(key)
-        if cached is None:
-            cached = (
-                np.fromiter(bucket.keys(), dtype=np.int64, count=len(bucket)),
-                np.fromiter(bucket.values(), dtype=np.int64, count=len(bucket)),
-            )
-            self._arrays[key] = cached
-        destinations, seen = cached
-        if self.window is None:
-            return destinations
-        return destinations[seen >= t_now - self.window]
+    def lookup(self, subject: int, relation: int, candidates) -> tuple:
+        """(seen mask, last-seen time) per candidate; times count only where seen."""
+        candidates = np.asarray(candidates, dtype=np.int64)
+        base = self._keys(subject, relation) * self.node_count
+        lo = hi = 0
+        if self.key_mode == "pair" or 0 <= relation < self.relation_count:
+            lo, hi = np.searchsorted(self._codes, (base, base + self.node_count))
+        if lo == hi:
+            return np.zeros(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=np.int64)
+        targets = candidates + base
+        at = np.searchsorted(self._codes[lo:hi], targets)
+        seen = self._codes[lo:hi].take(at, mode="clip") == targets
+        return seen, self._times[lo:hi].take(at, mode="clip")
 
 
 def edgebank_observe(memory: EdgeBankMemory, quads: TemporalMultiGraph) -> EdgeBankMemory:
     """Insert every quadruple's key with its timestamp as last_seen."""
-    for s, r, o, t in quads:
-        memory.update(s, r, o, t)
+    memory.observe(quads)
     return memory
 
 
@@ -99,10 +119,10 @@ def edgebank_score(
     memory: EdgeBankMemory, query: EvalQuery, candidates: np.ndarray, t_now: int
 ) -> np.ndarray:
     """1.0 for candidates whose key is active at t_now, else 0.0."""
-    active = memory.active_destinations(query.source, query.relation, t_now)
-    if active.size == 0:
-        return np.zeros(len(candidates), dtype=np.float64)
-    return np.isin(candidates, active).astype(np.float64)
+    seen, last = memory.lookup(query.source, query.relation, candidates)
+    if memory.window is not None:
+        seen &= last >= t_now - memory.window
+    return seen.astype(np.float64)
 
 
 class EdgeBankScorer(Scorer):
@@ -150,7 +170,7 @@ class RecurrencyParams:
     window: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:  # also rejects NaN
             raise ConfigError("lambda must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
@@ -161,70 +181,42 @@ class RecurrencyParams:
 class HistoryIndex:
     """Incrementally updatable record of past (s, r, o, t) occurrences.
 
+    ``latest`` is the triple-mode :class:`EdgeBankMemory` of the strict term.
+    For the relaxed term the ``_relations``, ``_objects`` and ``_times``
+    columns hold every occurrence sorted by (relation, arrival order).
+
     Append-only with non-decreasing timestamps. Scoring at time t demands
     ``high_water < t``, which makes it impossible for a score to depend on
     facts at or after the query timestamp.
     """
 
     def __init__(self):
-        self._pair_last = {}  # (s, r) -> {o: latest timestamp}
-        self._rel_times = {}  # r -> {o: ascending list of timestamps}
-        self._rel_max = {}  # r -> max occurrence count (unbounded window)
-        self._window_max_cache = {}  # (r, t, window) -> max windowed count
+        self.latest = EdgeBankMemory("triple")
+        self._relations = self._objects = self._times = _EMPTY
         self.high_water = None
 
     def observe(self, quads: TemporalMultiGraph) -> None:
-        for s, r, o, t in quads:
-            if self.high_water is not None and t < self.high_water:
-                raise ProtocolError(
-                    f"observations must arrive in ascending time order "
-                    f"({t} after {self.high_water})"
-                )
-            self.high_water = t
-            pair = self._pair_last.get((s, r))
-            if pair is None:
-                pair = self._pair_last[(s, r)] = {}
-            pair[o] = t
-            rel = self._rel_times.get(r)
-            if rel is None:
-                rel = self._rel_times[r] = {}
-            times = rel.get(o)
-            if times is None:
-                times = rel[o] = []
-            times.append(t)
-            count = len(times)
-            if count > self._rel_max.get(r, 0):
-                self._rel_max[r] = count
-        self._window_max_cache.clear()
-
-    def latest_pair_time(self, subject: int, relation: int, destination: int):
-        bucket = self._pair_last.get((subject, relation))
-        return None if bucket is None else bucket.get(destination)
-
-    def relation_frequency(self, relation: int, destination: int, t_now: int, window: int) -> int:
-        rel = self._rel_times.get(relation)
-        if rel is None:
-            return 0
-        times = rel.get(destination)
-        if not times:
-            return 0
-        if window <= 0:
-            return len(times)
-        return len(times) - bisect_left(times, t_now - window)
-
-    def relation_max_frequency(self, relation: int, t_now: int, window: int) -> int:
-        if window <= 0:
-            return self._rel_max.get(relation, 0)
-        key = (relation, t_now, window)
-        cached = self._window_max_cache.get(key)
-        if cached is None:
-            rel = self._rel_times.get(relation, {})
-            cached = max(
-                (len(times) - bisect_left(times, t_now - window) for times in rel.values()),
-                default=0,
+        if len(quads) == 0:
+            return
+        if self.high_water is not None and quads.t_min < self.high_water:
+            raise ProtocolError(
+                f"observations must arrive in ascending time order "
+                f"({quads.t_min} after {self.high_water})"
             )
-            self._window_max_cache[key] = cached
-        return cached
+        self.latest.observe(quads)
+        self.high_water = quads.t_max
+        order = np.argsort(quads.relations, kind="stable")
+        at = np.searchsorted(self._relations, quads.relations[order], side="right")
+        self._relations = np.insert(self._relations, at, quads.relations[order])
+        self._objects = np.insert(self._objects, at, quads.objects[order])
+        self._times = np.insert(self._times, at, quads.timestamps[order])
+
+    def relation_counts(self, relation: int, t_now: int, window: int) -> np.ndarray:
+        """Per-node object counts of ``relation``, from ``t_now - window`` on if window > 0."""
+        lo, hi = np.searchsorted(self._relations, (relation, relation + 1))
+        if window > 0:
+            lo += np.searchsorted(self._times[lo:hi], t_now - window)
+        return np.bincount(self._objects[lo:hi], minlength=self.latest.node_count)
 
 
 def recurrency_score(
@@ -244,20 +236,22 @@ def recurrency_score(
             f"causality: index high-water {index.high_water} >= query time {t}"
         )
     lam, alpha, window = params.lam, params.alpha, params.window
-    denom = index.relation_max_frequency(query.relation, t, window)
-    scores = np.zeros(len(candidates), dtype=np.float64)
-    for i, candidate in enumerate(candidates.tolist()):
-        strict = 0.0
-        last = index.latest_pair_time(query.source, query.relation, candidate)
-        if last is not None:
-            delta = t - last
-            if window <= 0 or delta <= window:
-                strict = 2.0 ** (-lam * delta)
-        relaxed = 0.0
-        if denom > 0:
-            relaxed = index.relation_frequency(query.relation, candidate, t, window) / denom
-        scores[i] = alpha * strict + (1.0 - alpha) * relaxed
-    return scores
+    candidates = np.asarray(candidates, dtype=np.int64)
+    seen, last = index.latest.lookup(query.source, query.relation, candidates)
+    gaps = t - last
+    if window > 0:
+        seen &= gaps <= window
+    strict = np.zeros(len(candidates), dtype=np.float64)
+    # Python's float power over the seen candidates only: numpy's vectorised
+    # power may round differently on some CPUs, and scores stay bit-exact
+    strict[seen] = [2.0 ** (-lam * gap) for gap in gaps[seen].tolist()]
+    counts = index.relation_counts(query.relation, t, window)
+    denom = counts.max(initial=0)
+    relaxed = np.zeros(len(candidates), dtype=np.float64)
+    if denom > 0:
+        inside = (candidates >= 0) & (candidates < len(counts))
+        relaxed[inside] = counts[candidates[inside]] / denom
+    return alpha * strict + (1.0 - alpha) * relaxed
 
 
 class RecurrencyScorer(Scorer):

@@ -261,9 +261,8 @@ def cmd_stats(run: _Run):
     print(report.to_text(), end="")
 
 
-def _universe_and_queries(graph, eval_graph, kind):
-    universe = add_inverse_relations(graph) if kind == "tkg" else graph
-    return universe, expand_queries(eval_graph, kind)
+def _universe(graph, kind):
+    return add_inverse_relations(graph) if kind == "tkg" else graph
 
 
 def cmd_negatives(run: _Run):
@@ -276,7 +275,7 @@ def cmd_negatives(run: _Run):
     kind = infer_kind(graph)
     if args.strategy == "node-type" and kind != "thg":
         raise ConfigError("node-type sampling requires a THG dataset")
-    universe, queries = _universe_and_queries(graph, eval_graph, kind)
+    universe, queries = _universe(graph, kind), expand_queries(eval_graph, kind)
     dataset_name = args.dataset or Path(args.graph).name
     provenance = Provenance(dataset=dataset_name, split=args.split)
     sample_set = generate_negative_set(
@@ -314,7 +313,7 @@ def _build_scorer(args, boundaries, train, valid, negatives, universe_graph, kin
         return EdgeBankScorer(key_mode=params.get("key_mode", "pair"), window=None)
     if name == "edgebank-tw":
         if "window" in params:
-            window = int(params["window"])
+            window = _number(int, params["window"], "window")
         elif boundaries is not None:
             window = validation_window(boundaries)
         else:
@@ -323,16 +322,16 @@ def _build_scorer(args, boundaries, train, valid, negatives, universe_graph, kin
     if name == "recurrency":
         return RecurrencyScorer(
             RecurrencyParams(
-                lam=float(params.get("lambda", 0.1)),
-                alpha=float(params.get("alpha", 0.99)),
-                window=int(params.get("window", 0)),
+                lam=_number(float, params.get("lambda", 0.1), "lambda"),
+                alpha=_number(float, params.get("alpha", 0.99), "alpha"),
+                window=_number(int, params.get("window", 0), "window"),
             )
         )
     if name == "recurrency-trained":
         grids = (
-            _float_grid(params.get("lambda_grid"), DEFAULT_LAMBDA_GRID),
-            _float_grid(params.get("alpha_grid"), DEFAULT_ALPHA_GRID),
-            tuple(int(x) for x in _float_grid(params.get("window_grid"), DEFAULT_WINDOW_GRID)),
+            _grid(params, "lambda_grid", DEFAULT_LAMBDA_GRID, float),
+            _grid(params, "alpha_grid", DEFAULT_ALPHA_GRID, float),
+            _grid(params, "window_grid", DEFAULT_WINDOW_GRID, int),
         )
         best = grid_search_recurrency(
             train, valid, negatives, universe_graph, *grids, kind=kind
@@ -342,22 +341,34 @@ def _build_scorer(args, boundaries, train, valid, negatives, universe_graph, kin
     raise ConfigError(f"unknown scorer {name!r}")
 
 
-def _float_grid(raw, default):
-    if raw is None:
+def _number(convert, raw, name):
+    """``convert(raw)``; a malformed value is a config error, not a crash."""
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"{name}: {raw!r} is not a valid number") from None
+
+
+def _grid(params, name, default, convert):
+    if name not in params:
         return default
-    return tuple(float(x) for x in raw.split("/"))
+    return tuple(_number(convert, x, name) for x in params[name].split("/"))
 
 
 def cmd_eval(run: _Run):
     args = run.args
     run.add_input(args.graph)
     run.add_input(args.splits)
+    ks = tuple(_number(int, k, "--ks") for k in args.ks.split(","))
     graph, static = load_graph_dir(args.graph)
     train, valid, test, boundaries = load_splits(args.splits, graph)
     eval_graph = {"valid": valid, "test": test}[args.split]
     history = train if args.split == "valid" else merge(train, valid)
     kind = infer_kind(graph)
-    universe, queries = _universe_and_queries(graph, eval_graph, kind)
+    trained = args.scorer == "recurrency-trained"
+    # only the 1-vs-all sets generated below need the (augmented) universe
+    needs_universe = not args.negatives or (trained and not args.valid_negatives)
+    universe = _universe(graph, kind) if needs_universe else None
 
     if args.negatives:
         run.add_input(args.negatives)
@@ -366,25 +377,24 @@ def cmd_eval(run: _Run):
         dataset_name = args.dataset or Path(args.graph).name
         negatives = generate_all(
             universe,
-            queries,
+            expand_queries(eval_graph, kind),
             Provenance(dataset=dataset_name, split=args.split),
             materialize=False,
         )
 
     # validation negatives for the trained recurrence variant
     grid_negatives = None
-    if args.scorer == "recurrency-trained":
-        _, valid_queries = _universe_and_queries(graph, valid, kind)
+    if trained:
         if args.valid_negatives:
             run.add_input(args.valid_negatives)
             grid_negatives = read_negative_set(args.valid_negatives)
         else:
-            grid_negatives = generate_all(universe, valid_queries, materialize=False)
+            grid_negatives = generate_all(universe, expand_queries(valid, kind), materialize=False)
 
     scorer = _build_scorer(args, boundaries, train, valid, grid_negatives, graph, kind)
     result = evaluate_single_step(
         scorer, history, eval_graph, negatives, graph,
-        ks=tuple(int(k) for k in args.ks.split(",")),
+        ks=ks,
         kind=kind,
         static_context=static,
     )

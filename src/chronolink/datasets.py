@@ -594,6 +594,9 @@ def load_graph_dir(directory):
         if not types_path.exists():
             raise DataError(f"{directory}: THG graph dir lacks node_types.csv")
         rows = np.loadtxt(types_path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        outside = rows[(rows[:, 0] < 0) | (rows[:, 0] >= node_count), 0]
+        if outside.size:
+            raise DataError(f"{types_path}: node id {outside[0]} outside [0, {node_count})")
         node_types = np.full(node_count, -1, dtype=np.int64)
         node_types[rows[:, 0]] = rows[:, 1]
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from chronolink import (
     ConfigError,
+    DataError,
     EvalQuery,
     HistoryIndex,
     ProtocolError,
@@ -18,6 +20,7 @@ from chronolink import (
     expand_queries,
     from_quadruples,
     generate,
+    generate_all,
     generate_type_aware,
     grid_search_recurrency,
     merge,
@@ -130,6 +133,21 @@ def test_edgebank_memory_validation():
         EdgeBankMemory("pair", window=-1)
 
 
+def test_code_width_overflow_is_data_error():
+    # node_count ** 2 = 2 ** 64 does not fit an int64 (key, destination) code
+    wide = from_quadruples([(0, 0, 1, 0)], node_count=2**32, relation_count=1)
+    for memory in (EdgeBankMemory("pair"), EdgeBankMemory("triple")):
+        with pytest.raises(DataError, match="overflow"):
+            edgebank_observe(memory, wide)
+    with pytest.raises(DataError, match="overflow"):
+        HistoryIndex().observe(wide)
+    # 2 ** 31 nodes over 2 relations is exactly 2 ** 63 triple codes
+    edge = from_quadruples([(0, 0, 1, 0)], node_count=2**31, relation_count=2)
+    edgebank_observe(EdgeBankMemory("pair"), edge)
+    with pytest.raises(DataError, match="overflow"):
+        edgebank_observe(EdgeBankMemory("triple"), edge)
+
+
 # -- recurrence scorer --------------------------------------------------------------------
 
 
@@ -204,6 +222,8 @@ def test_window_truncates_strict_and_relaxed():
 def test_params_validation():
     with pytest.raises(ConfigError):
         RecurrencyParams(lam=-0.1)
+    with pytest.raises(ConfigError):
+        RecurrencyParams(lam=float("nan"))
     with pytest.raises(ConfigError):
         RecurrencyParams(alpha=1.5)
     with pytest.raises(ConfigError):
@@ -365,3 +385,164 @@ def test_scorer_manifests_are_reproducible():
     assert "formula" in manifest
     bank = EdgeBankScorer("triple", window=9)
     assert bank.params_manifest() == {"scorer": "edgebank-tw", "key_mode": "triple", "window": 9}
+
+
+# -- golden scorer values ------------------------------------------------------------------
+
+_GOLDEN_SCORERS = {
+    "edgebank-pair-inf": lambda: EdgeBankScorer("pair", None),
+    "edgebank-pair-tw3": lambda: EdgeBankScorer("pair", 3),
+    "edgebank-triple-inf": lambda: EdgeBankScorer("triple", None),
+    "edgebank-triple-tw3": lambda: EdgeBankScorer("triple", 3),
+    "recurrency-0.1-0.99-0": lambda: RecurrencyScorer(RecurrencyParams(0.1, 0.99, 0)),
+    "recurrency-1.0-0.5-0": lambda: RecurrencyScorer(RecurrencyParams(1.0, 0.5, 0)),
+    "recurrency-0.01-0.9-4": lambda: RecurrencyScorer(RecurrencyParams(0.01, 0.9, 4)),
+    "recurrency-0.5-0.0-2": lambda: RecurrencyScorer(RecurrencyParams(0.5, 0.0, 2)),
+    "recurrency-0.3-1.0-6": lambda: RecurrencyScorer(RecurrencyParams(0.3, 1.0, 6)),
+}
+
+# sha256 of to_text() + per_relation_table() + per_timestep_table(); a change to
+# the scorers' memory must reproduce every digest exactly
+_GOLDEN_DIGESTS = {
+    "tkg": {
+        "edgebank-pair-inf":
+            "443f42b8dc1ca825cdbec211f90edd68ef97074bd9b3ce7f94fb2cf4a63e0a39",
+        "edgebank-pair-tw3":
+            "3e9343f36f5268b23d2ad1f4813c43ed9f16f6f06a396806f9b78e3fb9242399",
+        "edgebank-triple-inf":
+            "31a3523e35cc963c6830f168161f9034124f499a39d142d1fa19d8f9ba77b212",
+        "edgebank-triple-tw3":
+            "5403d56d4f23f627993f5d7c12f96bc4ce300a13fc9092abf00fe8c5e9d0c86f",
+        "recurrency-0.1-0.99-0":
+            "baf824b35ce56386be9b147bf24682501e47fa04034c958f7134167277d6183b",
+        "recurrency-1.0-0.5-0":
+            "db82a54637931b24da79092ebe45df150271348769b057f341d6844de390f11d",
+        "recurrency-0.01-0.9-4":
+            "17dcf0fda441740ce5156bebc94b145adb4062e4d77c1a315b91e5a1fc2dea40",
+        "recurrency-0.5-0.0-2":
+            "6f5a4de638a62a6f5cd656e107952aa1e0686e06790baaad1ea02a479877c396",
+        "recurrency-0.3-1.0-6":
+            "536d592fcfb0c613acc90bfa781d902a782e28c4c4ab74f840f63e189915b28c",
+    },
+    "thg": {
+        "edgebank-pair-inf":
+            "6b29e8dc625604d73cccb84de7c535fa6060a5fbf3ad857e599fbe84e6581f4e",
+        "edgebank-pair-tw3":
+            "f98105673a43b3101f9b4140b68109c85a6cce666b9e53d1a341021c4c6551ad",
+        "edgebank-triple-inf":
+            "5ca97df673b03dee1f2994355c35a6f4f01de090cd915825001a5021e73da85e",
+        "edgebank-triple-tw3":
+            "38f5364b800a693ed3713baca5abbffbb7095c7ee3b4ed9f24be8ceee117d90b",
+        "recurrency-0.1-0.99-0":
+            "861c261108b433bd2c7e79b3a471b1c7dd1bc812c722cab429eb4c54331feb00",
+        "recurrency-1.0-0.5-0":
+            "255d4a86cae92b974a38f4f388e70b72c62b0ec649ce9435f056ca4cf74ff85f",
+        "recurrency-0.01-0.9-4":
+            "782a3f50905af46d23df13dfeea2c9d37e065d68d72a59700de51f72a80154b2",
+        "recurrency-0.5-0.0-2":
+            "a556c62e0fb145642cd679a644dc8efce6b1cedc72c30881d67b0d487899ad0c",
+        "recurrency-0.3-1.0-6":
+            "d1fff75ef71a9bf6fd6865f9e3f69845a38b940d941a422ff7e2abc2bfee8499",
+    },
+}
+
+
+def _golden_setup(kind):
+    if kind == "tkg":
+        g = generate(SynthConfig(node_count=40, relation_count=3, timestep_count=40,
+                                 rate=10, p_rep=0.5, run_length=0.3, seed=21))
+        train, valid, test, _ = chronological_split(g)
+        universe = add_inverse_relations(g)
+        negatives = generate_type_aware(universe, expand_queries(test, "tkg"), q=12, seed=5)
+    else:
+        g = generate(SynthConfig(node_count=36, relation_count=4, timestep_count=40,
+                                 node_type_count=3, rate=10, p_rep=0.5, run_length=0.3,
+                                 seed=22))
+        train, valid, test, _ = chronological_split(g)
+        negatives = generate_all(g, expand_queries(test, "thg"), materialize=False)
+    return merge(train, valid), test, negatives, g
+
+
+@pytest.mark.parametrize("kind", ["tkg", "thg"])
+def test_golden_scorer_results(kind):
+    history, test, negatives, g = _golden_setup(kind)
+    got = {}
+    for name, make in _GOLDEN_SCORERS.items():
+        result = evaluate_single_step(make(), history, test, negatives, g)
+        text = result.to_text() + result.per_relation_table() + result.per_timestep_table()
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == _GOLDEN_DIGESTS[kind]
+
+
+# -- differential fuzz against the module-docstring formulas -------------------------------
+
+
+def _naive_edgebank(seen_quads, key_mode, window, query, candidates, t_now):
+    last = {}
+    for s, r, o, t in seen_quads:
+        last[(s if key_mode == "pair" else (s, r), o)] = t
+    key = query.source if key_mode == "pair" else (query.source, query.relation)
+    out = []
+    for c in candidates:
+        k = last.get((key, c))
+        out.append(1.0 if k is not None and (window is None or k >= t_now - window) else 0.0)
+    return out
+
+
+def _naive_recurrency(seen_quads, params, query, candidates):
+    t, lam, alpha, window = query.timestamp, params.lam, params.alpha, params.window
+
+    def in_window(k):
+        return window <= 0 or t - k <= window
+
+    freq = {}
+    for _, r, o, k in seen_quads:
+        if r == query.relation and in_window(k):
+            freq[o] = freq.get(o, 0) + 1
+    denom = max(freq.values(), default=0)
+    out = []
+    for c in candidates:
+        ks = [k for s, r, o, k in seen_quads
+              if (s, r, o) == (query.source, query.relation, c)]
+        strict = 2.0 ** (-lam * (t - max(ks))) if ks and in_window(max(ks)) else 0.0
+        relaxed = freq.get(c, 0) / denom if denom else 0.0
+        out.append(alpha * strict + (1.0 - alpha) * relaxed)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_scores_match_naive_formulas(seed):
+    rng = np.random.default_rng(seed)
+    n, rels = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+    times = sorted(int(t) for t in rng.choice(np.arange(-20, 20), size=8, replace=False))
+    quads = sorted({(int(rng.integers(n)), int(rng.integers(rels)), int(rng.integers(n)),
+                     int(rng.choice(times))) for _ in range(int(rng.integers(1, 60)))},
+                   key=lambda q: q[3])
+    g = from_quadruples(quads, node_count=n, relation_count=rels)
+    banks = {(mode, window): EdgeBankMemory(mode, window)
+             for mode in ("pair", "triple") for window in (None, 0, 2, 100)}
+    index = HistoryIndex()
+    grid = [RecurrencyParams(lam, alpha, window) for lam in (0.0, 0.3, 1.7)
+            for alpha in (0.0, 0.6, 1.0) for window in (0, 1, 3, 100)]
+    # feed ascending chunks, some of them empty, and query after each one
+    cuts = sorted(set(int(c) for c in rng.integers(-22, 22, size=5))) + [22]
+    done = -23
+    for cut in cuts:
+        chunk = g.time_slice(done + 1, cut)
+        for memory in banks.values():
+            edgebank_observe(memory, chunk)
+        index.observe(chunk)
+        seen_quads = [q for q in quads if q[3] <= cut]
+        done = cut
+        for _ in range(4):
+            # ids one past the graph's id space were never observed and score 0
+            query = EvalQuery(int(rng.integers(n + 1)), int(rng.integers(rels + 1)),
+                              cut + int(rng.integers(1, 5)), 0)
+            candidates = rng.integers(-1, n + 2, size=int(rng.integers(1, 2 * n)))
+            for (mode, window), memory in banks.items():
+                assert edgebank_score(memory, query, candidates, query.timestamp).tolist() \
+                    == _naive_edgebank(seen_quads, mode, window, query, candidates.tolist(),
+                                       query.timestamp)
+            for params in grid:
+                assert recurrency_score(index, params, query, candidates).tolist() \
+                    == _naive_recurrency(seen_quads, params, query, candidates.tolist())

@@ -290,3 +290,31 @@ def test_eval_without_negatives_uses_one_vs_all(pipeline):
                  "--split", "valid", "--scorer", "oracle",
                  "--out-dir", str(out)]) == EXIT_OK
     assert "mrr = 1\n" in (out / "result.txt").read_text()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--scorer", "recurrency", "--ks", "1,x"],
+    ["--scorer", "recurrency", "--params", "window=abc"],
+    ["--scorer", "recurrency", "--params", "lambda=nan"],
+    ["--scorer", "edgebank-tw", "--params", "window=abc"],
+    ["--scorer", "recurrency-trained", "--params", "lambda_grid=0.1/x"],
+    ["--scorer", "recurrency-trained", "--params", "window_grid=0/2.5"],
+])
+def test_malformed_eval_values_are_config_errors(pipeline, capsys, extra):
+    tmp_path, graph_dir, splits_dir = pipeline
+    assert main(["eval", "--graph", str(graph_dir), "--splits", str(splits_dir),
+                 "--split", "valid", *extra, "--out-dir", str(tmp_path / "ev")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["999,0", "-1,1"])
+def test_node_type_ids_outside_graph_are_data_errors(tmp_path, capsys, bad_row):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG + "node_type_count = 2\n")
+    graph_dir = tmp_path / "graph"
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(graph_dir)]) == EXIT_OK
+    types = graph_dir / "node_types.csv"
+    types.write_text(types.read_text() + bad_row + "\n")
+    assert main(["split", "--graph", str(graph_dir),
+                 "--out-dir", str(tmp_path / "splits")]) == EXIT_DATA
+    assert f"node id {bad_row.split(',')[0]} outside [0, 35)" in capsys.readouterr().err
