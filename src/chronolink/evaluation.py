@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ProtocolError
+from .errors import ConfigError, DataError, ProtocolError
 from .graph import TemporalMultiGraph, add_inverse_relations
 from .negatives import EvalQuery, NegativeSampleSet
 
@@ -198,6 +198,8 @@ def evaluate_single_step(
     three graphs are inverse-augmented internally when not already, so
     negatives must have been generated against the augmented universe.
     """
+    if any(int(k) < 1 for k in ks):
+        raise ConfigError(f"Hits@k cutoffs must be >= 1, got {tuple(ks)}")
     kind = kind or infer_kind(full_graph)
     universe = _augment_if_needed(full_graph, kind)
     feed = _augment_if_needed(eval_graph, kind)
@@ -234,6 +236,8 @@ def evaluate_single_step(
                 raise ProtocolError(
                     f"scorer returned {scores.shape} scores for {len(scored_ids)} candidates"
                 )
+            if np.isnan(scores).any():
+                raise ProtocolError(f"scorer returned NaN scores for {query}")
             rank = average_rank(scores, len(scored_ids) - 1)
             ties = int(np.count_nonzero(scores == scores[-1])) - 1
             if ties:

@@ -20,14 +20,15 @@ Serialized layout (little-endian)::
     dataset   u16 length + utf-8 bytes      (provenance)
     split     u16 length + utf-8 bytes
     generator u16 length + utf-8 bytes
-    records   per query: varint source, varint relation, zigzag-varint
-              timestamp, varint truth, u8 direction (0 tail / 1 head),
-              varint candidate count, then the sorted candidate ids
-              delta-encoded as varints (first id, then gaps)
+    records   per query six varints: source, relation, zigzag timestamp,
+              truth, direction (a u8, 0 tail / 1 head, so also its own
+              1-byte varint) and candidate count; then the sorted candidate
+              ids delta-encoded as varints (first id, then gaps)
     crc       u32 crc32 of everything above
 
-A magic or version mismatch raises FormatError; truncation or a failed
-checksum raises CorruptionError.
+The records form one unsigned-LEB128 varint stream, coded with numpy in
+fixed-size blocks. A magic or version mismatch raises FormatError; any other
+malformed or out-of-range content raises CorruptionError.
 """
 
 from __future__ import annotations
@@ -49,7 +50,13 @@ STRATEGIES = ("all", "type-aware", "node-type", "random")
 _MAGIC = b"TMGNSET1"
 _VERSION = 1
 _STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGIES)}
-_DIRECTION_CODE = {"tail": 0, "head": 1}
+_DIRECTIONS = ("tail", "head")
+_DIRECTION_CODE = {name: i for i, name in enumerate(_DIRECTIONS)}
+
+_RECORD_FIELDS = 6  # source, relation, zigzag timestamp, truth, direction, count
+_BLOCK_RECORDS = 256  # records per vectorised encode pass
+_BLOCK_BYTES = 1 << 14  # record bytes per vectorised decode pass, cut at a varint end
+_SHIFTS = np.arange(0, 70, 7, dtype=np.uint64)  # bit offset of each varint byte
 
 
 class EvalQuery(NamedTuple):
@@ -112,18 +119,11 @@ class NegativeSampleSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NegativeSampleSet):
             return NotImplemented
-        if (
-            self.strategy != other.strategy
-            or self.q != other.q
-            or self.seed != other.seed
-            or self.queries != other.queries
-            or self.provenance != other.provenance
-        ):
+        header = (self.strategy, self.q, self.seed, self.queries, self.provenance)
+        if header != (other.strategy, other.q, other.seed, other.queries, other.provenance):
             return False
-        if (self.candidates is None) != (other.candidates is None):
-            return False
-        if self.candidates is None:
-            return True
+        if self.candidates is None or other.candidates is None:
+            return self.candidates is other.candidates
         return all(np.array_equal(a, b) for a, b in zip(self.candidates, other.candidates))
 
     def index_of(self, query: EvalQuery) -> int:
@@ -181,21 +181,10 @@ def collect_tail_pools(graph: TemporalMultiGraph) -> dict:
     Collected over the whole dataset (all splits). On an inverse-augmented
     graph the pool of r + R therefore equals the subjects of r.
     """
-    pools = {}
-    order = np.lexsort((graph.objects, graph.relations))
-    r = graph.relations[order]
-    o = graph.objects[order]
-    n = len(r)
-    if n == 0:
-        return pools
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = r[1:] != r[:-1]
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
-    for lo, hi in zip(starts, ends):
-        pools[int(r[lo])] = np.unique(o[lo:hi])
-    return pools
+    codes = np.unique(graph.relations * graph.node_count + graph.objects)
+    relations, objects = np.divmod(codes, graph.node_count)
+    keys, firsts = np.unique(relations, return_index=True)
+    return dict(zip(keys.tolist(), np.split(objects, firsts[1:])))
 
 
 def _clamp_q(q: int, node_count: int) -> int:
@@ -345,108 +334,117 @@ def generate_negative_set(
 # -- serialization ---------------------------------------------------------------
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
+def _leb128(values: np.ndarray) -> bytes:
+    """LEB128 bytes of a uint64 array: 7-bit groups, low first, high bit = more."""
+    widths = np.searchsorted(np.uint64(1) << _SHIFTS[1:], values, side="right") + 1
+    out = np.empty(int(widths.sum()), dtype=np.uint8)
+    pos = np.cumsum(widths) - widths
+    while len(values):
+        more = values > 0x7F
+        out[pos] = values & 0x7F | more * np.uint64(0x80)
+        values = values[more] >> 7
+        pos = pos[more] + 1
+    return out.tobytes()
+
+
+def _encode_block(queries, candidates) -> bytes:
+    """The varint stream of a run of records: six fields each, then the id gaps."""
+    try:
+        fields = np.array(
+            [(q.source, q.relation, q.timestamp, q.true_destination,
+              _DIRECTION_CODE[q.direction], len(c)) for q, c in zip(queries, candidates)],
+            dtype=np.int64,
+        ).reshape(-1, _RECORD_FIELDS)
+        ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in [[], *candidates]])
+    except OverflowError:
+        raise DataError("record fields must lie in the int64 range") from None
+    if (fields[:, [0, 1, 3]] < 0).any() or (ids < 0).any():
         raise DataError("varint fields must be non-negative")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    counts = fields[:, 5]
+    starts = np.cumsum(counts) - counts
+    firsts = starts[counts > 0]
+    gaps = np.diff(ids, prepend=0)
+    if (np.delete(gaps, firsts) <= 0).any():
+        raise DataError("candidate lists must be strictly sorted")
+    gaps[firsts] = ids[firsts]
+    words = fields.view(np.uint64)
+    words[:, 2] = (words[:, 2] << 1) ^ (fields[:, 2] >> 63).view(np.uint64)  # zigzag
+    heads = np.repeat(starts, _RECORD_FIELDS)
+    return _leb128(np.insert(gaps.view(np.uint64), heads, words.ravel()))
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
+def _decode_block(chunk, wanted: int, remaining: int, queries: list, candidates: list) -> int:
+    """Append up to ``wanted`` whole records from the front of a uint8 chunk.
 
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-def _write_string(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise DataError("provenance string too long")
-    out.extend(struct.pack("<H", len(data)))
-    out.extend(data)
-
-
-class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.offset = offset
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise CorruptionError("truncated negative-set file")
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 70:
-                raise CorruptionError("malformed varint in negative-set file")
-
-    def string(self) -> str:
-        (length,) = struct.unpack("<H", self.take(2))
-        try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptionError("provenance string is not utf-8") from None
+    Returns the bytes they took (0: none fits); ``remaining`` counts the record
+    bytes from the chunk's start to the end of the file.
+    """
+    ends = np.flatnonzero(chunk < 0x80)
+    if not len(ends):
+        return 0
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = ends - starts + 1
+    if ((widths > 1) & (chunk[ends] == 0)).any():
+        raise CorruptionError("malformed varint in negative-set file")
+    if ((widths > 10) | (widths == 10) & (chunk[ends] > 1)).any():
+        raise CorruptionError("varint outside the int64 range")
+    shifts = _SHIFTS[np.arange(ends[-1] + 1) - np.repeat(starts, widths)]
+    values = np.add.reduceat((chunk[: ends[-1] + 1] & 0x7F).astype(np.uint64) << shifts, starts)
+    rows, i = [], 0
+    while len(rows) < wanted and i + _RECORD_FIELDS <= len(values):
+        count = int(values[i + _RECORD_FIELDS - 1])
+        if i + _RECORD_FIELDS + count > len(values):
+            # every candidate takes at least one varint byte
+            if count >= remaining - int(ends[i + _RECORD_FIELDS - 1]):
+                raise CorruptionError("candidate count exceeds the remaining file bytes")
+            break
+        rows.append(i)
+        i += _RECORD_FIELDS + count
+    if not rows:
+        return 0
+    heads = (np.array(rows)[:, None] + np.arange(_RECORD_FIELDS)).ravel()
+    fields = values[heads].reshape(-1, _RECORD_FIELDS)
+    gaps = np.delete(values[:i], heads)
+    counts = fields[:, 5].astype(np.int64)
+    firsts = (np.cumsum(counts) - counts)[counts > 0]
+    if (fields[:, 4] > 1).any():
+        raise CorruptionError("unknown direction code in negative-set file")
+    if (np.delete(gaps, firsts) == 0).any():
+        raise CorruptionError("candidate ids not strictly increasing")
+    # per-record running sums: the uint64 wrap-around cancels in the
+    # subtraction, and the first sum past 2**63 reads as a negative int64
+    total = np.cumsum(gaps)
+    ids = (total - np.repeat(total[firsts] - gaps[firsts], counts[counts > 0])).view(np.int64)
+    if (fields[:, [0, 1, 3]] >> 63).any() or (gaps >> 63).any() or (ids < 0).any():
+        raise CorruptionError("record field or candidate id outside the int64 range")
+    zigzag = fields[:, 2]
+    fields[:, 2] = (zigzag >> 1) ^ (0 - (zigzag & 1))
+    for source, relation, timestamp, truth, direction in fields[:, :5].view(np.int64).tolist():
+        queries.append(EvalQuery(source, relation, timestamp, truth, _DIRECTIONS[direction]))
+    candidates.extend(np.split(ids, np.cumsum(counts)[:-1]))
+    return int(ends[i - 1]) + 1
 
 
 def write_negative_set(sample_set: NegativeSampleSet, path) -> None:
-    """Serialize a sample set; unmaterialized all-strategy sets are materialized first."""
+    """Serialize a materialized sample set; an unmaterialized one is a DataError."""
     if sample_set.candidates is None:
-        raise DataError(
-            "cannot serialize an unmaterialized all-strategy set; "
-            "regenerate with materialize=True"
-        )
-    out = bytearray()
-    out.extend(_MAGIC)
-    out.extend(struct.pack("<HBB", _VERSION, _STRATEGY_CODE[sample_set.strategy], 0))
-    out.extend(
-        struct.pack(
-            "<QQQ",
-            sample_set.q,
-            sample_set.seed & 0xFFFFFFFFFFFFFFFF,
-            len(sample_set),
-        )
-    )
-    _write_string(out, sample_set.provenance.dataset)
-    _write_string(out, sample_set.provenance.split)
-    _write_string(out, sample_set.provenance.generator)
-    for query, cands in zip(sample_set.queries, sample_set.candidates):
-        _write_varint(out, query.source)
-        _write_varint(out, query.relation)
-        _write_varint(out, _zigzag(query.timestamp))
-        _write_varint(out, query.true_destination)
-        out.append(_DIRECTION_CODE[query.direction])
-        _write_varint(out, len(cands))
-        previous = None
-        for value in cands.tolist():
-            if previous is None:
-                _write_varint(out, value)
-            else:
-                gap = value - previous
-                if gap <= 0:
-                    raise DataError("candidate lists must be strictly sorted")
-                _write_varint(out, gap)
-            previous = value
-    out.extend(struct.pack("<I", zlib.crc32(bytes(out))))
+        raise DataError("cannot serialize an unmaterialized all-strategy set; "
+                        "regenerate with materialize=True")
+    p = sample_set.provenance
+    texts = [text.encode("utf-8") for text in (p.dataset, p.split, p.generator)]
+    if max(map(len, texts)) > 0xFFFF:
+        raise DataError("provenance string too long")
+    code, seed = _STRATEGY_CODE[sample_set.strategy], sample_set.seed & 0xFFFFFFFFFFFFFFFF
+    header = struct.pack("<HBBQQQ", _VERSION, code, 0, sample_set.q, seed, len(sample_set))
+    parts = [_MAGIC + header]
+    parts += [struct.pack("<H", len(text)) + text for text in texts]
+    for lo in range(0, len(sample_set), _BLOCK_RECORDS):
+        hi = lo + _BLOCK_RECORDS
+        parts.append(_encode_block(sample_set.queries[lo:hi], sample_set.candidates[lo:hi]))
+    body = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def read_negative_set(path) -> NegativeSampleSet:
@@ -461,44 +459,36 @@ def read_negative_set(path) -> NegativeSampleSet:
         raise FormatError(f"unsupported negative-set version {version}")
     if len(data) < len(_MAGIC) + 4 + 24 + 4:
         raise CorruptionError("truncated negative-set file")
-    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored_crc:
+    limit = len(data) - 4
+    if zlib.crc32(memoryview(data)[:limit]) != struct.unpack_from("<I", data, limit)[0]:
         raise CorruptionError("negative-set file failed its checksum")
 
-    reader = _Reader(data[:-4], len(_MAGIC) + 2)
-    strategy_code, _reserved = struct.unpack("<BB", reader.take(2))
-    try:
-        strategy = STRATEGIES[strategy_code]
-    except IndexError:
-        raise FormatError(f"unknown strategy code {strategy_code}") from None
-    q, seed, count = struct.unpack("<QQQ", reader.take(24))
-    provenance = Provenance(reader.string(), reader.string(), reader.string())
-    queries = []
-    candidates = []
-    directions = {code: name for name, code in _DIRECTION_CODE.items()}
-    for _ in range(count):
-        source = reader.varint()
-        relation = reader.varint()
-        timestamp = _unzigzag(reader.varint())
-        truth = reader.varint()
-        direction_code = reader.take(1)[0]
-        if direction_code not in directions:
-            raise CorruptionError(f"unknown direction code {direction_code}")
-        n_cands = reader.varint()
-        if n_cands > len(reader.data) - reader.offset:
-            # every candidate takes at least one varint byte
-            raise CorruptionError("candidate count exceeds the remaining file bytes")
-        values = np.empty(n_cands, dtype=np.int64)
-        running = 0
+    strategy_code, _reserved, q, seed, count = struct.unpack_from("<BBQQQ", data, len(_MAGIC) + 2)
+    if strategy_code >= len(STRATEGIES):
+        raise FormatError(f"unknown strategy code {strategy_code}")
+    offset = len(_MAGIC) + 4 + 24
+    texts = []
+    for _ in range(3):
+        length = int.from_bytes(data[offset : offset + 2], "little")
+        offset += 2 + length
+        if offset > limit:
+            raise CorruptionError("truncated negative-set file")
         try:
-            for j in range(n_cands):
-                step = reader.varint()
-                running = step if j == 0 else running + step
-                values[j] = running
-        except OverflowError:
-            raise CorruptionError("candidate id outside the int64 range") from None
-        queries.append(EvalQuery(source, relation, timestamp, truth, directions[direction_code]))
-        candidates.append(values)
-    if reader.offset != len(reader.data):
+            texts.append(data[offset - length : offset].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise CorruptionError("provenance string is not utf-8") from None
+    queries, candidates = [], []
+    size = _BLOCK_BYTES
+    while len(queries) < count:
+        stop = min(offset + size, limit)
+        chunk = np.frombuffer(data, dtype=np.uint8, count=stop - offset, offset=offset)
+        taken = _decode_block(chunk, count - len(queries), limit - offset, queries, candidates)
+        if not taken and stop == limit:
+            raise CorruptionError("truncated negative-set file")
+        offset += taken
+        if not taken:
+            size *= 2  # one record outgrows the block
+    if offset != limit:
         raise CorruptionError("trailing bytes after the last negative record")
-    return NegativeSampleSet(strategy, q, seed, queries, candidates, provenance)
+    return NegativeSampleSet(STRATEGIES[strategy_code], q, seed, queries, candidates,
+                             Provenance(*texts))

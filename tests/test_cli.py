@@ -102,6 +102,15 @@ def test_ingest_skip_mode(tmp_path):
     assert "skipped_lines = 3" in report
 
 
+def test_eval_cutoffs_below_one_exit_config(pipeline):
+    tmp_path, graph_dir, splits_dir = pipeline
+    out = tmp_path / "eval"
+    assert main(["eval", "--graph", str(graph_dir), "--splits", str(splits_dir),
+                 "--split", "test", "--scorer", "oracle", "--ks", "0,-3",
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    assert not (out / "result.txt").exists()
+
+
 def test_byte_identical_reruns(pipeline):
     tmp_path, graph_dir, splits_dir = pipeline
     outputs = []

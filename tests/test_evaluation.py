@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chronolink import (
+    ConfigError,
     ConstantScorer,
     EvalQuery,
     OracleScorer,
@@ -207,6 +208,40 @@ def test_scorer_shape_mismatch_raises():
     negatives = generate_random(universe, queries, q=5, seed=0)
     with pytest.raises(ProtocolError, match="scorer returned"):
         evaluate_single_step(Broken(), merge(train, valid), test, negatives, g)
+
+
+def _test_run(scorer, **kwargs):
+    g, train, valid, test = _tkg(seed=2)
+    negatives = generate_random(add_inverse_relations(g), expand_queries(test, "tkg"),
+                                q=5, seed=0)
+    return evaluate_single_step(scorer, merge(train, valid), test, negatives, g, **kwargs)
+
+
+class _TruthScorer(Scorer):
+    """Scores the truth ``top`` and every other candidate 0."""
+
+    def __init__(self, top):
+        self.top = top
+
+    def score_query(self, query, candidates):
+        return np.where(candidates == query.true_destination, self.top, 0.0)
+
+
+def test_nan_scores_are_protocol_error():
+    with pytest.raises(ProtocolError, match="NaN"):
+        _test_run(_TruthScorer(np.nan))
+
+
+@pytest.mark.parametrize("top", [np.inf, -np.inf])
+def test_infinite_scores_rank_like_finite_extremes(top):
+    result = _test_run(_TruthScorer(top))
+    assert result == _test_run(_TruthScorer(np.sign(top)))
+    assert (result.mrr == 1.0) == (top > 0)
+
+
+def test_cutoffs_below_one_are_config_errors():
+    with pytest.raises(ConfigError, match="cutoffs"):
+        _test_run(OracleScorer(), ks=(0, -3))
 
 
 def test_score_scale_invariance():

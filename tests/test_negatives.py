@@ -2,9 +2,13 @@ import hashlib
 import struct
 import warnings
 import zlib
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronolink import (
     ConfigError,
@@ -30,8 +34,8 @@ from chronolink import (
     read_negative_set,
     write_negative_set,
 )
+from chronolink import negatives
 from chronolink.errors import ProtocolError
-from chronolink.negatives import _write_varint
 
 
 def _tkg_setup(seed=0, **overrides):
@@ -394,22 +398,116 @@ def _with_crc(body) -> bytes:
     return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
 
 
-@pytest.mark.parametrize("count,first_id,match", [
-    (10**12, 2, "candidate count"),  # would reach a multi-terabyte allocation
-    (1, 2**63, "int64 range"),
+# The reference follows the layout in the chronolink.negatives docstring one
+# byte at a time.
+
+
+def _ref_varint(out: bytearray, value: int) -> None:
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def _ref_encode(ns) -> bytes:
+    out = bytearray(b"TMGNSET1")
+    out += struct.pack("<HBBQQQ", 1, negatives.STRATEGIES.index(ns.strategy), 0, ns.q, ns.seed, len(ns))
+    for text in (ns.provenance.dataset, ns.provenance.split, ns.provenance.generator):
+        data = text.encode("utf-8")
+        out += struct.pack("<H", len(data)) + data
+    for query, cands in zip(ns.queries, ns.candidates):
+        zigzag = 2 * query.timestamp if query.timestamp >= 0 else -2 * query.timestamp - 1
+        for value in (query.source, query.relation, zigzag, query.true_destination):
+            _ref_varint(out, value)
+        out.append(("tail", "head").index(query.direction))
+        ids = cands.tolist()
+        _ref_varint(out, len(ids))
+        for value in ids[:1] + [b - a for a, b in zip(ids, ids[1:])]:
+            _ref_varint(out, value)
+    return _with_crc(out)
+
+
+def _ref_decode(data: bytes) -> NegativeSampleSet:
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        pos += n
+        return data[pos - n : pos]
+
+    def varint():
+        value = shift = 0
+        while True:
+            byte = take(1)[0]
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            if byte < 0x80:
+                return value
+
+    def string():
+        (length,) = struct.unpack("<H", take(2))
+        return take(length).decode("utf-8")
+
+    assert take(8) == b"TMGNSET1"
+    _version, strategy, _reserved, q, seed, count = struct.unpack("<HBBQQQ", take(28))
+    provenance = Provenance(string(), string(), string())
+    queries, candidates = [], []
+    for _ in range(count):
+        source, relation, zigzag, truth = varint(), varint(), varint(), varint()
+        direction = ("tail", "head")[take(1)[0]]
+        steps = [varint() for _ in range(varint())]
+        queries.append(EvalQuery(source, relation, (zigzag >> 1) ^ -(zigzag & 1), truth,
+                                 direction))
+        candidates.append(np.array(list(accumulate(steps)), dtype=np.int64))
+    assert struct.unpack("<I", data[pos:]) == (zlib.crc32(data[:pos]),)
+    return NegativeSampleSet(negatives.STRATEGIES[strategy], q, seed, queries, candidates, provenance)
+
+
+@pytest.mark.parametrize("record,match", [
+    # would reach a multi-terabyte allocation
+    pytest.param((0, 0, 0, 1, 0, 10**12, 2), "candidate count",
+                 id="1000000000000-2-candidate count"),
+    pytest.param((0, 0, 0, 1, 0, 1, 2**63), "int64 range",
+                 id="1-9223372036854775808-int64 range"),
+    # a zero gap would load as the duplicate ids [2, 2]
+    pytest.param((0, 0, 0, 1, 0, 2, 2, 0), "strictly increasing", id="zero-gap"),
+    pytest.param((2**64, 0, 0, 1, 0, 1, 2), "int64 range", id="source-2**64"),
+    pytest.param((0, 0, 0, 2**63, 0, 1, 2), "int64 range", id="truth-2**63"),
+    pytest.param((0, 0, 0, 1, 0, 2, 2**62, 2**62), "int64 range", id="id-sum-2**63"),
+    pytest.param((0, 0, 0, 1, 0, 2, 1, 2**64 - 1), "int64 range", id="gap-2**64-1"),
+    pytest.param((0, 0, 0, 1, 2, 1, 2), "direction", id="direction-2"),
+    # direction 0 spelled as a two-byte varint
+    pytest.param((0, 0, 0, 1, b"\x80\x00", 1, 2), "malformed varint", id="overlong"),
+    pytest.param((0, 0, 0, 1, 0, 1, 2) * 2, "trailing bytes", id="extra-record"),
 ])
-def test_crafted_record_is_corruption_error(tmp_path, count, first_id, match):
+def test_crafted_record_is_corruption_error(tmp_path, record, match):
     ns = NegativeSampleSet("random", 1, 0, [EvalQuery(0, 0, 0, 1)],
                            [np.array([2], dtype=np.int64)])
     path, _ = _roundtrip(ns, tmp_path)
     body = bytearray(path.read_bytes()[:-4])
-    assert body[-2:] == b"\x01\x02"  # candidate count 1, then id 2
-    del body[-2:]
-    _write_varint(body, count)
-    _write_varint(body, first_id)
+    assert body[-7:] == bytes([0, 0, 0, 1, 0, 1, 2])  # fields, count 1, then id 2
+    del body[-7:]
+    for value in record:
+        if isinstance(value, bytes):
+            body += value
+        else:
+            _ref_varint(body, value)
     path.write_bytes(_with_crc(body))
     with pytest.raises(CorruptionError, match=match):
         read_negative_set(path)
+
+
+@pytest.mark.parametrize("query,ids,match", [
+    pytest.param(EvalQuery(0, 0, 0, 1), [3, 2], "strictly sorted", id="descending"),
+    pytest.param(EvalQuery(0, 0, 0, 1), [2, 2], "strictly sorted", id="duplicate"),
+    pytest.param(EvalQuery(-1, 0, 0, 1), [2], "non-negative", id="source--1"),
+    pytest.param(EvalQuery(2**64, 0, 0, 1), [2], "int64 range", id="source-2**64"),
+])
+def test_writer_refuses_unreadable_records(tmp_path, query, ids, match):
+    ns = NegativeSampleSet("random", 1, 0, [query], [np.array(ids, dtype=np.int64)])
+    with pytest.raises(DataError, match=match):
+        write_negative_set(ns, tmp_path / "ns.bin")
+    assert not (tmp_path / "ns.bin").exists()
 
 
 def test_mutations_with_valid_crc_fail_cleanly(tmp_path):
@@ -475,3 +573,76 @@ def test_zigzag_timestamps_round_trip(tmp_path):
     ns = NegativeSampleSet("all", 0, 0, [query], [np.array([0], dtype=np.int64)])
     _, back = _roundtrip(ns, tmp_path)
     assert back.queries[0].timestamp == -3
+
+
+# -- differential test against the scalar reference codec -------------------------------
+
+
+_FIELD = st.integers(0, 2**63 - 1)
+_RECORD = st.tuples(
+    st.builds(EvalQuery, _FIELD, _FIELD, st.integers(-(2**63), 2**63 - 1), _FIELD,
+              st.sampled_from(["tail", "head"])),
+    st.lists(st.integers(0, 2**62), unique=True, max_size=12).map(
+        lambda ids: np.array(sorted(ids), dtype=np.int64)),
+)
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+
+
+@st.composite
+def _sample_sets(draw):
+    records = draw(st.lists(_RECORD, max_size=10))
+    return NegativeSampleSet(
+        draw(st.sampled_from(negatives.STRATEGIES)),
+        draw(st.integers(0, 2**64 - 1)),
+        draw(st.integers(0, 2**64 - 1)),
+        [query for query, _ in records],
+        [ids for _, ids in records],
+        Provenance(draw(_TEXT), draw(_TEXT), draw(_TEXT)),
+    )
+
+
+_EXTREMES = NegativeSampleSet(
+    "node-type", 2**64 - 1, 0,
+    [EvalQuery(2**63 - 1, 0, -(2**63), 2**63 - 1, "head"), EvalQuery(0, 1, 2**63 - 1, 0),
+     EvalQuery(5, 2, -1, 3, "head")],
+    [np.array([0, 2**62], dtype=np.int64), np.empty(0, dtype=np.int64),
+     np.array([2**62], dtype=np.int64)],
+    Provenance("ünï", "tëst", "gen-✓"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ns=_sample_sets(), block_records=st.integers(1, 4), block_bytes=st.integers(1, 48))
+@example(ns=NegativeSampleSet("random", 0, 0, [], []), block_records=1, block_bytes=1)
+@example(ns=_EXTREMES, block_records=2, block_bytes=3)
+@example(ns=_EXTREMES, block_records=256, block_bytes=1 << 14)
+def test_codec_matches_scalar_reference(tmp_path_factory, ns, block_records, block_bytes):
+    # small blocks make records straddle block ends and outgrow whole blocks
+    path = tmp_path_factory.mktemp("codec") / "ns.bin"
+    with mock.patch.object(negatives, "_BLOCK_RECORDS", block_records), \
+            mock.patch.object(negatives, "_BLOCK_BYTES", block_bytes):
+        write_negative_set(ns, path)
+        back = read_negative_set(path)
+    data = path.read_bytes()
+    assert data == _ref_encode(ns)
+    assert back == ns
+    assert _ref_decode(data) == ns
+
+
+def test_codec_matches_scalar_reference_at_default_blocks(tmp_path):
+    # several encode and decode blocks, multi-byte ids and negative timestamps
+    rng = np.random.default_rng(11)
+    n = 700
+    columns = zip(rng.integers(0, 2**40, n), rng.integers(0, 600, n),
+                  rng.integers(-(2**41), 2**41, n), rng.integers(0, 2**40, n),
+                  rng.integers(0, 2, n))
+    queries = [EvalQuery(int(s), int(r), int(t), int(o), ("tail", "head")[d])
+               for s, r, t, o, d in columns]
+    candidates = [np.unique(rng.integers(0, 2**40, size=int(n)))
+                  for n in rng.integers(0, 80, size=len(queries))]
+    ns = NegativeSampleSet("random", 80, 2, queries, candidates, Provenance("ünï", "test"))
+    path, back = _roundtrip(ns, tmp_path)
+    assert len(path.read_bytes()) > 2 * negatives._BLOCK_BYTES
+    assert len(ns) > 2 * negatives._BLOCK_RECORDS
+    assert path.read_bytes() == _ref_encode(ns)
+    assert back == ns
