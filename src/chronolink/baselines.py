@@ -26,6 +26,7 @@ its relaxed term bincounts occurrence columns grouped by relation.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,11 +222,17 @@ class HistoryIndex:
 
 def recurrency_score(
     index: HistoryIndex,
-    params: RecurrencyParams,
+    params: RecurrencyParams | Sequence[RecurrencyParams],
     query: EvalQuery,
     candidates: np.ndarray,
 ) -> np.ndarray:
     """Mix strict (recency-decayed) and relaxed (frequency) recurrence scores.
+
+    ``params`` is one :class:`RecurrencyParams`, giving one score per
+    candidate, or a sequence of them, giving one row of scores per entry.
+    Rows share the history lookup, rows with the same window the relaxed
+    term, and rows with the same (lambda, window) the strict term, so each
+    row is bitwise what its parameters score alone.
 
     With nothing observed for any candidate the result is all zeros, a full
     tie resolved by the engine's average-rank rule.
@@ -235,23 +242,39 @@ def recurrency_score(
         raise ProtocolError(
             f"causality: index high-water {index.high_water} >= query time {t}"
         )
-    lam, alpha, window = params.lam, params.alpha, params.window
+    single = isinstance(params, RecurrencyParams)
     candidates = np.asarray(candidates, dtype=np.int64)
     seen, last = index.latest.lookup(query.source, query.relation, candidates)
     gaps = t - last
+    strict, relaxed, scores = {}, {}, []
+    for p in [params] if single else params:
+        key = p.lam, p.window
+        if key not in strict:
+            strict[key] = _strict_term(seen, gaps, p.lam, p.window)
+        if p.window not in relaxed:
+            relaxed[p.window] = _relaxed_term(index, query.relation, t, candidates, p.window)
+        scores.append(p.alpha * strict[key] + (1.0 - p.alpha) * relaxed[p.window])
+    return scores[0] if single else np.array(scores)
+
+
+def _strict_term(seen, gaps, lam, window) -> np.ndarray:
     if window > 0:
-        seen &= gaps <= window
-    strict = np.zeros(len(candidates), dtype=np.float64)
+        seen = seen & (gaps <= window)
+    strict = np.zeros(len(seen), dtype=np.float64)
     # Python's float power over the seen candidates only: numpy's vectorised
     # power may round differently on some CPUs, and scores stay bit-exact
     strict[seen] = [2.0 ** (-lam * gap) for gap in gaps[seen].tolist()]
-    counts = index.relation_counts(query.relation, t, window)
+    return strict
+
+
+def _relaxed_term(index, relation, t, candidates, window) -> np.ndarray:
+    counts = index.relation_counts(relation, t, window)
     denom = counts.max(initial=0)
     relaxed = np.zeros(len(candidates), dtype=np.float64)
     if denom > 0:
         inside = (candidates >= 0) & (candidates < len(counts))
         relaxed[inside] = counts[candidates[inside]] / denom
-    return alpha * strict + (1.0 - alpha) * relaxed
+    return relaxed
 
 
 class RecurrencyScorer(Scorer):
@@ -282,6 +305,14 @@ class RecurrencyScorer(Scorer):
         }
 
 
+class _GridScorer(RecurrencyScorer):
+    """Every grid point at once: one row of scores per :class:`RecurrencyParams`."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.params = rows
+
+
 def grid_search_recurrency(
     train: TemporalMultiGraph,
     valid: TemporalMultiGraph,
@@ -295,9 +326,10 @@ def grid_search_recurrency(
 ) -> RecurrencyParams:
     """Pick the validation-MRR argmax over the parameter grid.
 
-    Every combination runs the full single-step protocol on the validation
-    split. Exact MRR ties break toward smaller lambda, then larger alpha,
-    then smaller window.
+    Every combination is validated before any work, then one replay of the
+    single-step protocol on the validation split scores all of them: each
+    combination's result equals a separate run of its own scorer. Exact MRR
+    ties break toward smaller lambda, then larger alpha, then smaller window.
     """
     combos = sorted(
         itertools.product(lam_grid, alpha_grid, window_grid),
@@ -305,13 +337,15 @@ def grid_search_recurrency(
     )
     if not combos:
         raise ConfigError("parameter grid is empty")
+    rows = [RecurrencyParams(lam, alpha, window) for lam, alpha, window in combos]
+    results = evaluate_single_step(
+        _GridScorer(rows), train, valid, negatives, full_graph, ks, kind
+    )
+    if not isinstance(results, tuple):  # no validation query was scored
+        results = (results,) * len(rows)
     best_params = None
     best_mrr = -1.0
-    for lam, alpha, window in combos:
-        params = RecurrencyParams(lam, alpha, window)
-        result = evaluate_single_step(
-            RecurrencyScorer(params), train, valid, negatives, full_graph, ks, kind
-        )
+    for params, result in zip(rows, results):
         if result.mrr > best_mrr:
             best_mrr = result.mrr
             best_params = params

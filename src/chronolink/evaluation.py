@@ -44,7 +44,11 @@ class Scorer(abc.ABC):
 
     @abc.abstractmethod
     def score_query(self, query: EvalQuery, candidates: np.ndarray) -> np.ndarray:
-        """Score per candidate; higher means more plausible."""
+        """Score per candidate; higher means more plausible.
+
+        An ``(m, candidates)`` block scores m variants in one replay; it must
+        have the same m for every query.
+        """
 
     def observe(self, quads: TemporalMultiGraph):
         """Receive the ground truth of one finished timestep."""
@@ -189,7 +193,7 @@ def evaluate_single_step(
     ks=DEFAULT_KS,
     kind: str | None = None,
     static_context: TemporalMultiGraph | None = None,
-) -> EvalResult:
+) -> EvalResult | tuple:
     """Run the single-step protocol over one split.
 
     ``history`` is everything the scorer may know up front (train for
@@ -197,6 +201,11 @@ def evaluate_single_step(
     the conflict/filter universe (the whole dataset). For TKG inputs all
     three graphs are inverse-augmented internally when not already, so
     negatives must have been generated against the augmented universe.
+
+    Candidates are ranked along the last axis of the scores. A scorer that
+    returns one score per candidate gives one :class:`EvalResult`; one that
+    returns an ``(m, candidates)`` block gives a tuple of ``m`` results in row
+    order, each equal to a separate run of a scorer returning that row.
     """
     if any(int(k) < 1 for k in ks):
         raise ConfigError(f"Hits@k cutoffs must be >= 1, got {tuple(ks)}")
@@ -213,13 +222,8 @@ def evaluate_single_step(
 
     scorer.fit(history, static_context)
 
-    reciprocal = []
-    hit_counts = {int(k): 0 for k in ks}
-    by_relation = {}
-    by_timestep = {}
-    tied_queries = 0
-    max_tie_group = 0
-
+    # per query (and row): the candidates scoring above the truth, tying with it
+    better = tied = None
     i = 0
     while i < len(queries):
         timestamp = queries[i].timestamp
@@ -232,40 +236,57 @@ def evaluate_single_step(
                 [candidates, np.array([query.true_destination], dtype=np.int64)]
             )
             scores = np.asarray(scorer.score_query(query, scored_ids), dtype=np.float64)
-            if scores.shape != scored_ids.shape:
+            if better is None:  # the first query fixes the row count
+                better, tied = np.zeros((2, len(queries), *scores.shape[:-1]), dtype=np.int64)
+            if better.ndim > 2 or scores.shape != (*better.shape[1:], len(scored_ids)):
                 raise ProtocolError(
                     f"scorer returned {scores.shape} scores for {len(scored_ids)} candidates"
                 )
             if np.isnan(scores).any():
                 raise ProtocolError(f"scorer returned NaN scores for {query}")
-            rank = average_rank(scores, len(scored_ids) - 1)
-            ties = int(np.count_nonzero(scores == scores[-1])) - 1
-            if ties:
-                tied_queries += 1
-                max_tie_group = max(max_tie_group, ties + 1)
-            rr = 1.0 / rank
-            reciprocal.append(rr)
-            for k in hit_counts:
-                if rank <= k:
-                    hit_counts[k] += 1
-            by_relation.setdefault(query.relation, []).append(rr)
-            by_timestep.setdefault(timestamp, []).append(rr)
+            truth = scores[..., -1:]
+            axis = -1 if scores.ndim == 2 else None  # None counts a single row fastest
+            better[j] = np.count_nonzero(scores > truth, axis=axis)
+            tied[j] = np.count_nonzero(scores == truth, axis=axis) - 1
             j += 1
         scorer.observe(feed.time_slice(timestamp, timestamp))
         i = j
 
-    n = len(reciprocal)
-    mrr = math.fsum(reciprocal) / n if n else 0.0
+    if better is None:  # no query to rank
+        better = tied = np.zeros(0, dtype=np.int64)
+    groups = (_groups(q.relation for q in queries), _groups(q.timestamp for q in queries))
+    results = tuple(
+        _result(b, t, ks, *groups)
+        for b, t in zip(np.atleast_2d(better.T), np.atleast_2d(tied.T))
+    )
+    return results if better.ndim == 2 else results[0]
+
+
+def _groups(keys) -> list:
+    """(key, positions) for each distinct key, in ascending key order."""
+    positions = {}
+    for i, key in enumerate(keys):
+        positions.setdefault(key, []).append(i)
+    return [(key, np.array(at)) for key, at in sorted(positions.items())]
+
+
+def _result(better, tied, ks, by_relation, by_timestep) -> EvalResult:
+    """One row's aggregates; exact sums keep them independent of query order."""
+    ranks = 1.0 + better + tied / 2.0  # the average_rank rule
+    reciprocal = 1.0 / ranks
+    n = len(ranks)
+
+    def mean(at):
+        return math.fsum(reciprocal[at].tolist()) / len(at)
+
+    largest = int(tied.max(initial=0))
     return EvalResult(
-        mrr=mrr,
-        hits={k: hit_counts[k] / n if n else 0.0 for k in hit_counts},
+        mrr=math.fsum(reciprocal.tolist()) / n if n else 0.0,
+        hits={k: int(np.count_nonzero(ranks <= k)) / n if n else 0.0
+              for k in dict.fromkeys(int(k) for k in ks)},
         query_count=n,
-        per_relation={
-            r: (math.fsum(v) / len(v), len(v)) for r, v in sorted(by_relation.items())
-        },
-        per_timestep=tuple(
-            (t, math.fsum(v) / len(v), len(v)) for t, v in sorted(by_timestep.items())
-        ),
-        tied_queries=tied_queries,
-        max_tie_group=max_tie_group,
+        per_relation={r: (mean(at), len(at)) for r, at in by_relation},
+        per_timestep=tuple((t, mean(at), len(at)) for t, at in by_timestep),
+        tied_queries=int(np.count_nonzero(tied)),
+        max_tie_group=largest + 1 if largest else 0,
     )

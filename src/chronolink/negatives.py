@@ -349,15 +349,20 @@ def _leb128(values: np.ndarray) -> bytes:
 
 def _encode_block(queries, candidates) -> bytes:
     """The varint stream of a run of records: six fields each, then the id gaps."""
+    if any(q.direction not in _DIRECTION_CODE for q in queries):
+        raise DataError(f"query directions must be one of {_DIRECTIONS}")
+    arrays = [np.asarray(c) for c in candidates]
+    if any(a.size and a.dtype.kind not in "iu" for a in arrays):
+        raise DataError("candidate ids must be integer arrays")
     try:
         fields = np.array(
             [(q.source, q.relation, q.timestamp, q.true_destination,
-              _DIRECTION_CODE[q.direction], len(c)) for q, c in zip(queries, candidates)],
+              _DIRECTION_CODE[q.direction], len(c)) for q, c in zip(queries, arrays)],
             dtype=np.int64,
         ).reshape(-1, _RECORD_FIELDS)
-        ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in [[], *candidates]])
     except OverflowError:
         raise DataError("record fields must lie in the int64 range") from None
+    ids = np.concatenate([np.asarray(a, dtype=np.int64) for a in [[], *arrays]])
     if (fields[:, [0, 1, 3]] < 0).any() or (ids < 0).any():
         raise DataError("varint fields must be non-negative")
     counts = fields[:, 5]
@@ -434,6 +439,8 @@ def write_negative_set(sample_set: NegativeSampleSet, path) -> None:
     texts = [text.encode("utf-8") for text in (p.dataset, p.split, p.generator)]
     if max(map(len, texts)) > 0xFFFF:
         raise DataError("provenance string too long")
+    if not 0 <= sample_set.q <= 0xFFFFFFFFFFFFFFFF:
+        raise DataError(f"q must lie in the uint64 range, got {sample_set.q}")
     code, seed = _STRATEGY_CODE[sample_set.strategy], sample_set.seed & 0xFFFFFFFFFFFFFFFF
     header = struct.pack("<HBBQQQ", _VERSION, code, 0, sample_set.q, seed, len(sample_set))
     parts = [_MAGIC + header]

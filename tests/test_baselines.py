@@ -21,11 +21,13 @@ from chronolink import (
     from_quadruples,
     generate,
     generate_all,
+    generate_node_type,
     generate_type_aware,
     grid_search_recurrency,
     merge,
     validation_window,
 )
+from chronolink import baselines
 from chronolink.baselines import (
     EdgeBankMemory,
     EdgeBankScorer,
@@ -376,6 +378,74 @@ def test_grid_search_tie_break_preference():
     tied = [p for p, mrr in rows.items() if mrr == top]
     expected = min(tied, key=lambda p: (p.lam, -p.alpha, p.window))
     assert best == expected
+
+
+def _grid_case(case):
+    if case == "thg-node-type":
+        g = generate(SynthConfig(node_count=30, relation_count=3, timestep_count=30,
+                                 node_type_count=3, rate=6, p_rep=0.5, run_length=0.4, seed=31))
+        train, valid, _, _ = chronological_split(g)
+        queries = expand_queries(valid, "thg")
+        return g, train, valid, generate_node_type(g, g.node_types, queries, q=6, seed=2)
+    g = generate(SynthConfig(node_count=30, relation_count=3, timestep_count=30, rate=6,
+                             p_rep=0.5, run_length=0.4, seed=32))
+    train, valid, _, _ = chronological_split(g)
+    universe = add_inverse_relations(g)
+    queries = expand_queries(valid, "tkg")
+    if case == "tkg-sampled":
+        return g, train, valid, generate_type_aware(universe, queries, q=8, seed=4)
+    return g, train, valid, generate_all(universe, queries, materialize=False)
+
+
+# lambda 0, alpha at both ends, windows 0, 1 and beyond the history, duplicates
+_DIFF_GRID = ((0.0, 0.4, 0.4), (0.0, 1.0, 0.6), (0, 1, 3, 10**4))
+
+
+@pytest.mark.parametrize("case", ["tkg-sampled", "tkg-1vsall", "thg-node-type"])
+def test_single_grid_replay_equals_separate_runs(case, monkeypatch):
+    g, train, valid, negatives = _grid_case(case)
+    rows = [RecurrencyParams(*c) for c in itertools.product(*_DIFF_GRID)]
+    replay = evaluate_single_step(baselines._GridScorer(rows), train, valid, negatives, g)
+    separate = [evaluate_single_step(RecurrencyScorer(p), train, valid, negatives, g)
+                for p in rows]
+    assert replay == tuple(separate)
+    assert len({r.mrr for r in separate}) > 1  # the grid points are told apart
+
+    replays = []
+
+    def counted(*args, **kwargs):
+        replays.append(args[0])
+        return evaluate_single_step(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "evaluate_single_step", counted)
+    best = grid_search_recurrency(train, valid, negatives, g, *_DIFF_GRID)
+    top = max(r.mrr for r in separate)
+    tied = [p for p, r in zip(rows, separate) if r.mrr == top]
+    assert best == min(tied, key=lambda p: (p.lam, -p.alpha, p.window))
+    assert len(replays) == 1
+
+
+def test_grid_on_empty_validation_split_picks_the_preferred_point():
+    g = from_quadruples([(0, 0, 1, 0), (0, 0, 1, 1), (2, 1, 3, 1)],
+                        node_count=4, relation_count=2)
+    valid = g.time_slice(5, 6)
+    negatives = generate_all(add_inverse_relations(g), [], materialize=False)
+    best = grid_search_recurrency(g, valid, negatives, g, (1.0, 0.1), (0.9, 0.99), (5, 0))
+    assert best == RecurrencyParams(0.1, 0.99, 0)
+
+
+# a negative window sorts first in the search order, a negative alpha last
+@pytest.mark.parametrize("bad,match", [
+    pytest.param({"window_grid": (0, -1)}, "window", id="window"),
+    pytest.param({"alpha_grid": (0.9, -0.5)}, "alpha", id="alpha-last"),
+])
+def test_bad_grid_point_is_config_error_before_any_fit(bad, match, monkeypatch):
+    g, train, valid, negatives = _grid_fixture()
+    fitted = []
+    monkeypatch.setattr(RecurrencyScorer, "fit", lambda self, *a: fitted.append(self))
+    with pytest.raises(ConfigError, match=match):
+        grid_search_recurrency(train, valid, negatives, g, **bad)
+    assert fitted == []
 
 
 def test_scorer_manifests_are_reproducible():

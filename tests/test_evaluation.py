@@ -244,6 +244,68 @@ def test_cutoffs_below_one_are_config_errors():
         _test_run(OracleScorer(), ks=(0, -3))
 
 
+class _Stacked(Scorer):
+    """Stacks the scores of several scorers into one (len(scorers), n) block."""
+
+    def __init__(self, *scorers):
+        self.scorers = scorers
+
+    def fit(self, history, static_context=None):
+        for scorer in self.scorers:
+            scorer.fit(history, static_context)
+
+    def observe(self, quads):
+        for scorer in self.scorers:
+            scorer.observe(quads)
+
+    def score_query(self, query, candidates):
+        return np.stack([s.score_query(query, candidates) for s in self.scorers])
+
+
+def test_score_block_gives_one_result_per_row():
+    parts = (HashScorer(salt=3), ConstantScorer())
+    results = _test_run(_Stacked(*parts))
+    assert results == tuple(_test_run(part) for part in parts)
+    assert results[0] != results[1]
+    assert _test_run(_Stacked(OracleScorer())) == (_test_run(OracleScorer()),)
+
+
+class _Reshaped(Scorer):
+    """All-zero scores of shape ``shape(n)`` for n candidates."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def score_query(self, query, candidates):
+        return np.zeros(self.shape(len(candidates)))
+
+
+@pytest.mark.parametrize("scorer,match", [
+    pytest.param(_Stacked(OracleScorer(), _TruthScorer(np.nan)), "NaN", id="nan-second-row"),
+    pytest.param(_Stacked(_TruthScorer(np.nan), OracleScorer()), "NaN", id="nan-first-row"),
+    pytest.param(_Reshaped(lambda n: (2, n - 1)), r"scorer returned \(", id="short-last-axis"),
+    pytest.param(_Reshaped(lambda n: (2, n + 1)), r"scorer returned \(", id="long-last-axis"),
+    pytest.param(_Reshaped(lambda n: (n, 2)), r"scorer returned \(", id="transposed"),
+    pytest.param(_Reshaped(lambda n: (1, 2, n)), r"scorer returned \(", id="three-axes"),
+    pytest.param(_Reshaped(lambda n: ()), r"scorer returned \(", id="scalar"),
+])
+def test_malformed_score_block_is_protocol_error(scorer, match):
+    with pytest.raises(ProtocolError, match=match):
+        _test_run(scorer)
+
+
+def test_score_block_rows_must_not_change_between_queries():
+    class Growing(Scorer):
+        rows = 0
+
+        def score_query(self, query, candidates):
+            self.rows += 1
+            return np.zeros((self.rows, len(candidates)))
+
+    with pytest.raises(ProtocolError, match=r"scorer returned \("):
+        _test_run(Growing())
+
+
 def test_score_scale_invariance():
     class Transformed(Scorer):
         def __init__(self, inner, transform):

@@ -497,14 +497,17 @@ def test_crafted_record_is_corruption_error(tmp_path, record, match):
         read_negative_set(path)
 
 
-@pytest.mark.parametrize("query,ids,match", [
-    pytest.param(EvalQuery(0, 0, 0, 1), [3, 2], "strictly sorted", id="descending"),
-    pytest.param(EvalQuery(0, 0, 0, 1), [2, 2], "strictly sorted", id="duplicate"),
-    pytest.param(EvalQuery(-1, 0, 0, 1), [2], "non-negative", id="source--1"),
-    pytest.param(EvalQuery(2**64, 0, 0, 1), [2], "int64 range", id="source-2**64"),
+@pytest.mark.parametrize("query,ids,q,match", [
+    pytest.param(EvalQuery(0, 0, 0, 1), [3, 2], 1, "strictly sorted", id="descending"),
+    pytest.param(EvalQuery(0, 0, 0, 1), [2, 2], 1, "strictly sorted", id="duplicate"),
+    pytest.param(EvalQuery(-1, 0, 0, 1), [2], 1, "non-negative", id="source--1"),
+    pytest.param(EvalQuery(2**64, 0, 0, 1), [2], 1, "int64 range", id="source-2**64"),
+    pytest.param(EvalQuery(0, 0, 0, 1, "up"), [2], 1, "directions", id="direction-up"),
+    pytest.param(EvalQuery(0, 0, 0, 1), [2], -1, "uint64 range", id="q--1"),
+    pytest.param(EvalQuery(0, 0, 0, 1), [2.5, 7.9], 1, "integer arrays", id="float-ids"),
 ])
-def test_writer_refuses_unreadable_records(tmp_path, query, ids, match):
-    ns = NegativeSampleSet("random", 1, 0, [query], [np.array(ids, dtype=np.int64)])
+def test_writer_refuses_unreadable_records(tmp_path, query, ids, q, match):
+    ns = NegativeSampleSet("random", q, 0, [query], [np.asarray(ids)])
     with pytest.raises(DataError, match=match):
         write_negative_set(ns, tmp_path / "ns.bin")
     assert not (tmp_path / "ns.bin").exists()
