@@ -366,9 +366,8 @@ def cmd_eval(run: _Run):
     history = train if args.split == "valid" else merge(train, valid)
     kind = infer_kind(graph)
     trained = args.scorer == "recurrency-trained"
-    # only the 1-vs-all sets generated below need the (augmented) universe
-    needs_universe = not args.negatives or (trained and not args.valid_negatives)
-    universe = _universe(graph, kind) if needs_universe else None
+    # the filter universe, augmented once for the engine and the grid search
+    universe = _universe(graph, kind)
 
     if args.negatives:
         run.add_input(args.negatives)
@@ -391,9 +390,9 @@ def cmd_eval(run: _Run):
         else:
             grid_negatives = generate_all(universe, expand_queries(valid, kind), materialize=False)
 
-    scorer = _build_scorer(args, boundaries, train, valid, grid_negatives, graph, kind)
+    scorer = _build_scorer(args, boundaries, train, valid, grid_negatives, universe, kind)
     result = evaluate_single_step(
-        scorer, history, eval_graph, negatives, graph,
+        scorer, history, eval_graph, negatives, universe,
         ks=ks,
         kind=kind,
         static_context=static,

@@ -7,6 +7,13 @@ filter); only then is that timestamp's ground truth revealed to the scorer.
 Queries inside one timestamp therefore never see each other's answers, and
 no score may depend on facts at or after the query time.
 
+Every query's same-timestamp facts are looked up once, in bulk, as a run of
+the universe's sorted rows. An unmaterialized 1-vs-all set is ranked without
+building candidate lists: each query scores every node once, and the nodes
+it excludes (its conflicts and the truth) are subtracted from the counts of
+scores above and tied with the truth. That is exact only because a score may
+not depend on the other candidates (the :class:`Scorer` contract).
+
 Tied scores receive the average of their best and worst possible rank, so
 ranks live on a half-integer grid; a query counts for Hits@k iff its rank is
 at most k. Reciprocal ranks are aggregated with exact summation, making the
@@ -33,8 +40,10 @@ class Scorer(abc.ABC):
 
     Scoring must be pure given the history observed so far, and per
     candidate: the score of one candidate may not depend on which other
-    candidates appear in the array. The engine calls :meth:`observe` with
-    strictly ascending timestamps.
+    candidates appear in the array. The engine relies on this: for 1-vs-all
+    it scores every node once and subtracts the excluded conflicts from the
+    rank counts. The engine calls :meth:`observe` with strictly ascending
+    timestamps, and the candidate array it passes is read-only.
     """
 
     name = "scorer"
@@ -161,8 +170,12 @@ def time_aware_filter(
     known = full_graph.objects_at(query.source, query.relation, query.timestamp)
     if known.size == 0:
         return candidates
+    return _drop_conflicts(candidates, known, query.true_destination)
+
+
+def _drop_conflicts(candidates, known, truth) -> np.ndarray:
     keep = ~np.isin(candidates, known)
-    keep |= candidates == query.true_destination
+    keep |= candidates == truth
     return candidates[keep]
 
 
@@ -215,26 +228,38 @@ def evaluate_single_step(
     history = _augment_if_needed(history, kind)
 
     queries = expand_queries(eval_graph, kind)
-    if negatives.candidates is not None and len(negatives) != len(queries):
+    dense = negatives.candidates is None
+    if not dense and len(negatives) != len(queries):
         raise ProtocolError(
             f"negative set covers {len(negatives)} queries, expected {len(queries)}"
         )
+    records = [negatives.index_of(query) for query in queries]  # a missing one raises
+    source, relation, timestamp, truth = np.array(
+        [query[:4] for query in queries], dtype=np.int64).reshape(-1, 4).T
+    if dense and ((truth < 0) | (truth >= universe.node_count)).any():
+        raise DataError("query destination outside the universe's node space")
+    # each query's same-timestamp facts: universe.objects[lo:hi]
+    lo, hi = universe.fact_runs(source, relation, timestamp)
+    lo, hi, truth = lo.tolist(), hi.tolist(), truth.tolist()
+    everything = np.arange(universe.node_count, dtype=np.int64)
+    everything.setflags(write=False)
 
     scorer.fit(history, static_context)
 
     # per query (and row): the candidates scoring above the truth, tying with it
     better = tied = None
-    i = 0
-    while i < len(queries):
-        timestamp = queries[i].timestamp
-        j = i
-        while j < len(queries) and queries[j].timestamp == timestamp:
-            query = queries[j]
-            candidates = negatives.candidates_for(query, universe)
-            candidates = time_aware_filter(candidates, query, universe)
-            scored_ids = np.concatenate(
-                [candidates, np.array([query.true_destination], dtype=np.int64)]
-            )
+    cuts = [0, *(np.flatnonzero(np.diff(timestamp)) + 1).tolist(), len(queries)]
+    for i, j in zip(cuts[:-1], cuts[1:]) if queries else ():
+        if not dense:
+            scored, stops = _with_truths(negatives.candidates, records[i:j], truth[i:j])
+        for k in range(i, j):
+            query, facts = queries[k], universe.objects[lo[k]:hi[k]]
+            if dense:  # every node; the excluded facts are subtracted below
+                scored_ids, at, excluded = everything, truth[k], facts
+            else:  # the candidates with the truth appended last
+                scored_ids, at, excluded = scored[stops[k - i]:stops[k - i + 1]], -1, _NO_IDS
+                if len(facts) > (truth[k] in facts):
+                    scored_ids = _drop_conflicts(scored_ids, facts, truth[k])
             scores = np.asarray(scorer.score_query(query, scored_ids), dtype=np.float64)
             if better is None:  # the first query fixes the row count
                 better, tied = np.zeros((2, len(queries), *scores.shape[:-1]), dtype=np.int64)
@@ -242,15 +267,20 @@ def evaluate_single_step(
                 raise ProtocolError(
                     f"scorer returned {scores.shape} scores for {len(scored_ids)} candidates"
                 )
-            if np.isnan(scores).any():
-                raise ProtocolError(f"scorer returned NaN scores for {query}")
-            truth = scores[..., -1:]
+            top = scores[..., at, None]
+            nan = np.isnan(scores)
+            if nan.any():  # an excluded score is never ranked, so it may be NaN
+                nan[..., excluded] = False
+                if nan.any() or np.isnan(top).any():
+                    raise ProtocolError(f"scorer returned NaN scores for {query}")
             axis = -1 if scores.ndim == 2 else None  # None counts a single row fastest
-            better[j] = np.count_nonzero(scores > truth, axis=axis)
-            tied[j] = np.count_nonzero(scores == truth, axis=axis) - 1
-            j += 1
-        scorer.observe(feed.time_slice(timestamp, timestamp))
-        i = j
+            better[k] = np.count_nonzero(scores > top, axis=axis)
+            tied[k] = np.count_nonzero(scores == top, axis=axis) - 1  # the truth ties with itself
+            if dense:  # the excluded facts were scored too, the truth perhaps among them
+                gone = scores[..., excluded]
+                better[k] -= np.count_nonzero(gone > top, axis=axis)
+                tied[k] -= np.count_nonzero(gone == top, axis=axis) - (truth[k] in excluded)
+        scorer.observe(feed.time_slice(timestamp[i], timestamp[i]))
 
     if better is None:  # no query to rank
         better = tied = np.zeros(0, dtype=np.int64)
@@ -260,6 +290,19 @@ def evaluate_single_step(
         for b, t in zip(np.atleast_2d(better.T), np.atleast_2d(tied.T))
     )
     return results if better.ndim == 2 else results[0]
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
+def _with_truths(candidates, records, truths) -> tuple:
+    """One timestamp's candidate lists, each followed by its truth, in one
+    read-only array; query k's ids are ``scored[stops[k]:stops[k + 1]]``."""
+    lists = [np.asarray(candidates[r], dtype=np.int64) for r in records]
+    ends = np.cumsum([len(c) for c in lists])
+    scored = np.insert(np.concatenate(lists), ends, truths)
+    scored.setflags(write=False)
+    return scored, [0, *(ends + np.arange(1, len(lists) + 1)).tolist()]
 
 
 def _groups(keys) -> list:

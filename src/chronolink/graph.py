@@ -87,7 +87,7 @@ class TemporalMultiGraph:
         "granularity",
         "inverse_augmented",
         "duplicates_removed",
-        "_tsr_index",
+        "_run_codes",
     )
 
     def __init__(
@@ -157,7 +157,7 @@ class TemporalMultiGraph:
         object.__setattr__(self, "granularity", Granularity(granularity))
         object.__setattr__(self, "inverse_augmented", bool(inverse_augmented))
         object.__setattr__(self, "duplicates_removed", dropped)
-        object.__setattr__(self, "_tsr_index", None)
+        object.__setattr__(self, "_run_codes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TemporalMultiGraph is immutable")
@@ -267,34 +267,47 @@ class TemporalMultiGraph:
 
     def objects_at(self, subject: int, relation: int, timestamp: int) -> np.ndarray:
         """Sorted objects o with (subject, relation, o, timestamp) in the graph."""
-        index = self._group_index()
-        bounds = index.get((timestamp, subject, relation))
-        if bounds is None:
-            return _EMPTY_IDS
-        lo, hi = bounds
-        return self.objects[lo:hi]
+        (lo,), (hi,) = self.fact_runs([subject], [relation], [timestamp])
+        return self.objects[lo:hi] if hi > lo else _EMPTY_IDS
 
-    def _group_index(self):
-        # Rows are sorted by (t, s, r, o); group contiguous (t, s, r) runs once
-        # and keep the slice bounds for O(1) lookups afterwards.
-        if self._tsr_index is None:
-            n = len(self)
-            if n == 0:
-                object.__setattr__(self, "_tsr_index", {})
-            else:
-                t, s, r = self.timestamps, self.subjects, self.relations
-                change = np.empty(n, dtype=bool)
-                change[0] = True
-                change[1:] = (t[1:] != t[:-1]) | (s[1:] != s[:-1]) | (r[1:] != r[:-1])
-                starts = np.flatnonzero(change)
-                ends = np.append(starts[1:], n)
-                keys = zip(t[starts].tolist(), s[starts].tolist(), r[starts].tolist())
-                object.__setattr__(
-                    self,
-                    "_tsr_index",
-                    {k: (int(lo), int(hi)) for k, (lo, hi) in zip(keys, zip(starts, ends))},
+    def fact_runs(self, subjects, relations, timestamps) -> tuple:
+        """Row bounds ``(lo, hi)`` of each query's facts, in bulk.
+
+        ``objects[lo[i]:hi[i]]`` are the sorted objects o with (subjects[i],
+        relations[i], o, timestamps[i]) in the graph. Ids outside the id spaces
+        and timestamps the graph does not contain give an empty run.
+        """
+        s, r, t = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64)
+                                        for a in (subjects, relations, timestamps)))
+        times, codes = self._fact_codes()
+        rank = np.searchsorted(times, t)
+        valid = (times.take(rank, mode="clip") == t) if len(times) else np.zeros(t.shape, bool)
+        valid &= (s >= 0) & (s < self.node_count) & (r >= 0) & (r < self.relation_count)
+        # invalid queries get code -1, below every row, so an empty run
+        query = np.where(valid, (rank * self.node_count + s) * self.relation_count + r, -1)
+        lo = np.searchsorted(codes, query, side="left")
+        hi = np.searchsorted(codes, query, side="right")
+        return lo, hi
+
+    def _fact_codes(self):
+        # Rows are sorted by (t, s, r, o), so the codes (rank(t) * node_count +
+        # s) * relation_count + r are sorted too and each (t, s, r) is one run.
+        # Ranking the timestamps keeps unix-second graphs inside int64.
+        if self._run_codes is None:
+            t = self.timestamps
+            change = np.empty(len(t), dtype=bool)
+            change[:1] = True
+            np.not_equal(t[1:], t[:-1], out=change[1:])
+            times = t[change]
+            if len(times) * self.node_count * self.relation_count >= 2**63:
+                raise DataError(
+                    f"{len(times)} timestamps, {self.node_count} nodes and "
+                    f"{self.relation_count} relations overflow int64 fact codes"
                 )
-        return self._tsr_index
+            rank = np.cumsum(change) - 1
+            codes = (rank * self.node_count + self.subjects) * self.relation_count + self.relations
+            object.__setattr__(self, "_run_codes", (times, codes))
+        return self._run_codes
 
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)

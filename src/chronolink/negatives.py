@@ -85,9 +85,10 @@ class NegativeSampleSet:
     """Pre-generated candidate lists, one per evaluation query.
 
     ``candidates[i]`` is a sorted int64 array for ``queries[i]``. For the
-    "all" strategy the lists may be left unmaterialized (``candidates &
-    node_count`` implied); :meth:`candidates_for` then reconstructs them on
-    demand, which keeps 1-vs-all evaluation memory-lean.
+    "all" strategy the lists may be left unmaterialized (``candidates is
+    None``, every node implied); :meth:`candidates_for` reconstructs one on
+    demand, and the engine ranks every node without building the lists,
+    which keeps 1-vs-all evaluation memory-lean.
     """
 
     def __init__(
@@ -151,12 +152,6 @@ def _query_rng(seed: int, query_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _excluded(universe: TemporalMultiGraph, query: EvalQuery) -> np.ndarray:
-    """Sorted union of the true destination and all temporal conflicts."""
-    conflicts = universe.objects_at(query.source, query.relation, query.timestamp)
-    return np.union1d(conflicts, np.array([query.true_destination], dtype=np.int64))
-
-
 def _check_queries(universe: TemporalMultiGraph, queries) -> None:
     for query in queries:
         if query.relation >= universe.relation_count:
@@ -168,11 +163,13 @@ def _check_queries(universe: TemporalMultiGraph, queries) -> None:
 
 def all_candidates(universe: TemporalMultiGraph, query: EvalQuery) -> np.ndarray:
     """Every node except the truth and the temporal conflicts, ascending."""
-    return np.setdiff1d(
-        np.arange(universe.node_count, dtype=np.int64),
-        _excluded(universe, query),
-        assume_unique=True,
-    )
+    return _everything_but_excluded(universe, [query])[0]
+
+
+def _everything_but_excluded(universe: TemporalMultiGraph, queries) -> list:
+    # a pool of every node and q = node_count: nothing is sampled or padded
+    everything = np.arange(universe.node_count, dtype=np.int64)
+    return _draw(universe, queries, universe.node_count, 0, [everything] * len(queries), False)
 
 
 def collect_tail_pools(graph: TemporalMultiGraph) -> dict:
@@ -205,12 +202,18 @@ def _draw(universe: TemporalMultiGraph, queries, q: int, seed: int, pools, pad: 
     pool member that is neither its truth nor a temporal conflict. More than
     q kept members are sampled down to q; with ``pad``, fewer than q are
     topped up from the conflict-free nodes outside the pool, so the list has
-    min(q, available) entries.
+    min(q, available) entries. Every query's conflicts come from one bulk
+    lookup of the universe's fact runs.
     """
     everything = np.arange(universe.node_count, dtype=np.int64)
+    keys = np.array([query[:3] for query in queries], dtype=np.int64).reshape(-1, 3)
+    lo, hi = universe.fact_runs(keys[:, 0], keys[:, 1], keys[:, 2])
     lists = []
-    for i, (query, pool) in enumerate(zip(queries, pools)):
-        excluded = _excluded(universe, query)
+    for i, (query, pool, a, b) in enumerate(zip(queries, pools, lo.tolist(), hi.tolist())):
+        # the temporal conflicts and the truth, each once
+        excluded = universe.objects[a:b]
+        if query.true_destination not in excluded:
+            excluded = np.append(excluded, query.true_destination)
         kept = np.setdiff1d(pool, excluded, assume_unique=True)
         if len(kept) > q:
             kept = np.sort(_query_rng(seed, i).choice(kept, size=q, replace=False))
@@ -305,9 +308,7 @@ def generate_all(
 ) -> NegativeSampleSet:
     """The 1-vs-all universe: all nodes minus conflicts minus the truth."""
     _check_queries(graph_all, queries)
-    candidates = None
-    if materialize:
-        candidates = [all_candidates(graph_all, query) for query in queries]
+    candidates = _everything_but_excluded(graph_all, queries) if materialize else None
     return NegativeSampleSet("all", 0, 0, list(queries), candidates, provenance)
 
 

@@ -2,7 +2,17 @@ import json
 
 import pytest
 
-from chronolink import cli
+from chronolink import (
+    NegativeSampleSet,
+    RecurrencyScorer,
+    add_inverse_relations,
+    brute_force_evaluate,
+    cli,
+    evaluation,
+    load_graph_dir,
+    load_splits,
+    merge,
+)
 from chronolink.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -10,6 +20,7 @@ from chronolink.cli import (
     EXIT_OK,
     EXIT_PROTOCOL,
     EXIT_UNEXPECTED,
+    MANIFEST_REFERENCE,
     main,
 )
 
@@ -299,6 +310,38 @@ def test_eval_without_negatives_uses_one_vs_all(pipeline):
                  "--split", "valid", "--scorer", "oracle",
                  "--out-dir", str(out)]) == EXIT_OK
     assert "mrr = 1\n" in (out / "result.txt").read_text()
+
+
+@pytest.mark.parametrize("scorer,augmentations", [
+    ("recurrency", 3),  # the universe, then the engine's test split and history
+    ("recurrency-trained", 5),  # and the grid search's validation split and train
+])
+def test_one_vs_all_eval_augments_the_universe_once(pipeline, monkeypatch, scorer,
+                                                     augmentations):
+    tmp_path, graph_dir, splits_dir = pipeline
+    augmented = []
+
+    def counting(graph):
+        augmented.append(len(graph))
+        return add_inverse_relations(graph)
+
+    monkeypatch.setattr(cli, "add_inverse_relations", counting)
+    monkeypatch.setattr(evaluation, "add_inverse_relations", counting)
+    out = tmp_path / "eval"
+    assert main(["eval", "--graph", str(graph_dir), "--splits", str(splits_dir),
+                 "--split", "test", "--scorer", scorer,
+                 "--params", "lambda_grid=0.1/1.0,alpha_grid=0.9,window_grid=0",
+                 "--out-dir", str(out)]) == EXIT_OK
+    graph, _ = load_graph_dir(graph_dir)
+    assert augmented.count(len(graph)) == 1
+    assert len(augmented) == augmentations
+    if scorer == "recurrency":
+        train, valid, test, _ = load_splits(splits_dir, graph)
+        one_vs_all = NegativeSampleSet("all", 0, 0, [], None)
+        want = brute_force_evaluate(RecurrencyScorer(), merge(train, valid), test, one_vs_all,
+                                    graph)
+        assert (out / "result.txt").read_text() == MANIFEST_REFERENCE + want.to_text()
+        assert (out / "per_relation.tsv").read_text().endswith(want.per_relation_table())
 
 
 @pytest.mark.parametrize("extra", [

@@ -4,7 +4,9 @@ import pytest
 from chronolink import (
     ConfigError,
     ConstantScorer,
+    DataError,
     EvalQuery,
+    NegativeSampleSet,
     OracleScorer,
     ProtocolError,
     Scorer,
@@ -230,6 +232,64 @@ class _TruthScorer(Scorer):
 def test_nan_scores_are_protocol_error():
     with pytest.raises(ProtocolError, match="NaN"):
         _test_run(_TruthScorer(np.nan))
+
+
+# (0, 0, ?, 3) has two answers, 1 and 2: each is the other query's conflict
+_CONFLICTED = [(0, 0, 1, 1), (0, 0, 1, 3), (0, 0, 2, 3)]
+
+
+def _conflicted_run(scorer, lists=None, drop_last=False):
+    """Rank test timestamp 3 of a 5-node graph, 1-vs-all or over given lists."""
+    g = from_quadruples(_CONFLICTED, node_count=5, relation_count=1)
+    queries = expand_queries(g.time_slice(3, 3), "thg")[: -1 if drop_last else None]
+    if lists is None:
+        negatives = generate_all(g, queries, materialize=False)
+    else:  # a set from outside, holding the conflicts the filter must drop
+        negatives = NegativeSampleSet("random", 4, 0, queries, lists(queries))
+    return evaluate_single_step(scorer, g.time_slice(0, 2), g.time_slice(3, 3), negatives, g,
+                                kind="thg")
+
+
+def _every_other_node(queries):
+    return [np.delete(np.arange(5), q.true_destination) for q in queries]
+
+
+class _NanAt(Scorer):
+    """HashScorer's scores, with NaN at the query's conflicts, its truth or a fixed node."""
+
+    def __init__(self, where):
+        self.where = where
+
+    def score_query(self, query, candidates):
+        conflicts = {1, 2} - {query.true_destination}
+        nan = {"conflicts": conflicts, "truth": {query.true_destination}, "kept": {4}}
+        scores = HashScorer(salt=5).score_query(query, candidates)
+        return np.where(np.isin(candidates, list(nan[self.where])), np.nan, scores)
+
+
+@pytest.mark.parametrize("lists", [None, _every_other_node], ids=["dense", "filtered"])
+def test_nan_only_at_conflicts_is_never_ranked(lists):
+    assert _conflicted_run(_NanAt("conflicts"), lists) == _conflicted_run(HashScorer(5), lists)
+
+
+@pytest.mark.parametrize("lists", [None, _every_other_node], ids=["dense", "filtered"])
+@pytest.mark.parametrize("where", ["truth", "kept"])
+def test_nan_at_a_ranked_score_is_protocol_error(lists, where):
+    with pytest.raises(ProtocolError, match="NaN"):
+        _conflicted_run(_NanAt(where), lists)
+
+
+def test_one_vs_all_truth_outside_the_universe_is_data_error():
+    g = from_quadruples(_CONFLICTED, node_count=5, relation_count=1)
+    test = from_quadruples([(0, 0, 5, 3)], node_count=6, relation_count=1)
+    negatives = generate_all(g, expand_queries(test, "thg"), materialize=False)
+    with pytest.raises(DataError, match="node space"):
+        evaluate_single_step(HashScorer(5), g.time_slice(0, 2), test, negatives, g, kind="thg")
+
+
+def test_unmaterialized_set_missing_a_query_is_protocol_error():
+    with pytest.raises(ProtocolError, match="no negative record"):
+        _conflicted_run(HashScorer(5), drop_last=True)
 
 
 @pytest.mark.parametrize("top", [np.inf, -np.inf])

@@ -117,6 +117,69 @@ def test_objects_at(g4):
     assert g4.objects_at(2, 1, 3).tolist() == [3]
 
 
+def _naive_runs(g, queries):
+    """Objects per (s, r, t) query, from a set of the graph's quadruples."""
+    facts = set(g)
+    return [sorted(o for o in range(g.node_count) if (s, r, o, t) in facts)
+            for s, r, t in queries]
+
+
+def _bulk_runs(g, queries):
+    s, r, t = np.array(queries, dtype=np.int64).reshape(-1, 3).T
+    lo, hi = g.fact_runs(s, r, t)
+    assert (lo <= hi).all()
+    return [g.objects[a:b].tolist() for a, b in zip(lo, hi)]
+
+
+# every query of a 4-node, 2-relation id space, and ids on each side of it
+_EDGE_IDS = [-(2**62), -1, 0, 1, 3, 4, 2**62]
+
+
+@pytest.mark.parametrize("times", [
+    pytest.param([-5, 0, 2, 7], id="small-and-negative"),
+    pytest.param([1_700_000_000, 1_700_000_060, 1_700_086_400], id="unix-seconds"),
+])
+def test_fact_runs_match_a_naive_lookup(times):
+    quads = [(s, r, o, t) for i, t in enumerate(times) for s, r, o in
+             [(0, 0, 1), (0, 0, 3), (3, 1, 0), (i % 4, 1, 2), (2, 0, 2)]]
+    g = from_quadruples(quads, node_count=4, relation_count=2)
+    probes = sorted({*times, min(times) - 1, times[1] - 1, times[1] + 1, max(times) + 1,
+                     -(2**63), 2**63 - 1})
+    queries = [(s, r, t) for s in _EDGE_IDS for r in _EDGE_IDS for t in probes]
+    assert _bulk_runs(g, queries) == _naive_runs(g, queries)
+    for s, r, t in queries[:: 7]:
+        assert g.objects_at(s, r, t).tolist() == _naive_runs(g, [(s, r, t)])[0]
+
+
+def test_fact_runs_on_an_empty_graph():
+    g = from_quadruples([], node_count=3, relation_count=2)
+    assert _bulk_runs(g, [(0, 0, 0), (2, 1, -4), (-1, 9, 2**40)]) == [[], [], []]
+    assert g.objects_at(0, 0, 0).tolist() == []
+    lo, hi = g.fact_runs([], [], [])
+    assert lo.shape == hi.shape == (0,)
+
+
+def test_unix_second_timestamps_rank_inside_int64():
+    # raw timestamps times the id spaces would overflow int64; their ranks do not
+    nodes, relations = 2**31, 2**10
+    t0 = 1_700_000_000
+    g = from_quadruples([(nodes - 1, relations - 1, 5, t0), (7, 3, nodes - 1, t0 + 3600)],
+                        node_count=nodes, relation_count=relations)
+    assert g.objects_at(nodes - 1, relations - 1, t0).tolist() == [5]
+    assert g.objects_at(7, 3, t0 + 3600).tolist() == [nodes - 1]
+    assert g.objects_at(7, 3, t0).tolist() == []
+
+
+def test_fact_code_overflow_is_data_error():
+    g = from_quadruples([(0, 0, 1, 0), (1, 0, 0, 1)], node_count=2**40, relation_count=2**22)
+    with pytest.raises(DataError, match="overflow int64"):
+        g.objects_at(0, 0, 0)
+    with pytest.raises(DataError, match="overflow int64"):
+        g.fact_runs([0], [0], [1])
+    # one timestamp fewer: the codes end just below 2**63
+    assert g.time_slice(0, 0).objects_at(0, 0, 0).tolist() == [1]
+
+
 def test_merge_rejects_mismatched_vocabularies(g4):
     other = from_quadruples([(0, 0, 1, 0)], node_count=9, relation_count=2)
     with pytest.raises(DataError):
