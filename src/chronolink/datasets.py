@@ -11,9 +11,12 @@ exactly.
 from __future__ import annotations
 
 import hashlib
+import io
+import re
 import shutil
 import urllib.error
 import urllib.request
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +35,9 @@ from .graph import Granularity, SplitBoundaries, TemporalMultiGraph
 
 _FIELDS = ("timestamp", "subject", "relation", "object")
 STATIC_TIMESTAMP = 0  # sentinel for the relation-only companion graph
+_DENSE_INT = re.compile(r"[+-]?[0-9]+")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_WRITE_BLOCK_ROWS = 1 << 16  # rows per formatted block, bounding the text buffer
 
 
 @dataclass(frozen=True)
@@ -145,15 +151,21 @@ class IngestReport:
 
 def read_keyvalue_file(path) -> dict:
     """Parse a ``key = value`` config file; '#' starts a comment."""
+    return {key: value for key, (value, _) in _read_keyvalue_lines(path).items()}
+
+
+def _read_keyvalue_lines(path) -> dict:
+    """key -> (value, 1-based line number) of a ``key = value`` config file."""
     out = {}
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}: malformed line {raw_line!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        out[key.strip()] = (value.strip(), lineno)
     return out
 
 
@@ -385,6 +397,70 @@ def parse_static_edgelist(source, node_index: dict, *, delimiter: str = ",", hea
     return graph, relations.raw, skipped
 
 
+def _read_int_table(source, width: int, delimiter: str, header: bool) -> np.ndarray:
+    """The ``(rows, width)`` int64 table of a dense delimited file or file object.
+
+    Lines end at "\\n", "\\r\\n" or "\\r". With ``header`` the first line is
+    skipped, and so is every line holding only whitespace. Every other line has
+    ``width`` fields, each an optionally signed ASCII decimal integer within
+    int64, with whitespace around it ignored.
+
+    ``np.loadtxt`` parses the whole file in one bulk pass. Text it refuses or
+    warns about is re-read line by line, which accepts what the grammar allows
+    and otherwise raises on the first bad line: SchemaError for a wrong field
+    count, ParseError for a bad field.
+    """
+    path, text = None, None
+    if hasattr(source, "read"):
+        data = source.read()
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    else:
+        path = source
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            table = np.loadtxt(
+                io.StringIO(text, newline=None) if path is None else path,
+                dtype=np.int64, delimiter=delimiter, comments=None,
+                skiprows=int(header), ndmin=2, encoding="utf-8",
+            )
+        if table.shape[1] == width:
+            return table
+    except (ValueError, UserWarning):
+        pass
+    if path is not None:
+        text = Path(path).read_text(encoding="utf-8")
+    return _int_table_by_line(text, width, delimiter, header, path)
+
+
+def _int_table_by_line(text: str, width: int, delimiter: str, header: bool, path) -> np.ndarray:
+    """:func:`_read_int_table` one line at a time, naming ``path`` in its errors."""
+    where = f"{path} " if path is not None else ""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = []
+    for lineno, line in enumerate(lines[int(header):], start=1 + int(header)):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(delimiter)]
+        if len(fields) != width:
+            raise SchemaError(f"{where}line {lineno}: expected {width} columns, got {len(fields)}")
+        for f in fields:
+            if not _DENSE_INT.fullmatch(f):
+                raise ParseError(f"field {f!r} is not an integer", lineno, path)
+            if not _INT64_MIN <= int(f) <= _INT64_MAX:
+                raise ParseError(f"field {f} lies outside the int64 range", lineno, path)
+        rows.append([int(f) for f in fields])
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+def _write_int_table(fh, columns, delimiter: str) -> None:
+    """Write parallel int columns as delimited decimal rows, one bulk format per block."""
+    line = delimiter.replace("%", "%%").join(["%d"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+        block = np.column_stack([c[lo : lo + _WRITE_BLOCK_ROWS] for c in columns])
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def load_dense_edgelist(
     source,
     *,
@@ -399,32 +475,13 @@ def load_dense_edgelist(
 
     This is the exact inverse of :func:`write_edgelist`, preserving ids
     bit-for-bit (unlike :func:`parse_edgelist`, which assigns fresh dense ids
-    in first-seen order).
+    in first-seen order). The accepted text is described in
+    :func:`_read_int_table`.
     """
     schema = schema or EdgeListSchema()
-    lines = _read_lines(source)
-    body = lines[1:] if schema.header else lines
-    start = 2 if schema.header else 1
-    cols = {name: schema.column_index(name) for name in _FIELDS}
-    rows = [[], [], [], []]
-    for lineno, line in enumerate(body, start=start):
-        if not line.strip():
-            continue
-        parts = line.split(schema.delimiter)
-        if len(parts) != 4:
-            raise SchemaError(f"line {lineno}: expected 4 columns, got {len(parts)}")
-        try:
-            rows[0].append(int(parts[cols["subject"]]))
-            rows[1].append(int(parts[cols["relation"]]))
-            rows[2].append(int(parts[cols["object"]]))
-            rows[3].append(int(parts[cols["timestamp"]]))
-        except ValueError:
-            raise ParseError("non-integer field in dense edge list", lineno) from None
-    return TemporalMultiGraph(
-        rows[0],
-        rows[1],
-        rows[2],
-        rows[3],
+    return _dense_graph(
+        _read_int_table(source, 4, schema.delimiter, schema.header),
+        schema,
         node_count=node_count,
         relation_count=relation_count,
         node_types=node_types,
@@ -433,23 +490,27 @@ def load_dense_edgelist(
     )
 
 
+def _dense_graph(table: np.ndarray, schema: EdgeListSchema, **meta) -> TemporalMultiGraph:
+    s, r, o, t = (table[:, schema.column_index(name)]
+                  for name in ("subject", "relation", "object", "timestamp"))
+    return TemporalMultiGraph(s, r, o, t, **meta)
+
+
 def write_edgelist(graph: TemporalMultiGraph, path, schema: EdgeListSchema | None = None) -> None:
     """Serialize a graph to delimited text with dense ids (canonical form)."""
     schema = schema or EdgeListSchema()
-    delim = schema.delimiter
-    out = []
-    if schema.header:
-        out.append(delim.join(schema.columns))
     columns = {
         "timestamp": graph.timestamps,
         "subject": graph.subjects,
         "relation": graph.relations,
         "object": graph.objects,
     }
-    stacked = [columns[name] for name in schema.columns]
-    for row in zip(*stacked):
-        out.append(delim.join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        if schema.header:
+            fh.write(schema.delimiter.join(schema.columns) + "\n")
+        elif graph.is_empty:
+            fh.write("\n")
+        _write_int_table(fh, [columns[name] for name in schema.columns], schema.delimiter)
 
 
 def write_vocab(path, raw_ids) -> None:
@@ -555,8 +616,7 @@ def write_graph_dir(
     if graph.is_heterogeneous:
         with open(directory / "node_types.csv", "w", encoding="utf-8") as fh:
             fh.write("node,type\n")
-            for node, typ in enumerate(graph.node_types):
-                fh.write(f"{node},{int(typ)}\n")
+            _write_int_table(fh, [np.arange(graph.node_count), graph.node_types], ",")
     if report is not None:
         write_vocab(directory / "nodes.vocab", report.node_vocab)
         write_vocab(directory / "relations.vocab", report.relation_vocab)
@@ -582,10 +642,13 @@ def load_graph_dir(directory):
     Returns (graph, static_graph_or_None).
     """
     directory = Path(directory)
-    meta = read_keyvalue_file(directory / "meta.txt")
-    node_count = int(meta["node_count"])
-    relation_count = int(meta["relation_count"])
-    granularity = Granularity(meta["granularity"])
+    meta_path = directory / "meta.txt"
+    meta = read_keyvalue_file(meta_path)
+    node_count = _meta_field(meta, "node_count", meta_path, _count, "a non-negative integer")
+    relation_count = _meta_field(meta, "relation_count", meta_path, _count,
+                                 "a non-negative integer")
+    granularity = _meta_field(meta, "granularity", meta_path, Granularity,
+                              f"one of {[g.value for g in Granularity]}")
     augmented = meta.get("inverse_augmented", "false") == "true"
 
     node_types = None
@@ -593,12 +656,16 @@ def load_graph_dir(directory):
         types_path = directory / "node_types.csv"
         if not types_path.exists():
             raise DataError(f"{directory}: THG graph dir lacks node_types.csv")
-        rows = np.loadtxt(types_path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-        outside = rows[(rows[:, 0] < 0) | (rows[:, 0] >= node_count), 0]
+        nodes, types = _read_int_table(types_path, 2, ",", header=True).T
+        outside = nodes[(nodes < 0) | (nodes >= node_count)]
         if outside.size:
             raise DataError(f"{types_path}: node id {outside[0]} outside [0, {node_count})")
-        node_types = np.full(node_count, -1, dtype=np.int64)
-        node_types[rows[:, 0]] = rows[:, 1]
+        typed = np.zeros(node_count, dtype=bool)
+        typed[nodes] = True
+        if not typed.all():
+            raise DataError(f"node {int(np.argmin(typed))} has no type in {types_path}")
+        node_types = np.empty(node_count, dtype=np.int64)
+        node_types[nodes] = types
 
     graph = load_dense_edgelist(
         directory / "edgelist.csv",
@@ -611,23 +678,33 @@ def load_graph_dir(directory):
     static = None
     static_path = directory / "static_edgelist.csv"
     if static_path.exists():
-        static_rel_vocab = directory / "static_relations.vocab"
-        n_static_rel = len(read_vocab(static_rel_vocab)) if static_rel_vocab.exists() else None
-        static = load_dense_edgelist(
-            static_path,
-            node_count=node_count,
-            relation_count=n_static_rel if n_static_rel is not None else _max_relation(static_path) + 1,
-            granularity=granularity,
-        )
+        schema = EdgeListSchema()
+        table = _read_int_table(static_path, 4, schema.delimiter, schema.header)
+        vocab_path = directory / "static_relations.vocab"
+        if vocab_path.exists():
+            static_relations = len(read_vocab(vocab_path))
+        else:
+            relations = table[:, schema.column_index("relation")]
+            static_relations = int(relations.max()) + 1 if len(relations) else 1
+        static = _dense_graph(table, schema, node_count=node_count,
+                              relation_count=static_relations, granularity=granularity)
     return graph, static
 
 
-def _max_relation(path) -> int:
+def _count(value: str) -> int:
+    if not _DENSE_INT.fullmatch(value) or int(value) < 0:
+        raise ValueError(value)
+    return int(value)
+
+
+def _meta_field(meta: dict, key: str, path, convert, expected: str):
+    if key not in meta:
+        raise DataError(f"{path} lacks {key}")
     try:
-        graph_rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        return convert(meta[key])
     except ValueError:
-        return 0  # header-only companion file
-    return int(graph_rows[:, 2].max()) if len(graph_rows) else 0
+        lineno = _read_keyvalue_lines(path)[key][1]
+        raise ParseError(f"{key} {meta[key]!r} is not {expected}", lineno, path) from None
 
 
 def save_splits(directory, train, valid, test, boundaries: SplitBoundaries) -> None:

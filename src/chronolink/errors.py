@@ -18,13 +18,17 @@ class DataError(ChronolinkError):
 
 
 class ParseError(DataError):
-    """A row of an edge list could not be parsed. Carries the 1-based line number."""
+    """A row of an edge list could not be parsed. Carries the 1-based line number
+    and, when the row came from a named file, its path."""
 
-    def __init__(self, message, line_number=None):
+    def __init__(self, message, line_number=None, path=None):
         if line_number is not None:
             message = f"line {line_number}: {message}"
+        if path is not None:
+            message = f"{path} {message}"
         super().__init__(message)
         self.line_number = line_number
+        self.path = path
 
 
 class SchemaError(DataError):

@@ -145,13 +145,6 @@ class NegativeSampleSet:
         return all_candidates(universe, query)
 
 
-def _query_rng(seed: int, query_index: int) -> np.random.Generator:
-    # Counter-based: every query gets an independent stream derived from
-    # (seed, index), so generation order cannot change draws.
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, query_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _check_queries(universe: TemporalMultiGraph, queries) -> None:
     for query in queries:
         if query.relation >= universe.relation_count:
@@ -204,26 +197,57 @@ def _draw(universe: TemporalMultiGraph, queries, q: int, seed: int, pools, pad: 
     topped up from the conflict-free nodes outside the pool, so the list has
     min(q, available) entries. Every query's conflicts come from one bulk
     lookup of the universe's fact runs.
+
+    Excluded ids are located in the pool by binary search and never copied
+    out: a draw picks positions among the kept members, and
+    ``Generator.choice(kept, ...)`` is ``kept[choice(len(kept), ...)]``, so
+    the Philox stream and its one ``choice`` call per query are unchanged.
     """
-    everything = np.arange(universe.node_count, dtype=np.int64)
+    node_count = universe.node_count
     keys = np.array([query[:3] for query in queries], dtype=np.int64).reshape(-1, 3)
     lo, hi = universe.fact_runs(keys[:, 0], keys[:, 1], keys[:, 2])
+    # One Philox bit generator, reset per query to the state Philox(key=(seed, i))
+    # starts in: counter-based streams, so generation order cannot change draws.
+    bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]
     lists = []
     for i, (query, pool, a, b) in enumerate(zip(queries, pools, lo.tolist(), hi.tolist())):
         # the temporal conflicts and the truth, each once
         excluded = universe.objects[a:b]
-        if query.true_destination not in excluded:
-            excluded = np.append(excluded, query.true_destination)
-        kept = np.setdiff1d(pool, excluded, assume_unique=True)
-        if len(kept) > q:
-            kept = np.sort(_query_rng(seed, i).choice(kept, size=q, replace=False))
-        elif pad and len(kept) < q:
-            outside = np.setdiff1d(everything, np.union1d(pool, excluded), assume_unique=True)
-            take = min(q - len(kept), len(outside))
-            padding = _query_rng(seed, i).choice(outside, size=take, replace=False)
-            kept = np.sort(np.concatenate([kept, padding]))
-        lists.append(kept)
+        truth = query.true_destination
+        if truth not in excluded:
+            excluded = np.append(excluded, truth)
+        where = pool.searchsorted(excluded)
+        removed = where[pool.take(where, mode="clip") == excluded] if len(pool) else where[:0]
+        removed.sort()
+        kept = len(pool) - len(removed)
+        if kept > q:
+            key[1] = i
+            bits.state = fresh
+            lists.append(pool[_skip(np.sort(rng.choice(kept, size=q, replace=False)), removed)])
+            continue
+        own = np.delete(pool, removed)
+        if pad and kept < q:
+            # the nodes outside the pool and the exclusions are arange(node_count) minus these
+            barred = np.union1d(pool, excluded[(excluded >= 0) & (excluded < node_count)])
+            take = min(q - kept, node_count - len(barred))
+            key[1] = i
+            bits.state = fresh
+            padding = _skip(rng.choice(node_count - len(barred), size=take, replace=False), barred)
+            own = np.sort(np.concatenate([own, padding]))
+        lists.append(own)
     return lists
+
+
+def _skip(picked: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """Map positions among the kept members to positions in the whole sorted array.
+
+    ``removed`` holds the sorted, distinct positions left out. Kept position k
+    lies past every removed position p with p - (removed before p) <= k.
+    """
+    return picked + np.searchsorted(removed - np.arange(len(removed)), picked, side="right")
 
 
 def generate_type_aware(

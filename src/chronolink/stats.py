@@ -8,6 +8,7 @@ timestamps, matching the universe used by the time-aware filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from .errors import DataError
 from .graph import TemporalMultiGraph
 
 NODES_PER_TS_METHOD = "distinct-endpoint-union"
+_PROBE_T, _FACT = 0, 1  # row kinds; t - 1 probes are 2, sorting last at equal keys
+_INT64_MIN = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -65,67 +68,82 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _triple_times(graph: TemporalMultiGraph) -> dict:
-    """Map (s, r, o) -> ascending array of its timestamps."""
-    out = {}
-    order = np.lexsort((graph.timestamps, graph.objects, graph.relations, graph.subjects))
-    s = graph.subjects[order]
-    r = graph.relations[order]
-    o = graph.objects[order]
-    t = graph.timestamps[order]
-    n = len(t)
-    if n == 0:
-        return out
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = (s[1:] != s[:-1]) | (r[1:] != r[:-1]) | (o[1:] != o[:-1])
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
-    for lo, hi in zip(starts, ends):
-        out[(int(s[lo]), int(r[lo]), int(o[lo]))] = t[lo:hi]
-    return out
+class _RecurrenceCounts(NamedTuple):
+    recurrent: int  # test quadruples whose triple is a fact at an earlier time
+    direct: int  # test quadruples whose triple is a fact at exactly t - 1
+    longest_runs: int  # sum over the full graph's triples of their longest run
+    triples: int  # distinct (s, r, o) triples of the full graph
+
+
+def _recurrence_counts(full: TemporalMultiGraph, test: TemporalMultiGraph | None):
+    """Rec, DRec and Con as integer counts (a :class:`_RecurrenceCounts`), from one lexsort.
+
+    The full graph's facts are sorted by (s, r, o, t) together with two probes
+    per test quadruple: (s, r, o, t) placed before a fact with the same key,
+    and (s, r, o, t - 1) placed after it. A first probe is recurrent when a
+    fact precedes it within its triple's segment; a second one is directly
+    recurrent when the row just before it is the fact with its key. Among the
+    facts alone, a triple's consecutive-timestamp runs break wherever the gap
+    to the previous time is not 1.
+    """
+    facts = (full.subjects, full.relations, full.objects, full.timestamps)
+    if test is None:
+        probes = tuple(column[:0] for column in facts)
+    else:
+        probes = (test.subjects, test.relations, test.objects, test.timestamps)
+    later = probes[3] > _INT64_MIN  # t - 1 of the smallest int64 is no fact
+    s, r, o, t = (np.concatenate([a, b, a[later]]) for a, b in zip(probes, facts))
+    t[len(t) - int(later.sum()):] -= 1
+    kind = np.repeat(np.arange(3, dtype=np.int8), [len(later), len(full), int(later.sum())])
+    # the rows are concatenated in kind order and lexsort is stable, so rows
+    # with equal keys stay in kind order
+    order = np.lexsort((t, o, r, s))
+    s, r, o, t, kind = s[order], r[order], o[order], t[order], kind[order]
+
+    same_triple = np.zeros(len(t), dtype=bool)
+    same_triple[1:] = (s[1:] == s[:-1]) & (r[1:] == r[:-1]) & (o[1:] == o[:-1])
+    segment_start = np.maximum.accumulate(np.where(same_triple, 0, np.arange(len(t))))
+    is_fact = kind == _FACT
+    facts_before = np.cumsum(is_fact) - is_fact
+    probe = kind == _PROBE_T
+    recurrent = facts_before[probe] > facts_before[segment_start[probe]]
+    # facts are distinct and a t probe sorts before the fact with its key, so
+    # only a t - 1 probe can follow a fact with the same key
+    direct = same_triple[1:] & is_fact[:-1] & (t[1:] == t[:-1])
+
+    fact_t, fact_segment = t[is_fact], segment_start[is_fact]
+    new_triple = np.ones(len(fact_t), dtype=bool)
+    new_triple[1:] = fact_segment[1:] != fact_segment[:-1]
+    run_start = new_triple.copy()
+    run_start[1:] |= np.diff(fact_t) != 1
+    run_length = np.diff(np.append(np.flatnonzero(run_start), len(fact_t)))
+    first_runs = np.flatnonzero(new_triple[run_start])  # each triple's first run
+    longest = np.maximum.reduceat(run_length, first_runs) if len(first_runs) else run_length
+    return _RecurrenceCounts(
+        int(recurrent.sum()), int(direct.sum()), int(longest.sum()), len(first_runs)
+    )
 
 
 def recurrency_degree(full_graph: TemporalMultiGraph, test: TemporalMultiGraph) -> float:
     """Fraction of test quadruples whose triple occurred at any earlier time."""
     if test.is_empty:
         raise DataError("recurrency degree is undefined on an empty test set")
-    times = _triple_times(full_graph)
-    hits = 0
-    for s, r, o, t in test:
-        seen = times.get((s, r, o))
-        if seen is not None and int(seen[0]) < t:
-            hits += 1
-    return hits / len(test)
+    return _recurrence_counts(full_graph, test).recurrent / len(test)
 
 
 def direct_recurrency_degree(full_graph: TemporalMultiGraph, test: TemporalMultiGraph) -> float:
     """Fraction of test quadruples whose triple occurred at exactly t - 1."""
     if test.is_empty:
         raise DataError("direct recurrency degree is undefined on an empty test set")
-    times = _triple_times(full_graph)
-    hits = 0
-    for s, r, o, t in test:
-        seen = times.get((s, r, o))
-        if seen is not None:
-            i = int(np.searchsorted(seen, t - 1))
-            if i < len(seen) and int(seen[i]) == t - 1:
-                hits += 1
-    return hits / len(test)
+    return _recurrence_counts(full_graph, test).direct / len(test)
 
 
 def consecutiveness(graph: TemporalMultiGraph) -> float:
     """Mean over distinct triples of their longest consecutive-timestamp run."""
     if graph.is_empty:
         raise DataError("consecutiveness is undefined on an empty graph")
-    total = 0
-    times = _triple_times(graph)
-    for seen in times.values():
-        gaps = np.flatnonzero(np.diff(seen) != 1)
-        run_starts = np.concatenate(([0], gaps + 1))
-        run_ends = np.concatenate((gaps, [len(seen) - 1]))
-        total += int((run_ends - run_starts).max()) + 1
-    return total / len(times)
+    counts = _recurrence_counts(graph, None)
+    return counts.longest_runs / counts.triples
 
 
 def inductive_node_proportion(train: TemporalMultiGraph, test: TemporalMultiGraph) -> float:
@@ -210,6 +228,8 @@ def dataset_report(
     """Assemble the full characterization of a dataset and its split."""
     histogram, others = relation_histogram(full, top_k)
     mean_edges, mean_nodes = density_per_timestep(full)
+    inductive = inductive_node_proportion(train, test)  # raises on an empty test set
+    counts = _recurrence_counts(full, test)
     return StatsReport(
         quadruple_count=len(full),
         node_count=full.node_count,
@@ -220,10 +240,10 @@ def dataset_report(
         timestep_count=len(full.distinct_timestamps()),
         span=full.span(),
         granularity=full.granularity.value,
-        inductive_test_nodes=inductive_node_proportion(train, test),
-        direct_recurrency=direct_recurrency_degree(full, test),
-        recurrency=recurrency_degree(full, test),
-        consecutiveness=consecutiveness(full),
+        inductive_test_nodes=inductive,
+        direct_recurrency=counts.direct / len(test),
+        recurrency=counts.recurrent / len(test),
+        consecutiveness=counts.longest_runs / counts.triples,
         mean_edges_per_ts=mean_edges,
         mean_nodes_per_ts=mean_nodes,
         relation_histogram=histogram,

@@ -370,3 +370,55 @@ def test_node_type_ids_outside_graph_are_data_errors(tmp_path, capsys, bad_row):
     assert main(["split", "--graph", str(graph_dir),
                  "--out-dir", str(tmp_path / "splits")]) == EXIT_DATA
     assert f"node id {bad_row.split(',')[0]} outside [0, 35)" in capsys.readouterr().err
+
+
+def _thg_graph_dir(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG + "node_type_count = 2\n")
+    graph_dir = tmp_path / "graph"
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(graph_dir)]) == EXIT_OK
+    return graph_dir
+
+
+def _append(path, line):
+    path.write_text(path.read_text() + line + "\n")
+    return len(path.read_text().splitlines())  # the appended line's number
+
+
+def _replace_line(path, prefix, line):
+    lines = path.read_text().splitlines()
+    at = next(i for i, old in enumerate(lines) if old.startswith(prefix))
+    lines[at] = line
+    path.write_text("\n".join(lines) + "\n")
+    return at + 1
+
+
+@pytest.mark.parametrize("name,damage", [
+    ("edgelist.csv", lambda p: _append(p, "9223372036854775808,0,0,1")),
+    ("edgelist.csv", lambda p: _append(p, "0,-9223372036854775809,0,1")),
+    ("node_types.csv", lambda p: _append(p, "3,x")),
+    ("meta.txt", lambda p: _replace_line(p, "node_count", "node_count = 3x")),
+], ids=["edgelist-overflow", "edgelist-underflow", "node-types-non-integer",
+        "meta-non-integer-node-count"])
+def test_hostile_graph_dirs_are_data_errors_naming_file_and_line(tmp_path, capsys, name, damage):
+    graph_dir = _thg_graph_dir(tmp_path)
+    line = damage(graph_dir / name)
+    assert main(["split", "--graph", str(graph_dir),
+                 "--out-dir", str(tmp_path / "splits")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{graph_dir / name} line {line}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row,message", [
+    (None, "node 7 has no type in {path}"),
+    ("7,-1", "node type ids must be non-negative"),
+], ids=["missing", "negative"])
+def test_untyped_and_negatively_typed_nodes_are_told_apart(tmp_path, capsys, row, message):
+    graph_dir = _thg_graph_dir(tmp_path)
+    types = graph_dir / "node_types.csv"
+    lines = [line for line in types.read_text().splitlines() if not line.startswith("7,")]
+    types.write_text("\n".join(lines + ([row] if row else [])) + "\n")
+    assert main(["split", "--graph", str(graph_dir),
+                 "--out-dir", str(tmp_path / "splits")]) == EXIT_DATA
+    assert message.format(path=types) in capsys.readouterr().err

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronolink import (
     ConfigError,
@@ -29,7 +31,13 @@ from chronolink import (
     write_edgelist,
     write_graph_dir,
 )
-from chronolink.datasets import checksum_file, read_vocab, write_vocab
+from chronolink.datasets import (
+    _int_table_by_line,
+    _read_int_table,
+    checksum_file,
+    read_vocab,
+    write_vocab,
+)
 from chronolink.synthetic import SynthConfig, generate
 
 
@@ -176,6 +184,149 @@ def test_splits_round_trip(tmp_path):
     save_splits(tmp_path, train, valid, test, bounds)
     t2, v2, s2, b2 = load_splits(tmp_path, g)
     assert (t2, v2, s2, b2) == (train, valid, test, bounds)
+
+
+# -- dense codec: write_edgelist and load_dense_edgelist -------------------------
+
+_COLUMNS = ("timestamp", "subject", "relation", "object")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def _dense_cases(draw):
+    schema = EdgeListSchema(
+        columns=tuple(draw(st.permutations(_COLUMNS))),
+        delimiter=draw(st.sampled_from([",", "\t", "|", " ", "%"])),
+        header=draw(st.booleans()),
+    )
+    # timestamp origins: small, negative, unix seconds and both int64 ends
+    base = draw(st.sampled_from([0, -1000, 1_700_000_000, _INT64_MIN, _INT64_MAX - 49]))
+    nodes, relations = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    quads = draw(st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, relations - 1),
+                                    st.integers(0, nodes - 1), st.integers(0, 49)),
+                          max_size=60))  # empty: a header-only file
+    graph = from_quadruples([(s, r, o, base + t) for s, r, o, t in quads],
+                            node_count=nodes, relation_count=relations)
+    return graph, schema
+
+
+def _reference_text(graph, schema):
+    """The canonical text, one formatted row at a time."""
+    columns = {"timestamp": graph.timestamps, "subject": graph.subjects,
+               "relation": graph.relations, "object": graph.objects}
+    rows = zip(*(columns[name] for name in schema.columns))
+    lines = [schema.delimiter.join(schema.columns)] if schema.header else []
+    lines += [schema.delimiter.join(str(int(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _load(source, graph, schema):
+    return load_dense_edgelist(source, node_count=graph.node_count,
+                               relation_count=graph.relation_count, schema=schema)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_dense_cases(),
+       blanks=st.lists(st.tuples(st.integers(0, 70), st.sampled_from(["", "  ", "\t", " \t "])),
+                       max_size=4),
+       crlf=st.booleans())
+def test_dense_codec_round_trip(tmp_path_factory, case, blanks, crlf):
+    graph, schema = case
+    path = tmp_path_factory.mktemp("dense") / "edges.csv"
+    write_edgelist(graph, path, schema)
+    text = path.read_text(encoding="utf-8")
+    assert text == _reference_text(graph, schema)
+    assert _load(path, graph, schema) == graph
+    # blank and whitespace-only lines anywhere after the header, and CRLF line ends
+    lines = text.split("\n")
+    for at, blank in blanks:
+        lines.insert(int(schema.header) + at % (len(lines) - int(schema.header) + 1), blank)
+    text = ("\r\n" if crlf else "\n").join(lines)
+    path.write_bytes(text.encode("utf-8"))
+    assert _load(path, graph, schema) == graph
+    assert _load(io.StringIO(text), graph, schema) == graph
+    assert _load(io.BytesIO(text.encode("utf-8")), graph, schema) == graph
+
+
+_BAD_FIELDS = {
+    "integer": ["x", "1_0", "1.0", "", "+", "0x1", "\u0663", "1 2"],
+    "overflow": [str(_INT64_MAX + 1), str(_INT64_MIN - 1), "9" * 30],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_dense_cases().filter(lambda case: not case[0].is_empty),
+       pick=st.integers(0, 10**6), kind=st.sampled_from(["arity", "integer", "overflow"]),
+       blank_first=st.booleans(), data=st.data())
+def test_malformed_dense_rows_name_their_line(case, pick, kind, blank_first, data):
+    graph, schema = case
+    lines = _reference_text(graph, schema).split("\n")
+    first = int(schema.header)
+    if blank_first:
+        lines.insert(first, "")
+    bad = first + int(blank_first) + pick % len(graph)  # 0-based index of the damaged line
+    fields = lines[bad].split(schema.delimiter)
+    if kind == "arity":
+        fields = fields[:3] if pick % 2 else fields + ["0"]
+    else:
+        field = data.draw(st.sampled_from(_BAD_FIELDS[kind]))
+        if schema.delimiter in field:
+            field = "x"
+        fields[pick % 4] = field
+    lines[bad] = schema.delimiter.join(fields)
+    source = io.StringIO("\n".join(lines))
+    if kind == "arity":
+        with pytest.raises(SchemaError, match=f"^line {bad + 1}: expected 4 columns"):
+            _load(source, graph, schema)
+    else:
+        with pytest.raises(ParseError) as caught:
+            _load(source, graph, schema)
+        assert caught.value.line_number == bad + 1
+        assert ("int64" in str(caught.value)) == (kind == "overflow")
+
+
+_BLANKS = st.text(alphabet=" \t\x0b\x0c\x1c\x85\xa0\u2028", max_size=2)
+_NUMBER = st.builds(lambda n, plus: ("+" if plus and n >= 0 else "") + str(n),
+                    st.integers(_INT64_MIN, _INT64_MAX), st.booleans())
+_BAD = st.sampled_from(["", "x", "1_0", "+-1", str(_INT64_MAX + 1), str(_INT64_MIN - 1)])
+_FIELD = st.builds("{}{}{}".format, _BLANKS,
+                   st.integers(0, 15).flatmap(lambda k: _BAD if k == 0 else _NUMBER), _BLANKS)
+
+
+@st.composite
+def _table_cases(draw):
+    width = draw(st.sampled_from([2, 4]))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(alphabet="0123456789+-_ ,x\t\r\n\x0b\x0c\x1c\x85\xa0\u2028",
+                            max_size=60)), width
+    row = st.lists(_FIELD, min_size=width, max_size=width).map(",".join)
+    odd = st.one_of(_BLANKS, st.lists(_FIELD, min_size=1, max_size=5).map(",".join))
+    rows = draw(st.lists(st.one_of(row, row, row, odd), max_size=6))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(rows), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_table_cases(), header=st.booleans())
+@example(case=("1,2\n   \n3,4", 2), header=False)
+@example(case=("1,2\r3,4\r", 2), header=False)
+@example(case=("h\n", 2), header=True)
+def test_bulk_parse_accepts_exactly_the_line_grammar(tmp_path_factory, case, header):
+    """np.loadtxt's bulk pass never accepts what the line-by-line grammar refuses."""
+    text, width = case
+
+    def outcome(read):
+        try:
+            return read().tolist()
+        except (ParseError, SchemaError) as exc:
+            return type(exc), str(exc)
+
+    want = outcome(lambda: _int_table_by_line(text, width, ",", header, None))
+    assert outcome(lambda: _read_int_table(io.StringIO(text), width, ",", header)) == want
+    path = tmp_path_factory.mktemp("grammar") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    on_disk = path.read_text(encoding="utf-8")  # as the reader sees it: universal newlines
+    assert outcome(lambda: _read_int_table(path, width, ",", header)) == outcome(
+        lambda: _int_table_by_line(on_disk, width, ",", header, path))
 
 
 # -- chronological split -----------------------------------------------------------

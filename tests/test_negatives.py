@@ -649,3 +649,87 @@ def test_codec_matches_scalar_reference_at_default_blocks(tmp_path):
     assert len(ns) > 2 * negatives._BLOCK_RECORDS
     assert path.read_bytes() == _ref_encode(ns)
     assert back == ns
+
+
+# -- the pool-index sampler against the setdiff1d reference ------------------------------
+
+
+def _reference_rng(seed, query_index):
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, query_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _reference_draw(universe, queries, q, seed, pools, pad):
+    """The sampler as a per-query set difference: a fresh Philox per query."""
+    everything = np.arange(universe.node_count, dtype=np.int64)
+    lists = []
+    for i, (query, pool) in enumerate(zip(queries, pools)):
+        excluded = universe.objects_at(query.source, query.relation, query.timestamp)
+        if query.true_destination not in excluded:
+            excluded = np.append(excluded, query.true_destination)
+        kept = np.setdiff1d(pool, excluded, assume_unique=True)
+        if len(kept) > q:
+            kept = np.sort(_reference_rng(seed, i).choice(kept, size=q, replace=False))
+        elif pad and len(kept) < q:
+            outside = np.setdiff1d(everything, np.union1d(pool, excluded), assume_unique=True)
+            take = min(q - len(kept), len(outside))
+            padding = _reference_rng(seed, i).choice(outside, size=take, replace=False)
+            kept = np.sort(np.concatenate([kept, padding]))
+        lists.append(kept)
+    return lists
+
+
+@st.composite
+def _sampler_cases(draw):
+    nodes = draw(st.integers(2, 9))
+    quad = st.tuples(st.integers(0, nodes - 1), st.integers(0, 1), st.integers(0, nodes - 1),
+                     st.integers(0, 3))
+    # few subjects and timestamps, so many queries have conflicts inside their pool
+    quads = draw(st.lists(quad, min_size=1, max_size=30))
+    types = draw(st.lists(st.integers(0, 2), min_size=nodes, max_size=nodes))
+    g = from_quadruples(quads, node_count=nodes, relation_count=2, node_types=types)
+    universe = add_inverse_relations(g)
+    queries = expand_queries(g, "tkg")
+    # truths anywhere, so some lie outside their relation's tail pool
+    queries += [EvalQuery(*args) for args in draw(st.lists(
+        st.tuples(st.integers(0, nodes - 1), st.integers(0, 3), st.integers(0, 4),
+                  st.integers(0, nodes - 1)), max_size=8))]
+    q = draw(st.integers(1, nodes + 2))  # above node_count - 1 it is clamped
+    seed = draw(st.sampled_from([0, 7, -1, 2**64 - 1, 2**40 + 3]))
+    return universe, queries, q, seed
+
+
+_SAMPLERS = {
+    "type-aware": lambda u, qs, q, seed: generate_type_aware(u, qs, q, seed),
+    "node-type": lambda u, qs, q, seed: generate_node_type(u, u.node_types, qs, q, seed),
+    "entire-type-universe": lambda u, qs, q, seed: generate_node_type(
+        u, u.node_types, qs, q, seed, entire_type_universe=True),
+    "random": lambda u, qs, q, seed: generate_random(u, qs, q, seed),
+    "all": lambda u, qs, q, seed: generate_all(u, qs),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_sampler_cases())
+def test_pool_index_sampler_equals_setdiff_reference(case):
+    universe, queries, q, seed = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q clamped to node_count - 1
+        for strategy, sample in _SAMPLERS.items():
+            got = sample(universe, queries, q, seed).candidates
+            with mock.patch.object(negatives, "_draw", _reference_draw):
+                want = sample(universe, queries, q, seed).candidates
+            assert len(got) == len(want)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert np.array_equal(a, b), (strategy, i)
+
+
+def test_pool_index_sampler_equals_reference_on_a_synthetic_split():
+    """Padded and sampled lists of a desk-like graph, both paths exercised."""
+    g, universe, queries = _tkg_setup(seed=4)
+    for q in (3, 12, 29):
+        got = generate_type_aware(universe, queries, q, 11).candidates
+        with mock.patch.object(negatives, "_draw", _reference_draw):
+            want = generate_type_aware(universe, queries, q, 11).candidates
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(got) == len(want) == len(queries)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronolink import (
     DataError,
@@ -244,3 +246,50 @@ def test_report_round_trip_text(g4):
     assert "nodes_per_ts_method" in text
     # fixed ordering: stable across calls
     assert text == dataset_report(g4, train, test).to_text()
+
+
+# -- columnar Rec/DRec/Con against the naive oracles -----------------------------------
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _graph(quads, base=0):
+    return from_quadruples([(s, r, o, base + t) for s, r, o, t in quads],
+                           node_count=4, relation_count=2)
+
+
+@st.composite
+def _recurrence_cases(draw):
+    # timestamp origins: small, negative, unix seconds and both int64 ends
+    base = draw(st.sampled_from([0, -40, 1_700_000_000, _INT64_MIN, _INT64_MAX - 11]))
+    span = draw(st.integers(1, 12))  # span 1: a single timestamp
+    quad = st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 3),
+                     st.integers(0, span - 1))
+    full = draw(st.lists(quad, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        full += [(1, 1, 2, t) for t in range(span)]  # one triple at every timestamp
+    # test quadruples drawn from the full graph or anywhere, so some are absent from it
+    test = draw(st.lists(st.one_of(st.sampled_from(full), quad), min_size=1, max_size=15))
+    return _graph(full, base), _graph(test, base)
+
+
+# gaps of exactly 1 and 2: times 0, 1, 3, 4, 5 and a test at each side of the hole
+_GAPS = [(0, 0, 1, t) for t in (0, 1, 3, 4, 5)] + [(2, 1, 3, t) for t in (2, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_recurrence_cases())
+@example(case=(_graph(_GAPS), _graph([(0, 0, 1, 2), (0, 0, 1, 3), (0, 0, 1, 5),
+                                       (2, 1, 3, 3), (2, 1, 3, 4)])))
+@example(case=(_graph(_GAPS, _INT64_MIN), _graph([(0, 0, 1, 0), (0, 0, 1, 1)], _INT64_MIN)))
+@example(case=(_graph([(0, 0, 1, _INT64_MIN), (0, 0, 1, _INT64_MAX)]),
+               _graph([(0, 0, 1, _INT64_MIN)])))  # t - 1 must not wrap to the largest int64
+@example(case=(_graph([(0, 0, 1, 0)]), _graph([(3, 1, 2, 0)])))
+def test_columnar_recurrence_equals_naive_oracles(case):
+    full, test = case
+    rec, drec, con = naive_rec(full, test), naive_drec(full, test), naive_con(full)
+    assert recurrency_degree(full, test) == rec
+    assert direct_recurrency_degree(full, test) == drec
+    assert consecutiveness(full) == con
+    report = dataset_report(full, full, test)
+    assert (report.recurrency, report.direct_recurrency, report.consecutiveness) == (rec, drec, con)
