@@ -284,7 +284,7 @@ def evaluate_single_step(
 
     if better is None:  # no query to rank
         better = tied = np.zeros(0, dtype=np.int64)
-    groups = (_groups(q.relation for q in queries), _groups(q.timestamp for q in queries))
+    groups = (_groups(relation), _groups(timestamp))
     results = tuple(
         _result(b, t, ks, *groups)
         for b, t in zip(np.atleast_2d(better.T), np.atleast_2d(tied.T))
@@ -305,12 +305,11 @@ def _with_truths(candidates, records, truths) -> tuple:
     return scored, [0, *(ends + np.arange(1, len(lists) + 1)).tolist()]
 
 
-def _groups(keys) -> list:
-    """(key, positions) for each distinct key, in ascending key order."""
-    positions = {}
-    for i, key in enumerate(keys):
-        positions.setdefault(key, []).append(i)
-    return [(key, np.array(at)) for key, at in sorted(positions.items())]
+def _groups(keys: np.ndarray) -> list:
+    """(key, ascending positions) for each distinct key, in ascending key order."""
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    return list(zip(distinct.tolist(), np.split(order, starts[1:])))
 
 
 def _result(better, tied, ks, by_relation, by_timestep) -> EvalResult:

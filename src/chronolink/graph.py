@@ -6,6 +6,14 @@ relation, object) and deduplicated at construction. All node and relation ids
 are dense non-negative integers; raw string identifiers live in vocabulary
 sidecars handled by :mod:`chronolink.datasets`.
 
+Construction sorts by one int64 key per row, ``(((t - t_min) * N + s) * R +
+r) * N + o`` with N nodes and R relations: one stable argsort orders the rows
+and equal neighbouring keys are the duplicates. Rows whose keys already
+strictly increase, such as a reloaded edge list, a time slice or a merge of
+consecutive splits, are kept as they are after one O(n) check. Graphs whose
+key would not fit int64, such as unix-second spans times N * R * N, fall
+back to a four-column lexsort.
+
 Instances are immutable after construction and safe for unrestricted
 concurrent reads.
 """
@@ -102,7 +110,6 @@ class TemporalMultiGraph:
         node_types=None,
         granularity: Granularity = Granularity.DAY,
         inverse_augmented: bool = False,
-        _presorted: bool = False,
     ):
         s = _as_id_array(subjects, "subjects")
         r = _as_id_array(relations, "relations")
@@ -112,26 +119,27 @@ class TemporalMultiGraph:
             raise DataError("quadruple columns have mismatched lengths")
 
         dropped = 0
-        if not _presorted and len(t) > 0:
-            order = np.lexsort((o, r, s, t))
-            s, r, o, t = s[order], r[order], o[order], t[order]
-            keep = np.empty(len(t), dtype=bool)
-            keep[0] = True
-            keep[1:] = (
-                (t[1:] != t[:-1])
-                | (s[1:] != s[:-1])
-                | (r[1:] != r[:-1])
-                | (o[1:] != o[:-1])
-            )
-            dropped = int(len(t) - keep.sum())
-            if dropped:
-                s, r, o, t = s[keep], r[keep], o[keep], t[keep]
-
+        key = order = None
         if len(s) > 0:
             if s.min() < 0 or o.min() < 0 or int(max(s.max(), o.max())) >= node_count:
                 raise DataError("node id out of range [0, node_count)")
             if r.min() < 0 or int(r.max()) >= relation_count:
                 raise DataError("relation id out of range [0, relation_count)")
+            key = _sort_key(s, r, o, t, int(node_count), int(relation_count))
+            if key is None:  # too wide for one int64 code
+                order = np.lexsort((o, r, s, t))
+            elif not (key[1:] > key[:-1]).all():
+                order = np.argsort(key, kind="stable")
+        if order is None:  # empty, or sorted and unique already
+            # the columns get frozen below: never freeze or alias one the caller writes
+            s, r, o, t = (c.copy() if c.flags.writeable else c for c in (s, r, o, t))
+        else:
+            new = _first_of_equal_rows(order, (s, r, o, t) if key is None else (key,))
+            del key  # before the columns are gathered
+            dropped = int(len(order) - np.count_nonzero(new))
+            if dropped:
+                order = order[new]
+            s, r, o, t = s[order], r[order], o[order], t[order]
 
         types = None
         if node_types is not None:
@@ -262,7 +270,6 @@ class TemporalMultiGraph:
             node_types=self.node_types,
             granularity=self.granularity,
             inverse_augmented=self.inverse_augmented,
-            _presorted=True,
         )
 
     def objects_at(self, subject: int, relation: int, timestamp: int) -> np.ndarray:
@@ -308,6 +315,29 @@ class TemporalMultiGraph:
             codes = (rank * self.node_count + self.subjects) * self.relation_count + self.relations
             object.__setattr__(self, "_run_codes", (times, codes))
         return self._run_codes
+
+
+def _sort_key(s, r, o, t, node_count: int, relation_count: int):
+    """Int64 codes ``(((t - t_min) * N + s) * R + r) * N + o``, in (t, s, r, o)
+    order; None if they would overflow int64."""
+    t_min = int(t.min())
+    if (int(t.max()) - t_min + 1) * node_count * relation_count * node_count >= 2**63:
+        return None
+    key = t - t_min
+    for factor, column in ((node_count, s), (relation_count, r), (node_count, o)):
+        key *= factor  # in place: one n-row temporary in all
+        key += column
+    return key
+
+
+def _first_of_equal_rows(order, columns) -> np.ndarray:
+    """Mask of the positions in ``order`` whose row differs from the previous one."""
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for column in columns:
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    return new
 
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)

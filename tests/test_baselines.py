@@ -150,6 +150,100 @@ def test_code_width_overflow_is_data_error():
         edgebank_observe(EdgeBankMemory("triple"), edge)
 
 
+# -- EdgeBankMemory.lookup against a per-candidate reference -------------------------------
+
+
+def _reference_lookup(quads, key_mode, subject, relation, candidates):
+    """Last-seen time per candidate, None if unseen, from a dict of every key's latest time."""
+    latest = {}
+    for s, r, o, t in sorted(quads, key=lambda q: q[3]):
+        latest[(s if key_mode == "pair" else (s, r), o)] = t
+    key = subject if key_mode == "pair" else (subject, relation)
+    return [latest.get((key, c)) for c in candidates]
+
+
+def _assert_lookup(memory, quads, subject, relation, candidates):
+    seen, last = memory.lookup(subject, relation, candidates)
+    want = _reference_lookup(quads, memory.key_mode, subject, relation,
+                             np.asarray(candidates).tolist())
+    assert seen.tolist() == [t is not None for t in want]
+    assert last[seen].tolist() == [t for t in want if t is not None]
+    return want
+
+
+def _two_chunk_graph(seed, n=7, rels=3):
+    """Times 0-5 with destinations below n - 3, then times 6-11 with any destination."""
+    rng = np.random.default_rng(seed)
+    quads = {(int(rng.integers(n)), int(rng.integers(rels)), int(rng.integers(n - 3)),
+              int(rng.integers(6))) for _ in range(25)}
+    quads |= {(int(rng.integers(n)), int(rng.integers(rels)), int(rng.integers(n)),
+               int(rng.integers(6, 12))) for _ in range(25)}
+    quads |= {(s, r, o, t + 7) for s, r, o, t in list(quads)[:5] if t < 5}  # re-observed later
+    return from_quadruples(sorted(quads), node_count=n, relation_count=rels)
+
+
+# both sides of the candidate count at which lookup switches to its scratch row
+_SIZES = [baselines._SCATTER_FROM - 1, baselines._SCATTER_FROM]
+
+
+@pytest.mark.parametrize("size", _SIZES)
+@pytest.mark.parametrize("key_mode", ["pair", "triple"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lookup_matches_a_per_candidate_reference(key_mode, seed, size):
+    g = _two_chunk_graph(seed)
+    n, rels = g.node_count, g.relation_count
+    # n + d and d - n alias the next and the previous key's destination d in
+    # a flat code table; -1 and n lie just outside the node space
+    ids = [-1, n, *range(n), *(n + d for d in range(n)), *(d - n for d in range(n))]
+    candidates = np.random.default_rng(seed).permutation(np.resize(ids, size))
+    memory = EdgeBankMemory(key_mode)
+    windowed = {w: EdgeBankMemory(key_mode, window=w) for w in (0, 2)}
+    for start, cut in ((0, 5), (6, 11)):
+        for m in (memory, *windowed.values()):
+            edgebank_observe(m, g.time_slice(start, cut))
+        quads = [q for q in g if q[3] <= cut]
+        for subject, relation in itertools.product(range(-1, n + 1), range(-1, rels + 1)):
+            # only too small, or only too large, ids must not wrap around either
+            for part in (candidates[candidates < n], candidates[candidates >= 0]):
+                _assert_lookup(memory, quads, subject, relation, np.resize(part, size))
+            want = _assert_lookup(memory, quads, subject, relation, candidates)
+            query = EvalQuery(subject, relation, cut + 1, 0)
+            for window, m in windowed.items():
+                assert edgebank_score(m, query, candidates, cut + 1).tolist() == [
+                    float(t is not None and t >= cut + 1 - window) for t in want]
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_lookup_takes_empty_repeated_and_read_only_candidates(size):
+    g = _two_chunk_graph(0)
+    memory = EdgeBankMemory("pair")
+    assert memory.lookup(0, 0, [1, 2])[0].tolist() == [False, False]
+    edgebank_observe(memory, g)
+    subject = int(g.subjects[0])
+    frozen = np.resize([3, 1, 3, 3, 0, 1, g.node_count + 1], size)
+    frozen.setflags(write=False)
+    assert any(_assert_lookup(memory, list(g), subject, 0, frozen))
+    for empty in ([], np.empty(0, dtype=np.int64)):
+        seen, last = memory.lookup(subject, 0, empty)
+        assert seen.shape == last.shape == (0,)
+        assert seen.dtype == bool and last.dtype == np.int64
+
+
+@pytest.mark.parametrize("key_mode", ["pair", "triple"])
+def test_lookup_leaves_no_scratch_state_behind(key_mode):
+    g = _two_chunk_graph(1)
+    memory, fresh = EdgeBankMemory(key_mode), EdgeBankMemory(key_mode)
+    edgebank_observe(memory, g)
+    edgebank_observe(fresh, g)
+    everything = np.resize(np.arange(-1, g.node_count + 1), baselines._SCATTER_FROM)
+    keys = sorted({(int(s), int(r)) for s, r in zip(g.subjects, g.relations)})
+    for (a_s, a_r), (b_s, b_r) in zip(keys, keys[1:] + [(g.node_count, 0)]):
+        memory.lookup(a_s, a_r, everything)
+        after_a, alone = memory.lookup(b_s, b_r, everything), fresh.lookup(b_s, b_r, everything)
+        assert np.array_equal(after_a[0], alone[0])
+        assert np.array_equal(after_a[1][alone[0]], alone[1][alone[0]])
+
+
 # -- recurrence scorer --------------------------------------------------------------------
 
 

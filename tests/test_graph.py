@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronolink import (
     DataError,
     Granularity,
     Quadruple,
     SplitBoundaries,
+    SynthConfig,
     TemporalMultiGraph,
     add_inverse_relations,
+    chronological_split,
     from_quadruples,
+    generate,
+    load_graph_dir,
     merge,
+    write_graph_dir,
 )
 
 
@@ -211,3 +218,121 @@ def test_sorting_invariant_is_canonical():
     assert order == sorted(order)
     arr = np.array(order)
     assert arr.shape == (4, 4)
+
+
+# -- construction against a four-column lexsort reference -------------------------------
+
+
+def _reference_build(rows, node_count, relation_count):
+    """(sorted unique (s, r, o, t) columns, duplicates removed), or the
+    DataError message construction must raise."""
+    s, r, o, t = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    if len(t):
+        if s.min() < 0 or o.min() < 0 or max(s.max(), o.max()) >= node_count:
+            return "node id out of range [0, node_count)"
+        if r.min() < 0 or r.max() >= relation_count:
+            return "relation id out of range [0, relation_count)"
+    columns = np.stack([s, r, o, t])[:, np.lexsort((o, r, s, t))]
+    keep = np.ones(len(t), dtype=bool)
+    keep[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+    return columns[:, keep], int(len(t) - keep.sum())
+
+
+_TIMES = {
+    "small": st.integers(-5, 5),
+    "unix-seconds": st.integers(1_700_000_000, 1_700_000_000 + 86_400),
+    "int64-ends": st.sampled_from([-(2**63), -(2**63) + 1, 0, 2**63 - 2, 2**63 - 1]),
+}
+
+
+@st.composite
+def _construction_cases(draw):
+    """(rows, node_count, relation_count, pass numpy arrays?)."""
+    # 2**31 nodes over 3 relations overflow the int64 key at any span
+    node_count = draw(st.sampled_from([1, 2, 5, 2**31]))
+    relation_count = draw(st.sampled_from([1, 3]))
+    nodes = st.one_of(st.integers(0, min(node_count, 4) - 1), st.just(node_count - 1))
+    relations = st.integers(0, relation_count - 1)
+    times = _TIMES[draw(st.sampled_from(sorted(_TIMES)))]
+    pool = draw(st.lists(st.tuples(nodes, relations, nodes, times), max_size=8))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=24)) if pool else []
+    order = draw(st.sampled_from(["drawn", "sorted", "sorted-unique", "reversed"]))
+    if order == "sorted":
+        rows.sort(key=lambda q: (q[3], q[0], q[1], q[2]))
+    elif order == "sorted-unique":
+        rows = sorted(set(rows), key=lambda q: (q[3], q[0], q[1], q[2]))
+    elif order == "reversed":
+        rows.sort(key=lambda q: (q[3], q[0], q[1], q[2]), reverse=True)
+    if rows and draw(st.booleans()):  # one row with an id outside its space
+        at = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.sampled_from([0, 1, 2]))
+        size = relation_count if column == 1 else node_count
+        bad = list(rows[at])
+        bad[column] = draw(st.sampled_from([-1, size, size + 7]))
+        rows[at] = tuple(bad)
+    return rows, node_count, relation_count, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_construction_cases())
+@example(case=([], 1, 1, False))
+@example(case=([(0, 0, 0, 9)], 1, 1, True))
+@example(case=([(0, 0, 1, 2**63 - 1), (1, 2, 0, -(2**63)), (0, 0, 1, 2**63 - 1)], 2**31, 3, True))
+@example(case=([(2, 0, 1, 1_700_000_000), (0, 0, 1, 1_700_003_600)] * 2, 5, 1, False))
+def test_construction_matches_a_lexsort_reference(case):
+    rows, node_count, relation_count, as_arrays = case
+    columns = [c.copy() for c in np.array(rows, dtype=np.int64).reshape(-1, 4).T]
+    before = [np.copy(c) for c in columns]
+    if not as_arrays:
+        columns = [c.tolist() for c in columns]
+    expected = _reference_build(rows, node_count, relation_count)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as raised:
+            TemporalMultiGraph(*columns, node_count=node_count, relation_count=relation_count)
+        assert str(raised.value) == expected
+        return
+    g = TemporalMultiGraph(*columns, node_count=node_count, relation_count=relation_count)
+    want, dropped = expected
+    assert np.array_equal(np.stack([g.subjects, g.relations, g.objects, g.timestamps]), want)
+    assert g.duplicates_removed == dropped
+    # the caller's arrays are neither frozen, nor changed, nor shared
+    for given_column, kept in zip(columns, before):
+        if as_arrays:
+            assert given_column.flags.writeable
+            assert np.array_equal(given_column, kept)
+            assert not any(np.shares_memory(given_column, mine) for mine in
+                           (g.subjects, g.relations, g.objects, g.timestamps))
+
+
+def test_sorted_graphs_are_rebuilt_without_a_sort(tmp_path, monkeypatch):
+    full = generate(SynthConfig(node_count=30, relation_count=3, timestep_count=20,
+                                rate=6, p_rep=0.5, seed=5))
+    train, valid, test, _ = chronological_split(full)
+    write_graph_dir(full, tmp_path / "graph")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sorted graph was sorted again")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "lexsort", refuse)
+    reloaded, _ = load_graph_dir(tmp_path / "graph")
+    assert reloaded == full and reloaded.duplicates_removed == 0
+    assert merge(train, valid, test) == full
+    assert full.time_slice(full.t_min + 2, full.t_max - 2) == merge(
+        full.time_slice(full.t_min + 2, full.t_min + 9), full.time_slice(full.t_min + 10, full.t_max - 2))
+
+
+def test_only_keys_beyond_int64_fall_back_to_the_lexsort(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other sort was expected")
+
+    quads = [(4, 2, 0, 2), (0, 0, 4, -3), (4, 2, 0, 2), (1, 1, 1, 0)]
+    monkeypatch.setattr(np, "lexsort", refuse)
+    g = from_quadruples(quads, node_count=5, relation_count=3)
+    assert g.timestamps.tolist() == [-3, 0, 2] and g.duplicates_removed == 1
+    monkeypatch.undo()
+    # both int64 ends: the span alone overflows the key
+    monkeypatch.setattr(np, "argsort", refuse)
+    ends = [(s, r, o, {-3: -(2**63), 0: 0, 2: 2**63 - 1}[t]) for s, r, o, t in quads]
+    wide = from_quadruples(ends, node_count=5, relation_count=3)
+    assert wide.timestamps.tolist() == [-(2**63), 0, 2**63 - 1] and wide.duplicates_removed == 1

@@ -56,6 +56,14 @@ def naive_con(graph):
     return sum(runs) / len(runs)
 
 
+def naive_density(graph):
+    active = {}
+    for s, r, o, t in graph:
+        active.setdefault(t, set()).update((s, o))
+    span = graph.t_max - graph.t_min + 1
+    return len(graph) / span, sum(len(nodes) for nodes in active.values()) / span
+
+
 # -- G4 hand-enumerated values ------------------------------------------------------
 
 
@@ -174,6 +182,25 @@ def test_brute_force_oracle_agreement(seed):
     assert recurrency_degree(g, test) == naive_rec(g, test)
     assert direct_recurrency_degree(g, test) == naive_drec(g, test)
     assert consecutiveness(g) == naive_con(g)
+    assert density_per_timestep(g) == naive_density(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_density_counts_each_timestep_union_once(seed):
+    # self-loops, nodes on both sides, gaps and negative timestamps
+    rng = np.random.default_rng(seed)
+    times = rng.choice(np.arange(-30, 30), size=6, replace=False)
+    quads = [(int(rng.integers(6)), 0, int(rng.integers(6)), int(rng.choice(times)))
+             for _ in range(40)]
+    g = from_quadruples(quads, node_count=6, relation_count=1)
+    assert density_per_timestep(g) == naive_density(g)
+
+
+def test_density_code_overflow_is_data_error():
+    g = from_quadruples([(0, 0, 1, 0), (1, 0, 0, 1)], node_count=2**62, relation_count=1)
+    with pytest.raises(DataError, match="overflow int64"):
+        density_per_timestep(g)
+    assert density_per_timestep(g.time_slice(0, 0)) == (1 / 1, 2 / 1)
 
 
 @pytest.mark.parametrize("seed", range(20))
