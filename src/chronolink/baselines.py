@@ -99,9 +99,12 @@ class EdgeBankMemory:
         if width > len(self._scratch):
             self._scratch = np.zeros(width, dtype=bool)
         codes = self._keys(graph.subjects, graph.relations) * self.node_count + graph.objects
-        # a code's last row is its latest; reversed, np.unique's first index finds it
-        codes, last = np.unique(codes[::-1], return_index=True)
-        times = graph.timestamps[::-1][last]
+        # rows are time-sorted, so a stable sort puts each code's latest row last in its run
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        last = np.ones(len(codes), dtype=bool)
+        np.not_equal(codes[:-1], codes[1:], out=last[:-1])
+        codes, times = codes[last], graph.timestamps[order[last]]
         at = np.searchsorted(self._codes, codes)
         present = np.searchsorted(self._codes, codes, side="right") > at
         self._times[at[present]] = times[present]

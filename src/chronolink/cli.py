@@ -288,23 +288,35 @@ def cmd_negatives(run: _Run):
     print(f"wrote {len(sample_set)} negative records to {path}")
 
 
-def _parse_params(raw: str | None) -> dict:
+# the --params keys each scorer accepts
+_SCORER_PARAMS = {
+    "oracle": (),
+    "constant": (),
+    "edgebank-inf": ("key_mode",),
+    "edgebank-tw": ("window", "key_mode"),
+    "recurrency": ("lambda", "alpha", "window"),
+    "recurrency-trained": ("lambda_grid", "alpha_grid", "window_grid"),
+}
+
+
+def _parse_params(raw: str | None, scorer: str) -> dict:
     out = {}
-    if not raw:
-        return out
-    for chunk in raw.split(","):
+    for chunk in (raw or "").split(","):
         if not chunk.strip():
             continue
         if "=" not in chunk:
             raise ConfigError(f"--params entries must be key=value, got {chunk!r}")
         key, value = chunk.split("=", 1)
         out[key.strip()] = value.strip()
+    accepted = _SCORER_PARAMS[scorer]
+    for key in out:
+        if key not in accepted:
+            raise ConfigError(f"--params key {key!r} is unknown to {scorer}, which accepts "
+                              f"{', '.join(accepted) if accepted else 'no keys'}")
     return out
 
 
-def _build_scorer(args, boundaries, train, valid, negatives, universe_graph, kind):
-    params = _parse_params(args.params)
-    name = args.scorer
+def _build_scorer(name, params, boundaries, train, valid, negatives, universe_graph, kind):
     if name == "oracle":
         return OracleScorer()
     if name == "constant":
@@ -360,6 +372,7 @@ def cmd_eval(run: _Run):
     run.add_input(args.graph)
     run.add_input(args.splits)
     ks = tuple(_number(int, k, "--ks") for k in args.ks.split(","))
+    params = _parse_params(args.params, args.scorer)
     graph, static = load_graph_dir(args.graph)
     train, valid, test, boundaries = load_splits(args.splits, graph)
     eval_graph = {"valid": valid, "test": test}[args.split]
@@ -390,7 +403,8 @@ def cmd_eval(run: _Run):
         else:
             grid_negatives = generate_all(universe, expand_queries(valid, kind), materialize=False)
 
-    scorer = _build_scorer(args, boundaries, train, valid, grid_negatives, universe, kind)
+    scorer = _build_scorer(args.scorer, params, boundaries, train, valid, grid_negatives,
+                           universe, kind)
     result = evaluate_single_step(
         scorer, history, eval_graph, negatives, universe,
         ks=ks,
@@ -483,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", required=True, help="run directory for outputs + manifest")
-        p.add_argument("--mem-budget", type=int, default=0, help="hard memory budget in MiB")
+        p.add_argument("--mem-budget", type=int, default=0, help="address-space budget in MiB for this command")
 
     p = sub.add_parser("fetch", help="download and verify a dataset")
     p.add_argument("--manifest", required=True)
@@ -536,9 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", required=True)
     p.add_argument("--dataset", default=None, help="dataset name recorded in provenance")
     p.add_argument("--split", choices=["valid", "test"], default="test")
-    p.add_argument("--scorer", required=True,
-                   choices=["oracle", "constant", "edgebank-inf", "edgebank-tw",
-                            "recurrency", "recurrency-trained"])
+    p.add_argument("--scorer", required=True, choices=list(_SCORER_PARAMS))
     p.add_argument("--params", default=None, help="comma-separated key=value scorer parameters")
     p.add_argument("--negatives", default=None, help="pre-generated negative set (.bin)")
     p.add_argument("--valid-negatives", default=None,
@@ -571,11 +583,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.mem_budget:
-        budget = args.mem_budget * (1 << 20)
-        resource.setrlimit(resource.RLIMIT_AS, (budget, budget))
     started = time.perf_counter()
+    limits = resource.getrlimit(resource.RLIMIT_AS)
     try:
+        if args.mem_budget:
+            _limit_memory(args.mem_budget, limits[1])
         run = _Run(args)
         args.func(run)
         run.write_manifest(args.command, argv, time.perf_counter() - started)
@@ -602,6 +614,17 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
+    finally:
+        if args.mem_budget:  # the budget holds for this command only
+            resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
+def _limit_memory(mib: int, hard: int) -> None:
+    """Lower the soft address-space limit to ``mib`` MiB; the hard limit stays."""
+    budget = mib * (1 << 20)
+    if budget < 0 or hard != resource.RLIM_INFINITY and budget > hard:
+        raise ConfigError(f"--mem-budget {mib} MiB is negative or above the hard limit")
+    resource.setrlimit(resource.RLIMIT_AS, (budget, hard))
 
 
 if __name__ == "__main__":

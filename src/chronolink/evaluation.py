@@ -7,12 +7,22 @@ filter); only then is that timestamp's ground truth revealed to the scorer.
 Queries inside one timestamp therefore never see each other's answers, and
 no score may depend on facts at or after the query time.
 
-Every query's same-timestamp facts are looked up once, in bulk, as a run of
-the universe's sorted rows. An unmaterialized 1-vs-all set is ranked without
-building candidate lists: each query scores every node once, and the nodes
-it excludes (its conflicts and the truth) are subtracted from the counts of
-scores above and tied with the truth. That is exact only because a score may
-not depend on the other candidates (the :class:`Scorer` contract).
+The queries are one int64 table in canonical order, and every query's
+same-timestamp facts are looked up once, in bulk, as a run of the universe's
+sorted rows. Both ways of ranking score conflicts (facts at the query's
+(source, relation, timestamp) other than its truth) and subtract them from
+the counts of scores above and tied with the truth, which is exact only
+because a score may not depend on the other candidates (the :class:`Scorer`
+contract):
+
+- An unmaterialized 1-vs-all set builds no candidate lists: each query scores
+  every node once, and its conflicts and the truth are subtracted.
+- Materialized lists are counted in segments. A timestamp's queries are cut
+  into chunks of at most ``_CHUNK_CELLS`` cells (a list's candidates plus its
+  truth; a longer list is a chunk of its own). Each query's scores go into
+  one buffer for the chunk, and one pass compares every segment with its
+  truth's score and sums the cells above and tied per segment. The conflicts
+  in the chunk are found by one binary search; their scores may be NaN.
 
 Tied scores receive the average of their best and worst possible rank, so
 ranks live on a half-integer grid; a query counts for Hits@k iff its rank is
@@ -29,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ProtocolError
-from .graph import TemporalMultiGraph, add_inverse_relations
-from .negatives import EvalQuery, NegativeSampleSet
+from .graph import TemporalMultiGraph, add_inverse_relations, run_starts
+from .negatives import _DIRECTIONS, EvalQuery, NegativeSampleSet
 
 DEFAULT_KS = (1, 3, 10)
 
@@ -141,23 +151,31 @@ def expand_queries(test: TemporalMultiGraph, kind: str) -> list:
     Queries are sorted by (timestamp, source, relation, truth), which is the
     order negative-set files follow.
     """
+    return _as_queries(_query_table(test, kind))
+
+
+def _query_table(test: TemporalMultiGraph, kind: str) -> np.ndarray:
+    """The queries as int64 rows (source, relation, timestamp, truth, head), in
+    canonical order: one column per query."""
     if kind not in ("tkg", "thg"):
         raise DataError(f"kind must be tkg or thg, got {kind!r}")
-    queries = []
+    s, r, o, t = test.subjects, test.relations, test.objects, test.timestamps
     if kind == "thg":
-        for s, r, o, t in test:
-            queries.append(EvalQuery(s, r, t, o, "tail"))
+        head = np.zeros(len(test), dtype=np.int64)
     elif test.inverse_augmented:
-        base = test.relation_count // 2
-        for s, r, o, t in test:
-            queries.append(EvalQuery(s, r, t, o, "tail" if r < base else "head"))
-    else:
-        base = test.relation_count
-        for s, r, o, t in test:
-            queries.append(EvalQuery(s, r, t, o, "tail"))
-            queries.append(EvalQuery(o, r + base, t, s, "head"))
-    queries.sort(key=lambda q: (q.timestamp, q.source, q.relation, q.true_destination))
-    return queries
+        head = (r >= test.relation_count // 2).astype(np.int64)
+    else:  # each quadruple's tail query, then its reversed query
+        head = np.repeat(np.array([0, 1], dtype=np.int64), len(test))
+        s, r, o, t = (np.concatenate([s, o]), np.concatenate([r, r + test.relation_count]),
+                      np.concatenate([o, s]), np.concatenate([t, t]))
+    table = np.array([s, r, t, o, head], dtype=np.int64).reshape(5, -1)
+    # a graph holds each quadruple once, so no two queries share a sort key
+    return table[:, np.lexsort(table[[3, 1, 0, 2]])]  # by t, s, r, then truth
+
+
+def _as_queries(table: np.ndarray) -> list:
+    directions = np.array(_DIRECTIONS, dtype=object)[table[4]].tolist()
+    return list(map(EvalQuery, *table[:4].tolist(), directions))
 
 
 def time_aware_filter(
@@ -170,12 +188,8 @@ def time_aware_filter(
     known = full_graph.objects_at(query.source, query.relation, query.timestamp)
     if known.size == 0:
         return candidates
-    return _drop_conflicts(candidates, known, query.true_destination)
-
-
-def _drop_conflicts(candidates, known, truth) -> np.ndarray:
     keep = ~np.isin(candidates, known)
-    keep |= candidates == truth
+    keep |= candidates == query.true_destination
     return candidates[keep]
 
 
@@ -227,61 +241,43 @@ def evaluate_single_step(
     feed = _augment_if_needed(eval_graph, kind)
     history = _augment_if_needed(history, kind)
 
-    queries = expand_queries(eval_graph, kind)
+    table = _query_table(eval_graph, kind)
+    queries = _as_queries(table)
     dense = negatives.candidates is None
     if not dense and len(negatives) != len(queries):
         raise ProtocolError(
             f"negative set covers {len(negatives)} queries, expected {len(queries)}"
         )
-    records = [negatives.index_of(query) for query in queries]  # a missing one raises
-    source, relation, timestamp, truth = np.array(
-        [query[:4] for query in queries], dtype=np.int64).reshape(-1, 4).T
+    # a set in canonical order holds query k at record k; else a missing one raises
+    records = (range(len(queries)) if negatives.queries == queries
+               else [negatives.index_of(query) for query in queries])
+    source, relation, timestamp, truth = table[:4]
     if dense and ((truth < 0) | (truth >= universe.node_count)).any():
         raise DataError("query destination outside the universe's node space")
     # each query's same-timestamp facts: universe.objects[lo:hi]
     lo, hi = universe.fact_runs(source, relation, timestamp)
-    lo, hi, truth = lo.tolist(), hi.tolist(), truth.tolist()
-    everything = np.arange(universe.node_count, dtype=np.int64)
-    everything.setflags(write=False)
+    if dense:
+        everything = np.arange(universe.node_count, dtype=np.int64)
+        everything.setflags(write=False)
+    else:  # each list's cells: its candidates, then the truth
+        cells = [len(negatives.candidates[r]) + 1 for r in records]
 
     scorer.fit(history, static_context)
 
-    # per query (and row): the candidates scoring above the truth, tying with it
-    better = tied = None
+    ranks = _Ranks(scorer, queries)
     cuts = [0, *(np.flatnonzero(np.diff(timestamp)) + 1).tolist(), len(queries)]
     for i, j in zip(cuts[:-1], cuts[1:]) if queries else ():
-        if not dense:
-            scored, stops = _with_truths(negatives.candidates, records[i:j], truth[i:j])
-        for k in range(i, j):
-            query, facts = queries[k], universe.objects[lo[k]:hi[k]]
-            if dense:  # every node; the excluded facts are subtracted below
-                scored_ids, at, excluded = everything, truth[k], facts
-            else:  # the candidates with the truth appended last
-                scored_ids, at, excluded = scored[stops[k - i]:stops[k - i + 1]], -1, _NO_IDS
-                if len(facts) > (truth[k] in facts):
-                    scored_ids = _drop_conflicts(scored_ids, facts, truth[k])
-            scores = np.asarray(scorer.score_query(query, scored_ids), dtype=np.float64)
-            if better is None:  # the first query fixes the row count
-                better, tied = np.zeros((2, len(queries), *scores.shape[:-1]), dtype=np.int64)
-            if better.ndim > 2 or scores.shape != (*better.shape[1:], len(scored_ids)):
-                raise ProtocolError(
-                    f"scorer returned {scores.shape} scores for {len(scored_ids)} candidates"
-                )
-            top = scores[..., at, None]
-            nan = np.isnan(scores)
-            if nan.any():  # an excluded score is never ranked, so it may be NaN
-                nan[..., excluded] = False
-                if nan.any() or np.isnan(top).any():
-                    raise ProtocolError(f"scorer returned NaN scores for {query}")
-            axis = -1 if scores.ndim == 2 else None  # None counts a single row fastest
-            better[k] = np.count_nonzero(scores > top, axis=axis)
-            tied[k] = np.count_nonzero(scores == top, axis=axis) - 1  # the truth ties with itself
-            if dense:  # the excluded facts were scored too, the truth perhaps among them
-                gone = scores[..., excluded]
-                better[k] -= np.count_nonzero(gone > top, axis=axis)
-                tied[k] -= np.count_nonzero(gone == top, axis=axis) - (truth[k] in excluded)
+        if dense:
+            for k in range(i, j):
+                ranks.dense(k, everything, truth[k], universe.objects[lo[k]:hi[k]])
+        else:
+            for a, b in _chunks(cells, i, j):
+                ids, starts = _with_truths(negatives.candidates, records[a:b], truth[a:b])
+                conflicts = _conflicts(ids, starts, universe, lo[a:b], hi[a:b], truth[a:b])
+                ranks.lists(a, ids, starts, conflicts)
         scorer.observe(feed.time_slice(timestamp[i], timestamp[i]))
 
+    better, tied = ranks.better, ranks.tied
     if better is None:  # no query to rank
         better = tied = np.zeros(0, dtype=np.int64)
     groups = (_groups(relation), _groups(timestamp))
@@ -292,24 +288,133 @@ def evaluate_single_step(
     return results if better.ndim == 2 else results[0]
 
 
-_NO_IDS = np.empty(0, dtype=np.int64)
+# The most candidate cells (a list's candidates plus its truth) scored into one
+# buffer and counted at once; a longer list is a chunk of its own. This bounds
+# the buffer and its temporaries, e.g. for materialized 1-vs-all lists.
+_CHUNK_CELLS = 1 << 15
+
+
+class _Ranks:
+    """Per query and score row: the ranked candidates above the truth and tied with it.
+
+    The first scores fix the rows: one for a score per candidate, m for an
+    ``(m, candidates)`` block.
+    """
+
+    def __init__(self, scorer: Scorer, queries: list):
+        self.scorer = scorer
+        self.queries = queries
+        self.better = self.tied = None
+        self._buffer = None
+
+    def _score(self, k: int, candidates: np.ndarray) -> np.ndarray:
+        scores = np.asarray(self.scorer.score_query(self.queries[k], candidates), dtype=np.float64)
+        if self.better is None:
+            self.better, self.tied = np.zeros(
+                (2, len(self.queries), *scores.shape[:-1]), dtype=np.int64)
+        if self.better.ndim > 2 or scores.shape != (*self.better.shape[1:], len(candidates)):
+            raise ProtocolError(
+                f"scorer returned {scores.shape} scores for {len(candidates)} candidates"
+            )
+        return scores
+
+    def dense(self, k: int, everything: np.ndarray, truth, excluded: np.ndarray) -> None:
+        """Rank query k over every node; the excluded nodes are scored, then subtracted."""
+        scores = self._score(k, everything)
+        top = scores[..., truth, None]
+        nan = np.isnan(scores)
+        if nan.any():  # an excluded score is never ranked, so it may be NaN
+            nan[..., excluded] = False
+            if nan.any() or np.isnan(top).any():
+                raise ProtocolError(f"scorer returned NaN scores for {self.queries[k]}")
+        axis = -1 if scores.ndim == 2 else None  # None counts a single row fastest
+        gone = scores[..., excluded]  # the truth perhaps among them
+        self.better[k] = (np.count_nonzero(scores > top, axis=axis)
+                          - np.count_nonzero(gone > top, axis=axis))
+        self.tied[k] = (np.count_nonzero(scores == top, axis=axis) - 1  # the truth ties itself
+                        - np.count_nonzero(gone == top, axis=axis) + (truth in excluded))
+
+    def lists(self, a: int, ids: np.ndarray, starts: np.ndarray, conflicts) -> None:
+        """Rank queries a, a + 1, ... over their segments of ``ids``, each ending with
+        its truth: score every segment into one buffer, then count them all.
+
+        ``conflicts`` (None: no cell) masks the cells that are scored but never
+        ranked; their scores may be NaN.
+        """
+        bounds = starts.tolist()
+        for k, x, y in zip(range(a, a + len(bounds) - 1), bounds, bounds[1:]):
+            scores = self._score(k, ids[x:y])
+            if k == a:
+                buffer = self._cells(bounds[-1])
+            buffer[..., x:y] = scores
+        top = np.repeat(buffer[..., starts[1:] - 1], np.diff(starts), axis=-1)
+        above, same, nan = buffer > top, buffer == top, np.isnan(buffer)
+        if conflicts is not None:
+            above[..., conflicts] = same[..., conflicts] = nan[..., conflicts] = False
+        if nan.any():
+            cell = np.flatnonzero(nan.reshape(-1, len(ids)).any(axis=0))[0]
+            k = a + int(np.searchsorted(starts, cell, side="right")) - 1
+            raise ProtocolError(f"scorer returned NaN scores for {self.queries[k]}")
+        b = a + len(starts) - 1
+        self.better[a:b] = np.add.reduceat(above, starts[:-1], axis=-1, dtype=np.int64).T
+        # the truth ties with itself
+        self.tied[a:b] = np.add.reduceat(same, starts[:-1], axis=-1, dtype=np.int64).T - 1
+
+    def _cells(self, cells: int) -> np.ndarray:
+        """The reused score buffer, ``(*rows, cells)``."""
+        if self._buffer is None or self._buffer.shape[-1] < cells:
+            self._buffer = np.empty((*self.better.shape[1:], cells))
+        return self._buffer[..., :cells]
+
+
+def _chunks(cells: list, i: int, j: int):
+    """Queries i..j cut into runs (a, b) of at most :data:`_CHUNK_CELLS` cells;
+    a longer list is a run of its own."""
+    a, used = i, 0
+    for k in range(i, j):
+        if used and used + cells[k] > _CHUNK_CELLS:
+            yield a, k
+            a, used = k, 0
+        used += cells[k]
+    yield a, j
 
 
 def _with_truths(candidates, records, truths) -> tuple:
-    """One timestamp's candidate lists, each followed by its truth, in one
-    read-only array; query k's ids are ``scored[stops[k]:stops[k + 1]]``."""
+    """A chunk's candidate lists, each followed by its truth, in one read-only
+    array; query k's ids are ``ids[starts[k]:starts[k + 1]]``."""
     lists = [np.asarray(candidates[r], dtype=np.int64) for r in records]
     ends = np.cumsum([len(c) for c in lists])
-    scored = np.insert(np.concatenate(lists), ends, truths)
-    scored.setflags(write=False)
-    return scored, [0, *(ends + np.arange(1, len(lists) + 1)).tolist()]
+    ids = np.insert(np.concatenate(lists), ends, truths)
+    ids.setflags(write=False)
+    starts = np.zeros(len(lists) + 1, dtype=np.int64)
+    starts[1:] = ends + np.arange(1, len(lists) + 1)
+    return ids, starts
+
+
+def _conflicts(ids, starts, universe: TemporalMultiGraph, lo, hi, truths):
+    """Mask of the cells whose id is a fact at its query's (s, r, t) other than
+    the truth; None if no cell is.
+
+    Cells and facts are coded ``query * node_count + id``; the facts' codes
+    come out sorted, as each run's objects are."""
+    runs = hi - lo
+    query = np.repeat(np.arange(len(runs)), runs)
+    facts = universe.objects[np.arange(len(query)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)]
+    other = facts != truths[query]
+    if not other.any():
+        return None
+    n = universe.node_count
+    codes = (query * n + facts)[other]
+    cell = np.repeat(np.arange(len(runs)), np.diff(starts))
+    cell = np.where((ids >= 0) & (ids < n), cell * n + ids, -1)  # an id outside is no fact
+    return codes.take(np.searchsorted(codes, cell), mode="clip") == cell
 
 
 def _groups(keys: np.ndarray) -> list:
     """(key, ascending positions) for each distinct key, in ascending key order."""
     order = np.argsort(keys, kind="stable")
-    distinct, starts = np.unique(keys[order], return_index=True)
-    return list(zip(distinct.tolist(), np.split(order, starts[1:])))
+    starts = np.flatnonzero(run_starts(keys[order]))
+    return list(zip(keys[order[starts]].tolist(), np.split(order, starts[1:])))
 
 
 def _result(better, tied, ks, by_relation, by_timestep) -> EvalResult:

@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, CorruptionError, DataError, FormatError, ProtocolError
-from .graph import TemporalMultiGraph
+from .graph import TemporalMultiGraph, run_starts
 
 GENERATOR_VERSION = "chronolink-negatives-1"
 STRATEGIES = ("all", "type-aware", "node-type", "random")
@@ -171,10 +171,10 @@ def collect_tail_pools(graph: TemporalMultiGraph) -> dict:
     Collected over the whole dataset (all splits). On an inverse-augmented
     graph the pool of r + R therefore equals the subjects of r.
     """
-    codes = np.unique(graph.relations * graph.node_count + graph.objects)
-    relations, objects = np.divmod(codes, graph.node_count)
-    keys, firsts = np.unique(relations, return_index=True)
-    return dict(zip(keys.tolist(), np.split(objects, firsts[1:])))
+    codes = np.sort(graph.relations * graph.node_count + graph.objects)
+    relations, objects = np.divmod(codes[run_starts(codes)], graph.node_count)
+    firsts = np.flatnonzero(run_starts(relations))
+    return dict(zip(relations[firsts].tolist(), np.split(objects, firsts[1:])))
 
 
 def _clamp_q(q: int, node_count: int) -> int:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .graph import TemporalMultiGraph
+from .graph import TemporalMultiGraph, run_starts
 
 NODES_PER_TS_METHOD = "distinct-endpoint-union"
 _PROBE_T, _FACT = 0, 1  # row kinds; t - 1 probes are 2, sorting last at equal keys
@@ -171,11 +171,7 @@ def density_per_timestep(graph: TemporalMultiGraph):
     # one code rank(t) * node_count + node per endpoint; the distinct codes
     # are the active (timestep, node) pairs, counted in sorted order (a plain
     # np.unique measured ~40x slower than this sort on NumPy 2.4)
-    t = graph.timestamps
-    change = np.empty(len(t), dtype=bool)
-    change[0] = True
-    np.not_equal(t[1:], t[:-1], out=change[1:])
-    rank = np.cumsum(change) - 1
+    rank = np.cumsum(run_starts(graph.timestamps)) - 1
     if (int(rank[-1]) + 1) * graph.node_count >= 2**63:
         raise DataError(
             f"{int(rank[-1]) + 1} timestamps and {graph.node_count} nodes overflow int64 codes"

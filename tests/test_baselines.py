@@ -49,6 +49,21 @@ def test_edgebank_pair_key_activation():
     assert scores.tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2000])
+@pytest.mark.parametrize("key_mode", ["pair", "triple"])
+def test_observed_table_equals_an_np_unique_reference(rows, key_mode):
+    rng = np.random.default_rng(rows)
+    quads = [tuple(q) for q in rng.integers(0, [30, 4, 30, 50], size=(rows, 4)).tolist()]
+    g = from_quadruples(quads, node_count=30, relation_count=4)
+    memory = EdgeBankMemory(key_mode)
+    memory.observe(g)
+    keys = g.subjects if key_mode == "pair" else g.subjects * 4 + g.relations
+    # a code's latest row is its first in the reversed rows
+    codes, first = np.unique((keys * 30 + g.objects)[::-1], return_index=True)
+    assert memory._codes.tolist() == codes.tolist()
+    assert memory._times.tolist() == g.timestamps[::-1][first].tolist()
+
+
 def test_edgebank_window_expiry():
     memory = EdgeBankMemory("pair", window=2)
     g = from_quadruples([(0, 0, 1, 5)], node_count=3, relation_count=1)

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -328,9 +333,9 @@ def test_one_vs_all_eval_augments_the_universe_once(pipeline, monkeypatch, score
     monkeypatch.setattr(cli, "add_inverse_relations", counting)
     monkeypatch.setattr(evaluation, "add_inverse_relations", counting)
     out = tmp_path / "eval"
+    grid = ["--params", "lambda_grid=0.1/1.0,alpha_grid=0.9,window_grid=0"]
     assert main(["eval", "--graph", str(graph_dir), "--splits", str(splits_dir),
-                 "--split", "test", "--scorer", scorer,
-                 "--params", "lambda_grid=0.1/1.0,alpha_grid=0.9,window_grid=0",
+                 "--split", "test", "--scorer", scorer, *(grid if scorer != "recurrency" else []),
                  "--out-dir", str(out)]) == EXIT_OK
     graph, _ = load_graph_dir(graph_dir)
     assert augmented.count(len(graph)) == 1
@@ -357,6 +362,55 @@ def test_malformed_eval_values_are_config_errors(pipeline, capsys, extra):
     assert main(["eval", "--graph", str(graph_dir), "--splits", str(splits_dir),
                  "--split", "valid", *extra, "--out-dir", str(tmp_path / "ev")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scorer,extra,accepted", [
+    ("edgebank-inf", "window=3", "key_mode"),
+    ("edgebank-tw", "window=3,lambda=1", "window, key_mode"),
+    ("recurrency", "lamda=5", "lambda, alpha, window"),
+    ("recurrency-trained", "lambda=0.1", "lambda_grid, alpha_grid, window_grid"),
+    ("oracle", "salt=1", "no keys"),
+])
+def test_unknown_params_keys_are_config_errors(pipeline, capsys, scorer, extra, accepted):
+    tmp_path, graph_dir, splits_dir = pipeline
+    out = tmp_path / "ev"
+    assert main(["eval", "--graph", str(graph_dir), "--splits", str(splits_dir),
+                 "--split", "valid", "--scorer", scorer, "--params", extra,
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    unknown = extra.split(",")[-1].split("=")[0]
+    assert f"key {unknown!r} is unknown to {scorer}, which accepts {accepted}" in (
+        capsys.readouterr().err)
+    assert not (out / "result.txt").exists()
+
+
+def test_memory_budget_is_restored_after_each_command(tmp_path):
+    # RLIMIT_AS is process-wide, so the calls run in a process of their own
+    (tmp_path / "synth.cfg").write_text(SYNTH_CFG)
+    script = textwrap.dedent("""
+        import resource, sys
+        from chronolink.cli import main
+        before = resource.getrlimit(resource.RLIMIT_AS)
+        for mib in ("4096", "8192"):
+            code = main(["synth", "--config", "synth.cfg", "--out-dir", "graph" + mib,
+                         "--mem-budget", mib])
+            assert code == 0, code
+            assert resource.getrlimit(resource.RLIMIT_AS) == before
+        print("restored")
+    """)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "restored"
+
+
+def test_negative_memory_budget_is_config_error(tmp_path, capsys):
+    (tmp_path / "synth.cfg").write_text(SYNTH_CFG)
+    assert main(["synth", "--config", str(tmp_path / "synth.cfg"),
+                 "--out-dir", str(tmp_path / "graph"), "--mem-budget", "-1"]) == EXIT_CONFIG
+    assert "--mem-budget -1 MiB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad_row", ["999,0", "-1,1"])

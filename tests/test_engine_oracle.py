@@ -4,18 +4,27 @@ Every drawn case compares :func:`evaluate_single_step` with
 :func:`synthetic.brute_force_evaluate` for exact equality of the whole
 :class:`EvalResult`. Graphs are tiny and ids are drawn from a few nodes, so
 symmetric pairs, self-loops, same-timestamp conflicts and empty timesteps
-are common; a failure shrinks to a handful of quadruples.
+are common; a failure shrinks to a handful of quadruples. Besides the
+generated sets, every case ranks lists as a file from outside may hold them:
+with the truth itself and the conflicts among the candidates. The engine
+counts materialized lists in chunks of at most ``evaluation._CHUNK_CELLS``
+cells; the chunked tests shrink that bound so a timestamp spans many chunks.
 """
 
 import itertools
+import re
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronolink import (
     ConstantScorer,
     EdgeBankScorer,
+    NegativeSampleSet,
+    ProtocolError,
     RecurrencyParams,
     RecurrencyScorer,
     Scorer,
@@ -27,6 +36,7 @@ from chronolink import (
     generate_all,
     generate_negative_set,
 )
+from chronolink import evaluation
 from chronolink.baselines import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, DEFAULT_WINDOW_GRID
 from conftest import HashScorer
 
@@ -107,17 +117,21 @@ _GAPPED = _case([(0, 0, 1, 0), (1, 0, 2, 4), (0, 0, 1, 4), (0, 0, 2, 8), (1, 0, 
                 strategy="random", cut=2, universe="augmented")
 _UNFILTERED = _case([(0, 0, 1, 1), (0, 0, 1, 4), (0, 0, 2, 4), (2, 0, 1, 4)], 3, 1,
                     universe="history")
+# timestamp 3 holds queries with conflicts, (0, 0, ?, 3) and (2, 2, ?, 3), and without
+_MIXED_QUADS = [(0, 0, 1, 1), (1, 0, 2, 2), (0, 0, 1, 3), (0, 0, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3)]
+_MIXED = _case(_MIXED_QUADS, 4, 2, strategy="random")
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=_cases(), scorer=_SCORERS)
-@example(case=_SYMMETRIC, scorer=("constant", ConstantScorer))
-@example(case=_SYMMETRIC, scorer=("extremes", _Extremes))
-@example(case=_SYMMETRIC, scorer=("grid", None))
-@example(case=_UNFILTERED, scorer=("hash 1", lambda: HashScorer(1)))
-@example(case=_GAPPED, scorer=("recurrency window 3",
-                                lambda: RecurrencyScorer(RecurrencyParams(1.0, 0.5, 3))))
-def test_engine_equals_brute_force_oracle(case, scorer):
+def _outside_lists(queries, nodes, seed):
+    """Drawn subsets of every node, as a file from outside may hold them: every
+    other list holds its truth, and any may hold conflicts."""
+    rng = np.random.default_rng(seed)
+    lists = [np.flatnonzero(rng.random(nodes) < 0.6) for _ in queries]
+    return [np.union1d(ids, [q.true_destination]) if k % 2 else ids
+            for k, (q, ids) in enumerate(zip(queries, lists))]
+
+
+def _assert_engine_equals_oracle(case, scorer):
     g = case["graph"]
     kind = "thg" if g.is_heterogeneous else "tkg"
     history, test = g.time_slice(0, case["cut"] - 1), g.time_slice(case["cut"], _TIMES)
@@ -134,16 +148,96 @@ def test_engine_equals_brute_force_oracle(case, scorer):
     else:
         sets = [generate_negative_set(case["strategy"], universe, queries, case["q"],
                                       case["seed"])]
+    outside = NegativeSampleSet("random", case["q"], case["seed"], queries,
+                                _outside_lists(queries, g.node_count, case["seed"]))
     label, make = scorer
-    if make is None:  # all 27 grid points in one (27, n) block per query
-        make = lambda: _Grid(GRID)  # noqa: E731
-        # the oracle builds its own 1-vs-all lists from the last, unmaterialized set
-        want = tuple(brute_force_evaluate(RecurrencyScorer(p), history, test, sets[-1], full,
+
+    def oracle(sample_set):
+        if make is not None:
+            return brute_force_evaluate(make(), history, test, sample_set, full, kind=kind)
+        want = tuple(brute_force_evaluate(RecurrencyScorer(p), history, test, sample_set, full,
                                           kind=kind) for p in GRID)
-        if not queries:  # without a query no block fixes the row count
-            want = want[0]
-    else:
-        want = brute_force_evaluate(make(), history, test, sets[-1], full, kind=kind)
-    got = [evaluate_single_step(make(), history, test, s, full, kind=kind) for s in sets]
+        return want if queries else want[0]  # without a query no block fixes the row count
+
+    def engine(sample_set):
+        scorer = make() if make is not None else _Grid(GRID)  # all 27 points in one block
+        return evaluate_single_step(scorer, history, test, sample_set, full, kind=kind)
+
+    # the oracle builds its own 1-vs-all lists from the last, unmaterialized set;
     # for "all", ranking every node equals ranking the lists, filtered or not
-    assert got == [want] * len(sets), (label, case["strategy"])
+    assert [engine(s) for s in sets] == [oracle(sets[-1])] * len(sets), (label, case["strategy"])
+    assert engine(outside) == oracle(outside), (label, "outside")
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_cases(), scorer=_SCORERS)
+@example(case=_SYMMETRIC, scorer=("constant", ConstantScorer))
+@example(case=_SYMMETRIC, scorer=("extremes", _Extremes))
+@example(case=_SYMMETRIC, scorer=("grid", None))
+@example(case=_UNFILTERED, scorer=("hash 1", lambda: HashScorer(1)))
+@example(case=_GAPPED, scorer=("recurrency window 3",
+                                lambda: RecurrencyScorer(RecurrencyParams(1.0, 0.5, 3))))
+def test_engine_equals_brute_force_oracle(case, scorer):
+    _assert_engine_equals_oracle(case, scorer)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=60, deadline=None)
+@given(case=_cases(), scorer=_SCORERS)
+@example(case=_MIXED, scorer=("grid", None))
+@example(case=_MIXED, scorer=("hash 2", lambda: HashScorer(2)))
+@example(case=_MIXED, scorer=("extremes", _Extremes))
+@example(case=_UNFILTERED, scorer=("constant", ConstantScorer))
+def test_chunked_counting_equals_brute_force_oracle(chunk, case, scorer):
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        _assert_engine_equals_oracle(case, scorer)
+
+
+class _NanAt(Scorer):
+    """HashScorer's scores, with NaN at every query's conflicts, or at one
+    query's truth or conflict-free candidates."""
+
+    def __init__(self, facts, where, target=None):
+        self.facts, self.where, self.target = facts, where, target
+
+    def score_query(self, query, candidates):
+        scores = HashScorer(3).score_query(query, candidates)
+        s, r, t, truth = query[:4]
+        truths = candidates == truth
+        conflicts = np.array([(s, r, c, t) in self.facts for c in candidates.tolist()],
+                             dtype=bool) & ~truths
+        if self.where == "conflicts":
+            return np.where(conflicts, np.nan, scores)
+        if query != self.target:
+            return scores
+        return np.where(truths if self.where == "truth" else ~truths & ~conflicts, np.nan, scores)
+
+
+def _mixed_run(scorer):
+    """Rank timestamp 3 of the mixed graph over lists of every node, which hold
+    each query's truth and conflicts."""
+    g = _MIXED["graph"]
+    test = g.time_slice(3, 3)
+    queries = expand_queries(test, "tkg")
+    lists = [np.arange(g.node_count)] * len(queries)
+    negatives = NegativeSampleSet("random", 3, 0, queries, lists)
+    return evaluate_single_step(scorer, g.time_slice(0, 2), test, negatives, g, kind="tkg")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+def test_nan_only_at_conflicts_is_never_ranked_in_chunks(chunk):
+    facts = set(add_inverse_relations(_MIXED["graph"]))
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        assert _mixed_run(_NanAt(facts, "conflicts")) == _mixed_run(HashScorer(3))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("where", ["truth", "free"])
+@pytest.mark.parametrize("target", [0, 3, -1])
+def test_nan_at_a_ranked_score_names_its_query_in_chunks(chunk, where, target):
+    g = _MIXED["graph"]
+    query = expand_queries(g.time_slice(3, 3), "tkg")[target]
+    scorer = _NanAt(set(add_inverse_relations(g)), where, query)
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        with pytest.raises(ProtocolError, match=f"NaN scores for {re.escape(str(query))}$"):
+            _mixed_run(scorer)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronolink import (
     ConfigError,
@@ -71,6 +73,49 @@ def test_expand_queries_sorted_canonically(g4):
     queries = expand_queries(g4, "tkg")
     keys = [(q.timestamp, q.source, q.relation, q.true_destination) for q in queries]
     assert keys == sorted(keys)
+
+
+def _tuple_sorted_queries(test, kind):
+    """The query expansion as Python tuples sorted by key: the reference for the
+    columnar table."""
+    queries = []
+    if kind == "thg":
+        for s, r, o, t in test:
+            queries.append(EvalQuery(s, r, t, o, "tail"))
+    elif test.inverse_augmented:
+        base = test.relation_count // 2
+        for s, r, o, t in test:
+            queries.append(EvalQuery(s, r, t, o, "tail" if r < base else "head"))
+    else:
+        base = test.relation_count
+        for s, r, o, t in test:
+            queries.append(EvalQuery(s, r, t, o, "tail"))
+            queries.append(EvalQuery(o, r + base, t, s, "head"))
+    queries.sort(key=lambda q: (q.timestamp, q.source, q.relation, q.true_destination))
+    return queries
+
+
+# negative, zero and unix-second timestamps
+_STAMPS = st.sampled_from([-86_400, -3, 0, 2, 1_700_000_000, 1_700_086_400])
+
+
+@settings(max_examples=80, deadline=None)
+@given(quads=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 4), _STAMPS),
+                      max_size=30),
+       form=st.sampled_from(["raw tkg", "augmented tkg", "thg"]))
+@example(quads=[], form="raw tkg")
+@example(quads=[], form="augmented tkg")
+@example(quads=[], form="thg")
+@example(quads=[(1, 0, 0, 1_700_000_000), (0, 2, 1, -3), (0, 0, 1, -3)], form="raw tkg")
+def test_expand_queries_equal_the_tuple_sort(quads, form):
+    types = [0, 1, 0, 1, 2] if form == "thg" else None
+    g = from_quadruples(quads, node_count=5, relation_count=3, node_types=types)
+    if form == "augmented tkg":
+        g = add_inverse_relations(g)
+    kind = form[-3:]
+    got = expand_queries(g, kind)
+    assert got == _tuple_sorted_queries(g, kind)
+    assert all(type(field) is int for query in got for field in query[:4])
 
 
 def test_expand_rejects_unknown_kind(g4):

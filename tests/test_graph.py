@@ -18,6 +18,15 @@ from chronolink import (
     merge,
     write_graph_dir,
 )
+from chronolink.graph import run_starts
+
+
+@pytest.mark.parametrize("size", [0, 1, 5000])
+def test_run_starts_pick_what_np_unique_picks(size):
+    values = np.sort(np.random.default_rng(size).integers(-50, 50, size=size) * 2**40)
+    starts = run_starts(values)
+    assert values[starts].tolist() == np.unique(values).tolist()
+    assert np.flatnonzero(starts).tolist() == np.unique(values, return_index=True)[1].tolist()
 
 
 def test_construction_sorts_and_dedups():

@@ -72,6 +72,19 @@ def test_unused_relation_has_no_pool(g4):
     assert set(pools) == {0}
 
 
+@pytest.mark.parametrize("rows", [0, 1, 3000])
+def test_tail_pools_equal_an_np_unique_reference(rows):
+    rng = np.random.default_rng(rows)
+    quads = [tuple(q) for q in rng.integers(0, [40, 6, 40, 9], size=(rows, 4)).tolist()]
+    g = from_quadruples(quads, node_count=40, relation_count=6)
+    want = {}
+    for code in np.unique(g.relations * 40 + g.objects).tolist():
+        want.setdefault(code // 40, []).append(code % 40)
+    got = collect_tail_pools(g)
+    assert list(got) == list(want)
+    assert all(got[r].dtype == np.int64 and got[r].tolist() == want[r] for r in want)
+
+
 def test_inverse_pool_is_subject_set(g4):
     aug = add_inverse_relations(g4)
     pools = collect_tail_pools(aug)
