@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 protocol error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -170,13 +171,7 @@ def cmd_ingest(run: _Run):
     args = run.args
     schema = EdgeListSchema.from_file(args.schema) if args.schema else EdgeListSchema()
     if args.node_types:
-        schema = EdgeListSchema(
-            columns=schema.columns,
-            header=schema.header,
-            delimiter=schema.delimiter,
-            node_type_path=Path(args.node_types),
-            static_path=schema.static_path,
-        )
+        schema = dataclasses.replace(schema, node_type_path=Path(args.node_types))
     if args.kind == "thg" and schema.node_type_path is None:
         raise ConfigError("THG ingestion needs a node-type sidecar (--node-types)")
     run.add_input(args.edgelist)
@@ -375,24 +370,21 @@ def cmd_eval(run: _Run):
     params = _parse_params(args.params, args.scorer)
     graph, static = load_graph_dir(args.graph)
     train, valid, test, boundaries = load_splits(args.splits, graph)
-    eval_graph = {"valid": valid, "test": test}[args.split]
     history = train if args.split == "valid" else merge(train, valid)
     kind = infer_kind(graph)
     trained = args.scorer == "recurrency-trained"
-    # the filter universe, augmented once for the engine and the grid search
+    # the filter universe and the queried splits, each augmented once for the
+    # query lists, the engine and the grid search
     universe = _universe(graph, kind)
+    eval_graph = _universe({"valid": valid, "test": test}[args.split], kind)
+    if trained:
+        valid = eval_graph if args.split == "valid" else _universe(valid, kind)
 
     if args.negatives:
         run.add_input(args.negatives)
         negatives = read_negative_set(args.negatives)
     else:
-        dataset_name = args.dataset or Path(args.graph).name
-        negatives = generate_all(
-            universe,
-            expand_queries(eval_graph, kind),
-            Provenance(dataset=dataset_name, split=args.split),
-            materialize=False,
-        )
+        negatives = generate_all(universe, expand_queries(eval_graph, kind), materialize=False)
 
     # validation negatives for the trained recurrence variant
     grid_negatives = None
@@ -548,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run the single-step evaluation protocol")
     p.add_argument("--graph", required=True)
     p.add_argument("--splits", required=True)
-    p.add_argument("--dataset", default=None, help="dataset name recorded in provenance")
     p.add_argument("--split", choices=["valid", "test"], default="test")
     p.add_argument("--scorer", required=True, choices=list(_SCORER_PARAMS))
     p.add_argument("--params", default=None, help="comma-separated key=value scorer parameters")

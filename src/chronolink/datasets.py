@@ -18,6 +18,7 @@ import urllib.error
 import urllib.request
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +158,7 @@ def read_keyvalue_file(path) -> dict:
 def _read_keyvalue_lines(path) -> dict:
     """key -> (value, 1-based line number) of a ``key = value`` config file."""
     out = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _split_lines(Path(path).read_text(encoding="utf-8"))
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -223,32 +224,79 @@ def fetch_dataset(manifest: DatasetManifest, cache_dir) -> Path:
     return target
 
 
-# -- parsing --------------------------------------------------------------------
+# -- delimited text --------------------------------------------------------------
 
 
-def _read_lines(source):
+def _read_text(source) -> tuple:
+    """(text, path) of a file path, or of a text or binary file object (path None)."""
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return data.splitlines()
-    return Path(source).read_text(encoding="utf-8").splitlines()
+        return (data.decode("utf-8") if isinstance(data, bytes) else data), None
+    return Path(source).read_text(encoding="utf-8"), source
 
 
-class _Vocabulary:
-    """Raw-string to dense-id assignment in first-seen order."""
+def _split_lines(text: str) -> list:
+    """The lines of ``text``: a line ends at "\\n", "\\r\\n" or "\\r", and at nothing else."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
-    def __init__(self):
-        self.index = {}
-        self.raw = []
 
-    def dense(self, raw: str) -> int:
-        got = self.index.get(raw)
-        if got is None:
-            got = len(self.raw)
-            self.index[raw] = got
-            self.raw.append(raw)
-        return got
+def _rows(text: str, path, width: int, delimiter: str, header: bool = False,
+          split_last: bool = False) -> tuple:
+    """The fields of delimited text, in the grammar every text input shares.
+
+    Lines end as :func:`_split_lines` says. With ``header`` the first line is
+    skipped, and so is every line holding only whitespace. Each other line is
+    split at ``delimiter`` into ``width`` fields, each stripped of the
+    whitespace around it; with ``split_last`` at its last ``width - 1``
+    delimiters, so the first field may hold the delimiter. A line with
+    another field count is a SchemaError naming ``path`` (when given) and the
+    line; such a line refuses the file before any field value is checked.
+
+    Returns (line numbers, fields): the 1-based number of each kept line, and
+    the ``width`` fields of every kept line in line order.
+    """
+    lines = _split_lines(text)[int(header):]
+    filled = list(map(str.strip, lines))
+    numbers = list(compress(count(1 + int(header)), filled))
+    lines = list(compress(lines, filled))
+    if split_last:
+        rows = [line.rsplit(delimiter, width - 1) for line in lines]
+        cuts, fields = [len(row) - 1 for row in rows], list(chain.from_iterable(rows))
+    else:
+        cuts = list(map(str.count, lines, repeat(delimiter)))
+        fields = delimiter.join(lines).split(delimiter) if lines else []
+    if cuts.count(width - 1) != len(cuts):
+        k = next(k for k, n in enumerate(cuts) if n != width - 1)
+        where = f"{path} " if path is not None else ""
+        raise SchemaError(f"{where}line {numbers[k]}: expected {width} columns, got {cuts[k] + 1}")
+    return numbers, list(map(str.strip, fields))
+
+
+def _int64_fields(fields: list, numbers: list, path, what: str = "field") -> np.ndarray:
+    """``fields`` as int64, each an optionally signed ASCII decimal integer within int64.
+
+    ``numbers[k]`` is the line of ``fields[k]``; the first bad field is a
+    ParseError naming its line.
+    """
+    joined = "".join(fields)
+    if joined.isascii() and "_" not in joined:  # then int() accepts exactly the grammar
+        try:
+            return np.array(list(map(int, fields)), dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+    parsed = []
+    for value, lineno in zip(fields, numbers):
+        if not _DENSE_INT.fullmatch(value):
+            raise ParseError(f"{what} {value!r} is not an integer", lineno, path)
+        # without leading zeros, so int() never meets its limit on digits
+        digits = ("-" if value[0] == "-" else "") + (value.lstrip("+-").lstrip("0") or "0")
+        if len(digits) > 20 or not _INT64_MIN <= int(digits) <= _INT64_MAX:
+            raise ParseError(f"{what} {value} lies outside the int64 range", lineno, path)
+        parsed.append(int(digits))
+    return np.array(parsed, dtype=np.int64)
+
+
+# -- parsing --------------------------------------------------------------------
 
 
 def parse_edgelist(
@@ -260,59 +308,36 @@ def parse_edgelist(
 ):
     """Parse a delimited edge list into a graph with dense ids.
 
-    Rows with a missing subject or object (or any blank field) are rejected
-    with their line number; with ``on_invalid="skip"`` they are dropped and
-    recorded in the report instead, mirroring edge-list cleaning.
+    The text follows :func:`_rows`, and the timestamp is an integer as in
+    :func:`_int64_fields`. Rows with a missing subject or object (or any
+    blank field) are rejected with their line number; with
+    ``on_invalid="skip"`` they are dropped and recorded in the report
+    instead, mirroring edge-list cleaning. Dense ids follow first-seen order.
 
     Returns (TemporalMultiGraph, IngestReport).
     """
     schema = schema or EdgeListSchema()
     if on_invalid not in ("error", "skip"):
         raise ConfigError("on_invalid must be 'error' or 'skip'")
-    lines = _read_lines(source)
-    t_col = schema.column_index("timestamp")
-    s_col = schema.column_index("subject")
-    r_col = schema.column_index("relation")
-    o_col = schema.column_index("object")
-
-    nodes = _Vocabulary()
-    relations = _Vocabulary()
-    subjects, rels, objects, times = [], [], [], []
+    text, path = _read_text(source)
+    numbers, fields = _rows(text, path, 4, schema.delimiter, schema.header)
+    columns = [fields[schema.column_index(name)::4] for name in _FIELDS]
     report = IngestReport()
-
-    start = 2 if schema.header else 1
-    body = lines[1:] if schema.header else lines
-    for lineno, line in enumerate(body, start=start):
-        if not line.strip():
-            continue
-        parts = line.split(schema.delimiter)
-        if len(parts) != 4:
-            raise SchemaError(f"line {lineno}: expected 4 columns, got {len(parts)}")
-        fields = [p.strip() for p in parts]
-        blank = [
-            name
-            for name, idx in (
-                ("timestamp", t_col),
-                ("subject", s_col),
-                ("relation", r_col),
-                ("object", o_col),
-            )
-            if not fields[idx]
-        ]
-        if blank:
-            if on_invalid == "skip":
-                report.skipped_lines.append(lineno)
-                continue
-            raise ParseError(f"missing {', '.join(blank)} column", lineno)
-        try:
-            timestamp = int(fields[t_col])
-        except ValueError:
-            raise ParseError(f"timestamp {fields[t_col]!r} is not an integer", lineno) from None
-        subjects.append(nodes.dense(fields[s_col]))
-        rels.append(relations.dense(fields[r_col]))
-        objects.append(nodes.dense(fields[o_col]))
-        times.append(timestamp)
-        report.rows_read += 1
+    if any("" in column for column in columns):
+        filled = ["" not in row for row in zip(*columns)]
+        if on_invalid == "error":
+            k = filled.index(False)
+            _int64_fields(columns[0][:k], numbers, path, "timestamp")  # an earlier line first
+            blank = [name for name, column in zip(_FIELDS, columns) if not column[k]]
+            raise ParseError(f"missing {', '.join(blank)} column", numbers[k], path)
+        report.skipped_lines = [n for n, keep in zip(numbers, filled) if not keep]
+        numbers = list(compress(numbers, filled))
+        columns = [list(compress(column, filled)) for column in columns]
+    times, subjects, relations, objects = columns
+    timestamps = _int64_fields(times, numbers, path, "timestamp")
+    nodes, relation_ids = {}, {}
+    ends = [nodes.setdefault(raw, len(nodes)) for pair in zip(subjects, objects) for raw in pair]
+    rels = [relation_ids.setdefault(raw, len(relation_ids)) for raw in relations]
 
     node_types = None
     if schema.node_type_path is not None:
@@ -321,101 +346,79 @@ def parse_edgelist(
         )
 
     graph = TemporalMultiGraph(
-        subjects,
+        ends[0::2],
         rels,
-        objects,
-        times,
-        node_count=len(nodes.raw),
-        relation_count=len(relations.raw),
+        ends[1::2],
+        timestamps,
+        node_count=len(nodes),
+        relation_count=len(relation_ids),
         node_types=node_types,
         granularity=granularity,
     )
+    report.rows_read = len(timestamps)
     report.duplicates_removed = graph.duplicates_removed
-    report.node_vocab = nodes.raw
-    report.relation_vocab = relations.raw
+    report.node_vocab = list(nodes)
+    report.relation_vocab = list(relation_ids)
     return graph, report
 
 
-def _parse_node_types(path, nodes: _Vocabulary, delimiter: str):
-    types = _Vocabulary()
-    assigned = np.full(len(nodes.raw), -1, dtype=np.int64)
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(delimiter)]
-        if len(parts) != 2:
-            raise SchemaError(f"{path} line {lineno}: expected 2 columns, got {len(parts)}")
-        raw_node, raw_type = parts
-        dense_node = nodes.index.get(raw_node)
-        if dense_node is None:
-            continue  # type info for a node absent from the edge list
-        assigned[dense_node] = types.dense(raw_type)
+def _parse_node_types(path, nodes: dict, delimiter: str):
+    """Each node's dense type from a headerless (node, type) sidecar, and the type vocabulary.
+
+    Rows naming a node absent from ``nodes`` are ignored; a node named twice
+    keeps its last type.
+    """
+    _, fields = _rows(*_read_text(path), 2, delimiter)
+    types = {}
+    typed = {nodes[node]: types.setdefault(kind, len(types))
+             for node, kind in zip(fields[0::2], fields[1::2]) if node in nodes}
+    assigned = np.full(len(nodes), -1, dtype=np.int64)
+    assigned[list(typed)] = list(typed.values())
     missing = int((assigned < 0).sum())
     if missing:
         raise DataError(f"{missing} nodes have no type in {path}")
-    return assigned, types.raw
+    return assigned, list(types)
 
 
 def parse_static_edgelist(source, node_index: dict, *, delimiter: str = ",", header: bool = True):
     """Parse the optional static companion file of (subject, relation, object) rows.
 
-    Nodes are resolved through the temporal graph's vocabulary; rows naming
-    unknown nodes are skipped and counted, since static edges are scorer
-    context only and never enter splits or metrics. Relations get their own
-    id space and every row carries the sentinel timestamp.
+    The text follows :func:`_rows`. Nodes are resolved through the temporal
+    graph's vocabulary; rows naming unknown nodes are skipped and counted,
+    since static edges are scorer context only and never enter splits or
+    metrics. Relations get their own id space and every row carries the
+    sentinel timestamp.
 
     Returns (TemporalMultiGraph, relation_vocab, skipped_count).
     """
-    lines = _read_lines(source)
-    body = lines[1:] if header else lines
-    start = 2 if header else 1
-    relations = _Vocabulary()
-    subjects, rels, objects = [], [], []
-    skipped = 0
-    node_count = max(node_index.values()) + 1 if node_index else 0
-    for lineno, line in enumerate(body, start=start):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(delimiter)]
-        if len(parts) != 3:
-            raise SchemaError(f"line {lineno}: expected 3 columns, got {len(parts)}")
-        s_raw, r_raw, o_raw = parts
-        if s_raw not in node_index or o_raw not in node_index:
-            skipped += 1
-            continue
-        subjects.append(node_index[s_raw])
-        rels.append(relations.dense(r_raw))
-        objects.append(node_index[o_raw])
+    _, fields = _rows(*_read_text(source), 3, delimiter, header)
+    subjects, relations, objects = fields[0::3], fields[1::3], fields[2::3]
+    known = [s in node_index and o in node_index for s, o in zip(subjects, objects)]
+    relation_ids = {}
+    rels = [relation_ids.setdefault(raw, len(relation_ids)) for raw in compress(relations, known)]
     graph = TemporalMultiGraph(
-        subjects,
+        [node_index[raw] for raw in compress(subjects, known)],
         rels,
-        objects,
-        [STATIC_TIMESTAMP] * len(subjects),
-        node_count=node_count,
-        relation_count=len(relations.raw),
+        [node_index[raw] for raw in compress(objects, known)],
+        [STATIC_TIMESTAMP] * len(rels),
+        node_count=max(node_index.values()) + 1 if node_index else 0,
+        relation_count=len(relation_ids),
     )
-    return graph, relations.raw, skipped
+    return graph, list(relation_ids), len(known) - len(rels)
 
 
 def _read_int_table(source, width: int, delimiter: str, header: bool) -> np.ndarray:
     """The ``(rows, width)`` int64 table of a dense delimited file or file object.
 
-    Lines end at "\\n", "\\r\\n" or "\\r". With ``header`` the first line is
-    skipped, and so is every line holding only whitespace. Every other line has
-    ``width`` fields, each an optionally signed ASCII decimal integer within
-    int64, with whitespace around it ignored.
+    The text follows :func:`_rows` with ``width`` fields per line, each an
+    integer as in :func:`_int64_fields`.
 
     ``np.loadtxt`` parses the whole file in one bulk pass. Text it refuses or
-    warns about is re-read line by line, which accepts what the grammar allows
-    and otherwise raises on the first bad line: SchemaError for a wrong field
+    warns about is re-read by :func:`_int_table_by_line`, which accepts what
+    the grammar allows and otherwise raises: SchemaError for a wrong field
     count, ParseError for a bad field.
     """
-    path, text = None, None
-    if hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        path = source
+    text, path = _read_text(source) if hasattr(source, "read") else (None, source)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
@@ -429,28 +432,15 @@ def _read_int_table(source, width: int, delimiter: str, header: bool) -> np.ndar
     except (ValueError, UserWarning):
         pass
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path)[0]
     return _int_table_by_line(text, width, delimiter, header, path)
 
 
 def _int_table_by_line(text: str, width: int, delimiter: str, header: bool, path) -> np.ndarray:
-    """:func:`_read_int_table` one line at a time, naming ``path`` in its errors."""
-    where = f"{path} " if path is not None else ""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    rows = []
-    for lineno, line in enumerate(lines[int(header):], start=1 + int(header)):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(delimiter)]
-        if len(fields) != width:
-            raise SchemaError(f"{where}line {lineno}: expected {width} columns, got {len(fields)}")
-        for f in fields:
-            if not _DENSE_INT.fullmatch(f):
-                raise ParseError(f"field {f!r} is not an integer", lineno, path)
-            if not _INT64_MIN <= int(f) <= _INT64_MAX:
-                raise ParseError(f"field {f} lies outside the int64 range", lineno, path)
-        rows.append([int(f) for f in fields])
-    return np.array(rows, dtype=np.int64).reshape(-1, width)
+    """:func:`_read_int_table` through the row reader, naming ``path`` in its errors."""
+    numbers, fields = _rows(text, path, width, delimiter, header)
+    lines = [lineno for lineno in numbers for _ in range(width)]
+    return _int64_fields(fields, lines, path).reshape(-1, width)
 
 
 def _write_int_table(fh, columns, delimiter: str) -> None:
@@ -521,18 +511,18 @@ def write_vocab(path, raw_ids) -> None:
 
 
 def read_vocab(path) -> list:
-    raw_ids = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise SchemaError(f"{path} line {lineno}: expected 2 tab-separated columns")
-        raw, dense = parts
-        if int(dense) != len(raw_ids):
-            raise DataError(f"{path} line {lineno}: dense ids must be 0..n-1 in order")
-        raw_ids.append(raw)
-    return raw_ids
+    """The raw ids of a :func:`write_vocab` file, by dense id.
+
+    The text follows :func:`_rows`, each line split at its last tab, since a
+    raw id may hold a tab. The dense ids must read 0..n-1 in line order.
+    """
+    numbers, fields = _rows(*_read_text(path), 2, "\t", split_last=True)
+    dense = _int64_fields(fields[1::2], numbers, path, "dense id")
+    out_of_order = np.flatnonzero(dense != np.arange(len(dense)))
+    if out_of_order.size:
+        lineno = numbers[out_of_order[0]]
+        raise DataError(f"{path} line {lineno}: dense ids must be 0..n-1 in order")
+    return fields[0::2]
 
 
 # -- chronological split --------------------------------------------------------

@@ -143,32 +143,27 @@ def expand_queries(test: TemporalMultiGraph, kind: str) -> list:
 
     THG datasets get one tail query per quadruple. TKG datasets are queried
     in both directions: each quadruple (s, r, o, t) yields the tail query and
-    the reversed query (o, r + R, ?, t) through its inverse relation. A
-    pre-augmented TKG graph already contains the inverse quadruples, so it
-    contributes one query per quadruple with the direction recovered from
-    the relation id.
+    the reversed query (o, r + R, ?, t) through its inverse relation, so a
+    TKG graph is inverse-augmented first unless it already is; each
+    quadruple of the augmented graph is one query, with the direction
+    recovered from the relation id.
 
     Queries are sorted by (timestamp, source, relation, truth), which is the
     order negative-set files follow.
     """
-    return _as_queries(_query_table(test, kind))
+    return _as_queries(_query_table(_augment_if_needed(test, kind), kind))
 
 
 def _query_table(test: TemporalMultiGraph, kind: str) -> np.ndarray:
-    """The queries as int64 rows (source, relation, timestamp, truth, head), in
-    canonical order: one column per query."""
+    """The queries of a THG graph or an inverse-augmented TKG graph as int64 rows
+    (source, relation, timestamp, truth, head), in canonical order: one column
+    per query."""
     if kind not in ("tkg", "thg"):
         raise DataError(f"kind must be tkg or thg, got {kind!r}")
-    s, r, o, t = test.subjects, test.relations, test.objects, test.timestamps
-    if kind == "thg":
-        head = np.zeros(len(test), dtype=np.int64)
-    elif test.inverse_augmented:
-        head = (r >= test.relation_count // 2).astype(np.int64)
-    else:  # each quadruple's tail query, then its reversed query
-        head = np.repeat(np.array([0, 1], dtype=np.int64), len(test))
-        s, r, o, t = (np.concatenate([s, o]), np.concatenate([r, r + test.relation_count]),
-                      np.concatenate([o, s]), np.concatenate([t, t]))
-    table = np.array([s, r, t, o, head], dtype=np.int64).reshape(5, -1)
+    r = test.relations
+    head = r >= test.relation_count // 2 if kind == "tkg" else np.zeros(len(test), dtype=bool)
+    table = np.array([test.subjects, r, test.timestamps, test.objects, head],
+                     dtype=np.int64).reshape(5, -1)
     # a graph holds each quadruple once, so no two queries share a sort key
     return table[:, np.lexsort(table[[3, 1, 0, 2]])]  # by t, s, r, then truth
 
@@ -241,7 +236,7 @@ def evaluate_single_step(
     feed = _augment_if_needed(eval_graph, kind)
     history = _augment_if_needed(history, kind)
 
-    table = _query_table(eval_graph, kind)
+    table = _query_table(feed, kind)
     queries = _as_queries(table)
     dense = negatives.candidates is None
     if not dense and len(negatives) != len(queries):

@@ -28,6 +28,7 @@ from chronolink.cli import (
     MANIFEST_REFERENCE,
     main,
 )
+from chronolink.datasets import read_vocab
 
 SYNTH_CFG = """\
 node_count = 35
@@ -476,3 +477,48 @@ def test_untyped_and_negatively_typed_nodes_are_told_apart(tmp_path, capsys, row
     assert main(["split", "--graph", str(graph_dir),
                  "--out-dir", str(tmp_path / "splits")]) == EXIT_DATA
     assert message.format(path=types) in capsys.readouterr().err
+
+
+def _raw_edges(tmp_path, rows):
+    path = tmp_path / "raw.csv"
+    path.write_text("timestamp,subject,relation,object\n" + "".join(r + "\n" for r in rows),
+                    encoding="utf-8")
+    return path
+
+
+def test_ingest_of_timestamp_outside_int64_is_data_error_naming_line(tmp_path, capsys):
+    raw = _raw_edges(tmp_path, ["0,a,r,b", "99999999999999999999,b,r,a"])
+    assert main(["ingest", "--edgelist", str(raw),
+                 "--out-dir", str(tmp_path / "graph")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{raw} line 3: timestamp 99999999999999999999 lies outside the int64 range" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("relation", ["born\tin", "\tborn\tin\t"], ids=["inner", "outer"])
+def test_static_relation_holding_a_tab_reloads(tmp_path, relation):
+    raw = _raw_edges(tmp_path, [f"{t},a,r,b" for t in range(10)])
+    static = tmp_path / "static.csv"
+    static.write_text(f"subject,relation,object\na,{relation},b\nb,likes,a\n", encoding="utf-8")
+    graph_dir = tmp_path / "graph"
+    assert main(["ingest", "--edgelist", str(raw), "--static", str(static),
+                 "--out-dir", str(graph_dir)]) == EXIT_OK
+    _, companion = load_graph_dir(graph_dir)
+    assert companion.relation_count == 2
+    assert read_vocab(graph_dir / "static_relations.vocab") == ["born\tin", "likes"]
+    assert main(["split", "--graph", str(graph_dir),
+                 "--out-dir", str(tmp_path / "splits")]) == EXIT_OK
+
+
+def test_vocab_with_non_integer_dense_id_is_data_error(tmp_path, capsys):
+    graph_dir = tmp_path / "graph"
+    raw = _raw_edges(tmp_path, [f"{t},a,r,b" for t in range(10)])
+    static = tmp_path / "static.csv"
+    static.write_text("subject,relation,object\na,likes,b\n", encoding="utf-8")
+    assert main(["ingest", "--edgelist", str(raw), "--static", str(static),
+                 "--out-dir", str(graph_dir)]) == EXIT_OK
+    vocab = graph_dir / "static_relations.vocab"
+    vocab.write_text("likes\tzero\n", encoding="utf-8")
+    assert main(["split", "--graph", str(graph_dir),
+                 "--out-dir", str(tmp_path / "splits")]) == EXIT_DATA
+    assert f"{vocab} line 1: dense id 'zero' is not an integer" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import http.server
 import io
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from chronolink import (
     EdgeListSchema,
     FetchError,
     Granularity,
+    IngestReport,
     IntegrityError,
     ParseError,
     SchemaError,
     SplitError,
+    TemporalMultiGraph,
     chronological_split,
     fetch_dataset,
     from_quadruples,
@@ -35,6 +38,7 @@ from chronolink.datasets import (
     _int_table_by_line,
     _read_int_table,
     checksum_file,
+    read_keyvalue_file,
     read_vocab,
     write_vocab,
 )
@@ -481,3 +485,290 @@ def test_fetch_checksum_mismatch_is_integrity_error(tmp_path):
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+# -- one line grammar for raw inputs ------------------------------------------------
+
+
+@pytest.mark.parametrize("mark", ["\x85", "\u2028", "\x0c", "\x1e"],
+                         ids=["NEL", "LINE-SEPARATOR", "FORM-FEED", "RECORD-SEPARATOR"])
+def test_raw_id_holding_a_unicode_line_break_is_one_id(tmp_path, mark):
+    text = f"timestamp,subject,relation,object\n0,a{mark}b,r{mark}s,c\n"
+    graph, report = parse_edgelist(io.StringIO(text))
+    assert list(graph) == [(0, 0, 1, 0)]
+    assert report.node_vocab == [f"a{mark}b", "c"]
+    assert report.relation_vocab == [f"r{mark}s"]
+    write_graph_dir(graph, tmp_path, report)
+    assert read_vocab(tmp_path / "nodes.vocab") == report.node_vocab
+    assert read_vocab(tmp_path / "relations.vocab") == report.relation_vocab
+
+
+@pytest.mark.parametrize("timestamp,message", [
+    ("1_0", "timestamp '1_0' is not an integer"),
+    ("٣", "timestamp '٣' is not an integer"),
+    ("99999999999999999999", "timestamp 99999999999999999999 lies outside the int64 range"),
+], ids=["underscore", "arabic-indic-digit", "int64-overflow"])
+def test_raw_timestamps_follow_the_int64_rule(timestamp, message):
+    text = f"timestamp,subject,relation,object\n0,a,r,b\n{timestamp},b,r,a\n"
+    with pytest.raises(ParseError, match=f"^line 3: {message}$") as caught:
+        parse_edgelist(io.StringIO(text))
+    assert caught.value.line_number == 3
+
+
+def test_keyvalue_value_may_hold_a_unicode_line_break(tmp_path):
+    path = tmp_path / "schema.txt"
+    path.write_text("a = x\u2028b\nheader = false\n", encoding="utf-8")
+    assert read_keyvalue_file(path) == {"a": "x\u2028b", "header": "false"}
+
+
+def test_vocab_splits_at_the_last_tab(tmp_path):
+    path = tmp_path / "v.vocab"
+    write_vocab(path, ["a\tb", "c"])
+    assert read_vocab(path) == ["a\tb", "c"]
+    path.write_text("alpha\tx\n")
+    with pytest.raises(ParseError, match="line 1: dense id 'x' is not an integer"):
+        read_vocab(path)
+    path.write_text("alpha\n")
+    with pytest.raises(SchemaError, match="line 1: expected 2 columns, got 1"):
+        read_vocab(path)
+
+
+@pytest.mark.parametrize("early", ["1,a,r,", "x,a,r,b"], ids=["blank-field", "bad-timestamp"])
+def test_field_count_is_checked_before_any_value(early):
+    text = f"timestamp,subject,relation,object\n0,a,r,b\n{early}\n2,a,r\n"
+    with pytest.raises(SchemaError, match="^line 4: expected 4 columns, got 3$"):
+        parse_edgelist(io.StringIO(text))
+
+
+def test_parse_errors_name_the_file(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("timestamp,subject,relation,object\n0,a,r,\n")
+    with pytest.raises(ParseError, match=f"^{path} line 2: missing object column$"):
+        parse_edgelist(path)
+    path.write_text("timestamp,subject,relation,object\n0,a,r\n")
+    with pytest.raises(SchemaError, match=f"^{path} line 2: expected 4 columns, got 3$"):
+        parse_edgelist(path)
+
+
+# -- the row reader against the per-file line loops it replaced ---------------------
+
+
+class _OldVocabulary:
+    def __init__(self):
+        self.index = {}
+        self.raw = []
+
+    def dense(self, raw):
+        got = self.index.get(raw)
+        if got is None:
+            got = len(self.raw)
+            self.index[raw] = got
+            self.raw.append(raw)
+        return got
+
+
+def _old_read_lines(source):
+    if hasattr(source, "read"):
+        data = source.read()
+        return (data.decode("utf-8") if isinstance(data, bytes) else data).splitlines()
+    return Path(source).read_text(encoding="utf-8").splitlines()
+
+
+def _old_parse_edgelist(source, schema, on_invalid):
+    """The line loop ``parse_edgelist`` ran before the row reader."""
+    lines = _old_read_lines(source)
+    t_col, s_col, r_col, o_col = (schema.column_index(name) for name in _COLUMNS)
+    nodes, relations = _OldVocabulary(), _OldVocabulary()
+    subjects, rels, objects, times = [], [], [], []
+    report = IngestReport()
+    body = lines[1:] if schema.header else lines
+    for lineno, line in enumerate(body, start=2 if schema.header else 1):
+        if not line.strip():
+            continue
+        parts = line.split(schema.delimiter)
+        if len(parts) != 4:
+            raise SchemaError(f"line {lineno}: expected 4 columns, got {len(parts)}")
+        fields = [p.strip() for p in parts]
+        blank = [name for name, idx in zip(_COLUMNS, (t_col, s_col, r_col, o_col))
+                 if not fields[idx]]
+        if blank:
+            if on_invalid == "skip":
+                report.skipped_lines.append(lineno)
+                continue
+            raise ParseError(f"missing {', '.join(blank)} column", lineno)
+        try:
+            timestamp = int(fields[t_col])
+        except ValueError:
+            raise ParseError(f"timestamp {fields[t_col]!r} is not an integer", lineno) from None
+        subjects.append(nodes.dense(fields[s_col]))
+        rels.append(relations.dense(fields[r_col]))
+        objects.append(nodes.dense(fields[o_col]))
+        times.append(timestamp)
+        report.rows_read += 1
+    node_types = None
+    if schema.node_type_path is not None:
+        node_types, report.node_type_vocab = _old_parse_node_types(
+            schema.node_type_path, nodes, schema.delimiter)
+    graph = TemporalMultiGraph(subjects, rels, objects, times, node_count=len(nodes.raw),
+                               relation_count=len(relations.raw), node_types=node_types)
+    report.duplicates_removed = graph.duplicates_removed
+    report.node_vocab, report.relation_vocab = nodes.raw, relations.raw
+    return graph, report
+
+
+def _old_parse_node_types(path, nodes, delimiter):
+    types = _OldVocabulary()
+    assigned = np.full(len(nodes.raw), -1, dtype=np.int64)
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(delimiter)]
+        if len(parts) != 2:
+            raise SchemaError(f"{path} line {lineno}: expected 2 columns, got {len(parts)}")
+        dense_node = nodes.index.get(parts[0])
+        if dense_node is not None:
+            assigned[dense_node] = types.dense(parts[1])
+    missing = int((assigned < 0).sum())
+    if missing:
+        raise DataError(f"{missing} nodes have no type in {path}")
+    return assigned, types.raw
+
+
+def _old_parse_static_edgelist(source, node_index, delimiter, header):
+    lines = _old_read_lines(source)
+    relations = _OldVocabulary()
+    subjects, rels, objects = [], [], []
+    skipped = 0
+    for lineno, line in enumerate(lines[1:] if header else lines, start=2 if header else 1):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(delimiter)]
+        if len(parts) != 3:
+            raise SchemaError(f"line {lineno}: expected 3 columns, got {len(parts)}")
+        s_raw, r_raw, o_raw = parts
+        if s_raw not in node_index or o_raw not in node_index:
+            skipped += 1
+            continue
+        subjects.append(node_index[s_raw])
+        rels.append(relations.dense(r_raw))
+        objects.append(node_index[o_raw])
+    graph = TemporalMultiGraph(subjects, rels, objects, [0] * len(subjects),
+                               node_count=max(node_index.values()) + 1 if node_index else 0,
+                               relation_count=len(relations.raw))
+    return graph, relations.raw, skipped
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DataError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+_DELIMITERS = [",", "\t", "|", ";", " "]
+_TIMES = st.one_of(*[st.integers(-5, 40).map(str)] * 12, st.sampled_from(["+3", "007", "-0"]),
+                   st.sampled_from(["x", "1.5", "", "3 4"]))
+
+
+def _ids(delimiter):
+    """ASCII ids, some with inner spaces, tabs or other delimiters, or blank once stripped."""
+    return st.text(alphabet="abz09-. |;,\t", min_size=1, max_size=3).filter(
+        lambda raw: delimiter not in raw)
+
+
+@st.composite
+def _raw_text(draw, delimiter, fields):
+    """Rows of one field per strategy in ``fields``, padded, with blank lines and mixed line ends."""
+    pad = st.sampled_from(["", *(c for c in " \t" if c != delimiter)])
+    row = st.tuples(*(st.builds("{}{}{}".format, pad, f, pad) for f in fields)).map(delimiter.join)
+    blank_line = st.sampled_from(["", *(c * 2 for c in " \t" if c != delimiter)])
+    lines = draw(st.lists(st.one_of(row, row, row, blank_line), min_size=1, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@st.composite
+def _edge_cases(draw):
+    delimiter = draw(st.sampled_from(_DELIMITERS))
+    columns = tuple(draw(st.permutations(_COLUMNS)))
+    header = draw(st.booleans())
+    times = _TIMES.filter(lambda raw: delimiter not in raw)  # every row has four fields
+    fields = [times if name == "timestamp" else _ids(delimiter) for name in columns]
+    text = draw(_raw_text(delimiter, fields))
+    if header:
+        text = delimiter.join(columns) + draw(st.sampled_from(["\n", "\r\n", "\r"])) + text
+    return EdgeListSchema(columns=columns, header=header, delimiter=delimiter), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_cases(), on_invalid=st.sampled_from(["error", "skip"]))
+def test_parse_edgelist_matches_the_old_line_loop(case, on_invalid):
+    schema, text = case
+    want = _outcome(lambda: _old_parse_edgelist(io.StringIO(text), schema, on_invalid))
+    assert _outcome(lambda: parse_edgelist(io.StringIO(text), schema,
+                                           on_invalid=on_invalid)) == want
+
+
+@st.composite
+def _static_cases(draw):
+    delimiter = draw(st.sampled_from(_DELIMITERS))
+    ids = _ids(delimiter)
+    known = draw(st.lists(ids.map(str.strip).filter(bool), unique=True, max_size=5))
+    node = st.one_of(st.sampled_from(known), st.sampled_from(known), ids) if known else ids
+    header = draw(st.booleans())
+    text = draw(_raw_text(delimiter, [node, ids, node]))
+    if header:
+        text = delimiter.join(["subject", "relation", "object"]) + "\n" + text
+    return text, {raw: 2 * dense for dense, raw in enumerate(known)}, delimiter, header
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_static_cases())
+def test_parse_static_edgelist_matches_the_old_line_loop(case):
+    text, node_index, delimiter, header = case
+    want = _outcome(lambda: _old_parse_static_edgelist(io.StringIO(text), node_index,
+                                                       delimiter, header))
+    assert _outcome(lambda: parse_static_edgelist(
+        io.StringIO(text), node_index, delimiter=delimiter, header=header)) == want
+
+
+@st.composite
+def _typed_cases(draw):
+    delimiter = draw(st.sampled_from(_DELIMITERS))
+    nodes = draw(st.lists(st.sampled_from("abcdef"), min_size=2, max_size=6))
+    edges = "".join(f"{t}{delimiter}{s}{delimiter}r{delimiter}{o}\n"
+                    for t, (s, o) in enumerate(zip(nodes, nodes[1:])))
+    node = st.one_of(st.sampled_from("abcdefg"), _ids(delimiter))  # g never appears in edges
+    noise = _raw_text(delimiter, [node, _ids(delimiter)])
+    typed = draw(st.permutations(sorted(set(nodes))))[: draw(st.sampled_from([-1, None, None]))]
+    kinds = draw(st.lists(_ids(delimiter), min_size=len(typed), max_size=len(typed)))
+    rows = "".join(f"{n}{delimiter}{kind}\n" for n, kind in zip(typed, kinds))
+    return delimiter, edges, draw(noise) + "\n" + rows + draw(noise)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_typed_cases())
+def test_node_type_sidecar_matches_the_old_line_loop(tmp_path_factory, case):
+    delimiter, edges, sidecar = case
+    types = tmp_path_factory.mktemp("types") / "types.csv"
+    types.write_bytes(sidecar.encode("utf-8"))
+    schema = EdgeListSchema(header=False, delimiter=delimiter, node_type_path=types)
+    want = _outcome(lambda: _old_parse_edgelist(io.StringIO(edges), schema, "error"))
+    assert _outcome(lambda: parse_edgelist(io.StringIO(edges), schema)) == want
+
+
+@pytest.mark.parametrize("value,want", [
+    ("1" * 5000, None), ("0" * 5000 + "7", 7), ("-" + "0" * 5000 + "7", -7)],
+    ids=["long", "zero-padded", "negative-zero-padded"])
+def test_integers_longer_than_int_digit_limit_follow_the_int64_rule(value, want):
+    """int() refuses strings of over 4300 digits; the grammar decides by value."""
+    dense = io.StringIO(f"timestamp,subject,relation,object\n{value},0,0,1\n")
+    raw = io.StringIO(f"timestamp,subject,relation,object\n{value},a,r,b\n")
+    for read in (lambda: load_dense_edgelist(dense, node_count=2, relation_count=1),
+                 lambda: parse_edgelist(raw)[0]):
+        if want is None:
+            with pytest.raises(ParseError, match="^line 2: .* lies outside the int64 range$"):
+                read()
+        else:
+            assert read().timestamps.tolist() == [want]
