@@ -20,7 +20,12 @@ Both scorers read one sorted last-seen table, :class:`EdgeBankMemory`: int64
 codes ``key * node_count + destination`` with the latest time of each, where
 the key is the subject (pair mode) or ``subject * relation_count + relation``
 (triple mode). The recurrence baseline's strict term is the triple-mode table;
-its relaxed term bincounts occurrence columns grouped by relation.
+its relaxed term reads one sparse table of object frequencies per (relation,
+timestamp, window).
+
+Both scorers score exactly 0.0 on every node they have not seen, so each
+gives the engine a support (:meth:`Scorer.support`): EdgeBank its key's
+active destinations, the recurrence baseline its relation's observed objects.
 """
 
 from __future__ import annotations
@@ -111,6 +116,24 @@ class EdgeBankMemory:
         self._codes = np.insert(self._codes, at[~present], codes[~present])
         self._times = np.insert(self._times, at[~present], times[~present])
 
+    def _run(self, subject: int, relation: int) -> tuple:
+        """(lo, hi, base): the key's codes are ``_codes[lo:hi]``, each ``base + destination``."""
+        base = self._keys(subject, relation) * self.node_count
+        lo = hi = 0
+        if self.key_mode == "pair" or 0 <= relation < self.relation_count:
+            lo, hi = np.searchsorted(self._codes, (base, base + self.node_count))
+        return lo, hi, base
+
+    def destinations(self, subject: int, relation: int) -> tuple:
+        """(sorted destinations, last-seen time of each) of the key's run."""
+        lo, hi, base = self._run(subject, relation)
+        return self._codes[lo:hi] - base, self._times[lo:hi]
+
+    def active(self, seen: np.ndarray, last: np.ndarray, t_now: int) -> np.ndarray:
+        """``seen``, narrowed to the keys still active at t_now: those whose
+        last-seen time ``last`` is inside the window, if there is one."""
+        return seen if self.window is None else seen & (last >= t_now - self.window)
+
     def lookup(self, subject: int, relation: int, candidates) -> tuple:
         """(seen mask, last-seen time) per candidate; times count only where seen.
 
@@ -121,10 +144,7 @@ class EdgeBankMemory:
         their times: O(run + candidates) instead of O(candidates * log(run)).
         """
         candidates = np.asarray(candidates, dtype=np.int64)
-        base = self._keys(subject, relation) * self.node_count
-        lo = hi = 0
-        if self.key_mode == "pair" or 0 <= relation < self.relation_count:
-            lo, hi = np.searchsorted(self._codes, (base, base + self.node_count))
+        lo, hi, base = self._run(subject, relation)
         if lo == hi:
             return np.zeros(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=np.int64)
         codes, times = self._codes[lo:hi], self._times[lo:hi]
@@ -156,9 +176,7 @@ def edgebank_score(
 ) -> np.ndarray:
     """1.0 for candidates whose key is active at t_now, else 0.0."""
     seen, last = memory.lookup(query.source, query.relation, candidates)
-    if memory.window is not None:
-        seen &= last >= t_now - memory.window
-    return seen.astype(np.float64)
+    return memory.active(seen, last, t_now).astype(np.float64)
 
 
 class EdgeBankScorer(Scorer):
@@ -180,6 +198,12 @@ class EdgeBankScorer(Scorer):
 
     def score_query(self, query, candidates):
         return edgebank_score(self.memory, query, candidates, query.timestamp)
+
+    def support(self, query):
+        """The key's destinations, those still inside the window if there is one."""
+        destinations, last = self.memory.destinations(query.source, query.relation)
+        every = np.ones(len(destinations), dtype=bool)
+        return destinations[self.memory.active(every, last, query.timestamp)]
 
     def params_manifest(self):
         return {
@@ -230,6 +254,7 @@ class HistoryIndex:
         self.latest = EdgeBankMemory("triple")
         self._relations = self._objects = self._times = _EMPTY
         self.high_water = None
+        self._frequencies = {}  # (relation, t_now, window) -> object_frequencies(...)
 
     def observe(self, quads: TemporalMultiGraph) -> None:
         if len(quads) == 0:
@@ -241,18 +266,30 @@ class HistoryIndex:
             )
         self.latest.observe(quads)
         self.high_water = quads.t_max
+        self._frequencies.clear()
         order = np.argsort(quads.relations, kind="stable")
         at = np.searchsorted(self._relations, quads.relations[order], side="right")
         self._relations = np.insert(self._relations, at, quads.relations[order])
         self._objects = np.insert(self._objects, at, quads.objects[order])
         self._times = np.insert(self._times, at, quads.timestamps[order])
 
-    def relation_counts(self, relation: int, t_now: int, window: int) -> np.ndarray:
-        """Per-node object counts of ``relation``, from ``t_now - window`` on if window > 0."""
-        lo, hi = np.searchsorted(self._relations, (relation, relation + 1))
-        if window > 0:
-            lo += np.searchsorted(self._times[lo:hi], t_now - window)
-        return np.bincount(self._objects[lo:hi], minlength=self.latest.node_count)
+    def object_frequencies(self, relation: int, t_now: int, window: int) -> tuple:
+        """(ids, fractions): the sorted distinct objects of ``relation``, from
+        ``t_now - window`` on if window > 0, and each one's count divided by
+        the largest count.
+
+        Built once per (relation, t_now, window) until the next observation.
+        """
+        key = relation, t_now, window
+        if key not in self._frequencies:
+            lo, hi = np.searchsorted(self._relations, (relation, relation + 1))
+            if window > 0:
+                lo += np.searchsorted(self._times[lo:hi], t_now - window)
+            counts = np.bincount(self._objects[lo:hi])
+            ids = (counts > 0).nonzero()[0]
+            counts = counts[ids]
+            self._frequencies[key] = ids, counts / counts.max(initial=1)
+        return self._frequencies[key]
 
 
 def recurrency_score(
@@ -303,13 +340,12 @@ def _strict_term(seen, gaps, lam, window) -> np.ndarray:
 
 
 def _relaxed_term(index, relation, t, candidates, window) -> np.ndarray:
-    counts = index.relation_counts(relation, t, window)
-    denom = counts.max(initial=0)
-    relaxed = np.zeros(len(candidates), dtype=np.float64)
-    if denom > 0:
-        inside = (candidates >= 0) & (candidates < len(counts))
-        relaxed[inside] = counts[candidates[inside]] / denom
-    return relaxed
+    ids, fractions = index.object_frequencies(relation, t, window)
+    if len(ids) == 0:
+        return np.zeros(len(candidates), dtype=np.float64)
+    at = np.searchsorted(ids, candidates)
+    # an unseen candidate's fraction is multiplied by False: exactly 0.0
+    return fractions.take(at, mode="clip") * (ids.take(at, mode="clip") == candidates)
 
 
 class RecurrencyScorer(Scorer):
@@ -329,6 +365,14 @@ class RecurrencyScorer(Scorer):
 
     def score_query(self, query, candidates):
         return recurrency_score(self.index, self.params, query, candidates)
+
+    def support(self, query):
+        """The relation's objects inside the widest window of any row: outside
+        them every row's strict and relaxed terms are 0."""
+        rows = [self.params] if isinstance(self.params, RecurrencyParams) else self.params
+        windows = [p.window for p in rows]
+        widest = 0 if 0 in windows else max(windows)
+        return self.index.object_frequencies(query.relation, query.timestamp, widest)[0]
 
     def params_manifest(self):
         return {

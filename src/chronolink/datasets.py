@@ -69,12 +69,14 @@ class EdgeListSchema:
 
     @classmethod
     def from_file(cls, path) -> "EdgeListSchema":
+        """Read a ``key = value`` schema file; ``delimiter = \\t`` selects a tab."""
         kv = read_keyvalue_file(path)
         columns = tuple(c.strip() for c in kv.get("columns", ",".join(_FIELDS)).split(","))
+        delimiter = kv.get("delimiter", ",")
         return cls(
             columns=columns,
             header=kv.get("header", "true").lower() == "true",
-            delimiter=kv.get("delimiter", ","),
+            delimiter="\t" if delimiter == "\\t" else delimiter,
             node_type_path=Path(kv["node_type_path"]) if "node_type_path" in kv else None,
             static_path=Path(kv["static_path"]) if "static_path" in kv else None,
         )
@@ -681,10 +683,18 @@ def load_graph_dir(directory):
     return graph, static
 
 
+def _int64(value: str) -> int:
+    """One field under :func:`_int64_fields`' rule; a bad one is a ValueError."""
+    try:
+        return int(_int64_fields([value], [None], None)[0])
+    except ParseError:
+        raise ValueError(value) from None
+
+
 def _count(value: str) -> int:
-    if not _DENSE_INT.fullmatch(value) or int(value) < 0:
+    if (count := _int64(value)) < 0:
         raise ValueError(value)
-    return int(value)
+    return count
 
 
 def _meta_field(meta: dict, key: str, path, convert, expected: str):
@@ -716,8 +726,11 @@ def load_splits(directory, template: TemporalMultiGraph):
     graph the splits were derived from).
     """
     directory = Path(directory)
-    kv = read_keyvalue_file(directory / "boundaries.txt")
-    boundaries = SplitBoundaries(int(kv["train_end"]), int(kv["valid_end"]))
+    path = directory / "boundaries.txt"
+    kv = read_keyvalue_file(path)
+    boundaries = SplitBoundaries(
+        *(_meta_field(kv, key, path, _int64, "an int64 timestamp")
+          for key in ("train_end", "valid_end")))
     parts = []
     for name in ("train.csv", "valid.csv", "test.csv"):
         parts.append(

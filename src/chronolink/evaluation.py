@@ -15,8 +15,11 @@ the counts of scores above and tied with the truth, which is exact only
 because a score may not depend on the other candidates (the :class:`Scorer`
 contract):
 
-- An unmaterialized 1-vs-all set builds no candidate lists: each query scores
-  every node once, and its conflicts and the truth are subtracted.
+- An unmaterialized 1-vs-all set builds no candidate lists. Each query
+  scores its scorer's support (:meth:`Scorer.support`; every node if the
+  scorer names none), its truth and one node outside both, and the nodes
+  outside the support are counted from that node's score. Its conflicts and
+  the truth are subtracted.
 - Materialized lists are counted in segments. A timestamp's queries are cut
   into chunks of at most ``_CHUNK_CELLS`` cells (a list's candidates plus its
   truth; a longer list is a chunk of its own). Each query's scores go into
@@ -51,9 +54,10 @@ class Scorer(abc.ABC):
     Scoring must be pure given the history observed so far, and per
     candidate: the score of one candidate may not depend on which other
     candidates appear in the array. The engine relies on this: for 1-vs-all
-    it scores every node once and subtracts the excluded conflicts from the
-    rank counts. The engine calls :meth:`observe` with strictly ascending
-    timestamps, and the candidate array it passes is read-only.
+    it scores only the :meth:`support` and two more nodes, and subtracts the
+    excluded conflicts from the rank counts. The engine calls :meth:`observe`
+    with strictly ascending timestamps, and the candidate array it passes is
+    read-only.
     """
 
     name = "scorer"
@@ -68,6 +72,18 @@ class Scorer(abc.ABC):
         An ``(m, candidates)`` block scores m variants in one replay; it must
         have the same m for every query.
         """
+
+    def support(self, query: EvalQuery) -> np.ndarray | None:
+        """Sorted distinct node ids outside which every node scores bitwise the same.
+
+        For an unmaterialized 1-vs-all query the engine then scores only these
+        ids, the truth and one node outside both, and counts the other nodes
+        from that node's score. Like a score, the support may not depend on
+        facts at or after the query time. ``None``, the default, means the
+        scorer cannot say, and every node is scored. A support that is not
+        sorted distinct ids in ``[0, node_count)`` is a :class:`ProtocolError`.
+        """
+        return None
 
     def observe(self, quads: TemporalMultiGraph):
         """Receive the ground truth of one finished timestep."""
@@ -85,6 +101,9 @@ class OracleScorer(Scorer):
     def score_query(self, query, candidates):
         return (candidates == query.true_destination).astype(np.float64)
 
+    def support(self, query):
+        return np.array([query.true_destination], dtype=np.int64)
+
 
 class ConstantScorer(Scorer):
     """Scores every candidate identically, forcing full ties."""
@@ -93,6 +112,9 @@ class ConstantScorer(Scorer):
 
     def score_query(self, query, candidates):
         return np.zeros(len(candidates), dtype=np.float64)
+
+    def support(self, query):
+        return np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -251,20 +273,17 @@ def evaluate_single_step(
         raise DataError("query destination outside the universe's node space")
     # each query's same-timestamp facts: universe.objects[lo:hi]
     lo, hi = universe.fact_runs(source, relation, timestamp)
-    if dense:
-        everything = np.arange(universe.node_count, dtype=np.int64)
-        everything.setflags(write=False)
-    else:  # each list's cells: its candidates, then the truth
+    if not dense:  # each list's cells: its candidates, then the truth
         cells = [len(negatives.candidates[r]) + 1 for r in records]
 
     scorer.fit(history, static_context)
 
-    ranks = _Ranks(scorer, queries)
+    ranks = _Ranks(scorer, queries, universe.node_count)
     cuts = [0, *(np.flatnonzero(np.diff(timestamp)) + 1).tolist(), len(queries)]
     for i, j in zip(cuts[:-1], cuts[1:]) if queries else ():
         if dense:
             for k in range(i, j):
-                ranks.dense(k, everything, truth[k], universe.objects[lo[k]:hi[k]])
+                ranks.every_node(k, int(truth[k]), universe.objects[lo[k]:hi[k]])
         else:
             for a, b in _chunks(cells, i, j):
                 ids, starts = _with_truths(negatives.candidates, records[a:b], truth[a:b])
@@ -296,11 +315,12 @@ class _Ranks:
     ``(m, candidates)`` block.
     """
 
-    def __init__(self, scorer: Scorer, queries: list):
+    def __init__(self, scorer: Scorer, queries: list, node_count: int):
         self.scorer = scorer
         self.queries = queries
+        self.node_count = node_count
         self.better = self.tied = None
-        self._buffer = None
+        self._buffer = self._everything = None
 
     def _score(self, k: int, candidates: np.ndarray) -> np.ndarray:
         scores = np.asarray(self.scorer.score_query(self.queries[k], candidates), dtype=np.float64)
@@ -313,21 +333,59 @@ class _Ranks:
             )
         return scores
 
-    def dense(self, k: int, everything: np.ndarray, truth, excluded: np.ndarray) -> None:
-        """Rank query k over every node; the excluded nodes are scored, then subtracted."""
-        scores = self._score(k, everything)
-        top = scores[..., truth, None]
+    def every_node(self, k: int, truth: int, excluded: np.ndarray) -> None:
+        """Rank query k over every node except the excluded ones (its conflicts,
+        perhaps with the truth).
+
+        Scores the scorer's support (every node if it names none), then the
+        truth unless the support holds it, then the smallest node outside both
+        and the conflicts if there is one: it stands for all ``rest`` such
+        nodes. The excluded nodes in the support are scored, then subtracted;
+        their scores may be NaN.
+        """
+        n = self.node_count
+        support = self.scorer.support(self.queries[k])
+        if support is None:
+            if self._everything is None:
+                self._everything = np.arange(n, dtype=np.int64)
+                self._everything.setflags(write=False)
+            support = self._everything
+        else:
+            support = np.asarray(support, dtype=np.int64)
+            if support.ndim != 1 or (support[1:] <= support[:-1]).any() or (
+                    len(support) and (support[0] < 0 or support[-1] >= n)):
+                raise ProtocolError(
+                    "scorer returned a support that is not sorted distinct node ids"
+                    f" for {self.queries[k]}")
+        size = len(support)
+        blocked = np.concatenate((excluded[excluded != truth], [truth]))  # conflicts, then truth
+        at = np.searchsorted(support, blocked)
+        inside = support.take(at, mode="clip") == blocked if size else at < 0  # all False
+        rest = n - size - len(blocked) + int(np.count_nonzero(inside))
+        tail = [] if inside[-1] else [truth]
+        if rest:  # the smallest free id is at most the number of ids taken
+            taken = np.zeros(size + len(blocked) + 1, dtype=bool)
+            ids = np.concatenate((support, blocked))
+            taken[ids[ids < len(taken)]] = True
+            tail.append(int(np.argmin(taken)))
+        cells = np.concatenate((support, tail)) if tail else support.view()
+        cells.setflags(write=False)
+        scores = self._score(k, cells)
+        top = scores[..., at[-1] if inside[-1] else size, None]
+        gone = at[inside]  # the excluded nodes' cells in the support, the truth perhaps among them
         nan = np.isnan(scores)
         if nan.any():  # an excluded score is never ranked, so it may be NaN
-            nan[..., excluded] = False
+            nan[..., gone] = False
             if nan.any() or np.isnan(top).any():
                 raise ProtocolError(f"scorer returned NaN scores for {self.queries[k]}")
         axis = -1 if scores.ndim == 2 else None  # None counts a single row fastest
-        gone = scores[..., excluded]  # the truth perhaps among them
-        self.better[k] = (np.count_nonzero(scores > top, axis=axis)
-                          - np.count_nonzero(gone > top, axis=axis))
-        self.tied[k] = (np.count_nonzero(scores == top, axis=axis) - 1  # the truth ties itself
-                        - np.count_nonzero(gone == top, axis=axis) + (truth in excluded))
+        ranked, gone = scores[..., :size], scores[..., gone]
+        better = np.count_nonzero(ranked > top, axis=axis) - np.count_nonzero(gone > top, axis=axis)
+        tied = np.count_nonzero(ranked == top, axis=axis) - np.count_nonzero(gone == top, axis=axis)
+        if rest:
+            last = scores[..., -1]
+            better, tied = better + rest * (last > top[..., 0]), tied + rest * (last == top[..., 0])
+        self.better[k], self.tied[k] = better, tied
 
     def lists(self, a: int, ids: np.ndarray, starts: np.ndarray, conflicts) -> None:
         """Rank queries a, a + 1, ... over their segments of ``ids``, each ending with

@@ -495,6 +495,32 @@ def test_ingest_of_timestamp_outside_int64_is_data_error_naming_line(tmp_path, c
     assert "Traceback" not in err
 
 
+def test_damaged_split_boundaries_exit_data_naming_the_file(pipeline, capsys):
+    tmp_path, graph_dir, splits_dir = pipeline
+    boundaries = splits_dir / "boundaries.txt"
+    boundaries.write_text(boundaries.read_text().replace("train_end = ", "train_end = x"))
+    assert main(["stats", "--graph", str(graph_dir), "--splits", str(splits_dir),
+                 "--out-dir", str(tmp_path / "stats")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{boundaries} line 1: train_end 'x" in err
+    assert "Traceback" not in err
+
+
+def test_ingest_of_a_tab_separated_edge_list(tmp_path):
+    rows = ["0\ta b\tlikes\tc", "1\tc\tknows\ta b", "2\ta b\tlikes\tc"]
+    tsv = tmp_path / "raw.tsv"
+    tsv.write_text("timestamp\tsubject\trelation\tobject\n" + "\n".join(rows) + "\n")
+    schema = tmp_path / "schema.cfg"
+    schema.write_text("delimiter = \\t\n")
+    graph_dir = tmp_path / "graph"
+    assert main(["ingest", "--edgelist", str(tsv), "--schema", str(schema),
+                 "--out-dir", str(graph_dir)]) == EXIT_OK
+    graph, _ = load_graph_dir(graph_dir)
+    assert list(graph) == [(0, 0, 1, 0), (1, 1, 0, 1), (0, 0, 1, 2)]
+    assert read_vocab(graph_dir / "nodes.vocab") == ["a b", "c"]
+    assert read_vocab(graph_dir / "relations.vocab") == ["likes", "knows"]
+
+
 @pytest.mark.parametrize("relation", ["born\tin", "\tborn\tin\t"], ids=["inner", "outer"])
 def test_static_relation_holding_a_tab_reloads(tmp_path, relation):
     raw = _raw_edges(tmp_path, [f"{t},a,r,b" for t in range(10)])

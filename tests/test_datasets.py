@@ -190,6 +190,23 @@ def test_splits_round_trip(tmp_path):
     assert (t2, v2, s2, b2) == (train, valid, test, bounds)
 
 
+@pytest.mark.parametrize("text,error,message", [
+    ("train_end = x29\nvalid_end = 31\n", ParseError,
+     "line 1: train_end 'x29' is not an int64 timestamp"),
+    ("train_end = 29\n\nvalid_end = 99999999999999999999\n", ParseError,
+     "line 3: valid_end '99999999999999999999' is not an int64 timestamp"),
+    ("train_end = 29\n", DataError, "lacks valid_end"),
+], ids=["not-an-integer", "outside-int64", "missing"])
+def test_damaged_split_boundaries_are_data_errors_naming_the_file(tmp_path, text, error, message):
+    g = generate(SynthConfig(node_count=20, relation_count=2, timestep_count=30, rate=4, seed=1))
+    save_splits(tmp_path, *chronological_split(g))
+    path = tmp_path / "boundaries.txt"
+    path.write_text(text)
+    with pytest.raises(error) as caught:
+        load_splits(tmp_path, g)
+    assert str(caught.value) == f"{path} {message}"
+
+
 # -- dense codec: write_edgelist and load_dense_edgelist -------------------------
 
 _COLUMNS = ("timestamp", "subject", "relation", "object")

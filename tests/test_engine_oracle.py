@@ -28,11 +28,13 @@ from chronolink import (
     RecurrencyParams,
     RecurrencyScorer,
     Scorer,
+    SynthConfig,
     add_inverse_relations,
     brute_force_evaluate,
     evaluate_single_step,
     expand_queries,
     from_quadruples,
+    generate,
     generate_all,
     generate_negative_set,
 )
@@ -241,3 +243,154 @@ def test_nan_at_a_ranked_score_names_its_query_in_chunks(chunk, where, target):
     with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
         with pytest.raises(ProtocolError, match=f"NaN scores for {re.escape(str(query))}$"):
             _mixed_run(scorer)
+
+
+# -- the sparse path: scorers that name a support ------------------------------------
+
+
+class _Supported(Scorer):
+    """HashScorer's scores on a support drawn per query, ``default`` elsewhere.
+
+    ``kind`` picks the support: ``hash`` a third of the nodes by a hash of the
+    ids, ``no-truth`` the same without the truth, ``empty`` no node,
+    ``all-but-one`` every node but one, ``every`` every node, and
+    ``below-truth`` every node but the truth and the last one, so the smallest
+    node outside the support is the truth. With ``facts`` every conflict is
+    in the support and scores NaN.
+    """
+
+    def __init__(self, default, kind, facts=None):
+        self.default, self.kind, self.facts = default, kind, facts
+        self.node_count = 0
+
+    def fit(self, history, static_context=None):
+        self.node_count = history.node_count
+
+    def support(self, query):
+        s, r, t, truth = query[:4]
+        nodes = np.arange(self.node_count)
+        keep = {
+            "hash": (nodes * 7 + s * 3 + r) % 3 == 0,
+            "no-truth": ((nodes * 7 + s * 3 + r) % 3 == 0) & (nodes != truth),
+            "empty": nodes < 0,
+            "all-but-one": nodes != (s + r) % max(self.node_count, 1),
+            "every": nodes >= 0,
+            "below-truth": (nodes != truth) & (nodes != self.node_count - 1),
+        }[self.kind]
+        if self.facts is not None:
+            keep |= self._conflicts(query, nodes)
+        return nodes[keep]
+
+    def _conflicts(self, query, candidates):
+        s, r, t, truth = query[:4]
+        return np.array([(s, r, c, t) in self.facts and c != truth
+                         for c in candidates.tolist()], dtype=bool)
+
+    def score_query(self, query, candidates):
+        inside = np.isin(candidates, self.support(query))
+        scores = np.where(inside, HashScorer(1).score_query(query, candidates), self.default)
+        if self.facts is not None:
+            scores[self._conflicts(query, candidates)] = np.nan
+        return scores
+
+
+def _one_vs_all(case, make):
+    """The engine and the oracle on the case's unmaterialized 1-vs-all set."""
+    g = case["graph"]
+    kind = "thg" if g.is_heterogeneous else "tkg"
+    history, test = g.time_slice(0, case["cut"] - 1), g.time_slice(case["cut"], _TIMES)
+    universe = add_inverse_relations(g) if kind == "tkg" else g
+    negatives = generate_all(universe, expand_queries(test, kind), materialize=False)
+    got = evaluate_single_step(make(), history, test, negatives, g, kind=kind)
+    return got, brute_force_evaluate(make(), history, test, negatives, g, kind=kind)
+
+
+_KINDS = ["hash", "no-truth", "empty", "all-but-one", "every", "below-truth"]
+_DEFAULTS = [0.0, 0.5, np.inf, -np.inf]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cases(), default=st.sampled_from(_DEFAULTS), kind=st.sampled_from(_KINDS),
+       nan=st.booleans())
+@example(case=_SYMMETRIC, default=0.5, kind="below-truth", nan=False)
+@example(case=_MIXED, default=np.inf, kind="empty", nan=True)
+@example(case=_MIXED, default=-np.inf, kind="every", nan=True)
+def test_sparse_ranking_equals_brute_force_oracle(case, default, kind, nan):
+    g = case["graph"]
+    facts = set(add_inverse_relations(g) if not g.is_heterogeneous else g) if nan else None
+    got, want = _one_vs_all(case, lambda: _Supported(default, kind, facts))
+    assert got == want
+
+
+def test_grid_block_over_unmaterialized_one_vs_all_equals_each_row_alone():
+    g = generate(SynthConfig(node_count=40, relation_count=3, timestep_count=14, rate=12,
+                             p_rep=0.6, seed=11))
+    history, test = g.time_slice(0, 9), g.time_slice(10, 13)
+    negatives = generate_all(add_inverse_relations(g), expand_queries(test, "tkg"),
+                             materialize=False)
+    got = evaluate_single_step(_Grid(GRID), history, test, negatives, g)
+    want = tuple(brute_force_evaluate(RecurrencyScorer(p), history, test, negatives, g)
+                 for p in GRID)
+    assert got == want
+
+
+class _BadSupport(HashScorer):
+    def __init__(self, ids):
+        super().__init__()
+        self.ids = ids
+
+    def support(self, query):
+        return np.array(self.ids)
+
+
+@pytest.mark.parametrize(
+    "ids", [[2, 1], [1, 1], [[0, 1]], [-1, 0], [0, _MIXED["graph"].node_count]])
+def test_support_not_sorted_distinct_node_ids_is_a_protocol_error(ids):
+    g = _MIXED["graph"]
+    negatives = generate_all(add_inverse_relations(g), expand_queries(g.time_slice(3, 3), "tkg"),
+                             materialize=False)
+    with pytest.raises(ProtocolError, match="not sorted distinct node ids"):
+        evaluate_single_step(_BadSupport(ids), g.time_slice(0, 2), g.time_slice(3, 3), negatives, g)
+
+
+def test_nan_outside_the_support_is_refused_unless_no_node_there_is_ranked():
+    query = expand_queries(_MIXED["graph"].time_slice(3, 3), "tkg")[0]
+    with pytest.raises(ProtocolError, match=f"NaN scores for {re.escape(str(query))}$"):
+        _one_vs_all(_MIXED, lambda: _Supported(np.nan, "hash"))
+    got, want = _one_vs_all(_MIXED, lambda: _Supported(np.nan, "every"))
+    assert got == want
+
+
+_SUPPORTED = st.one_of(
+    st.sampled_from(["pair", "triple"]).flatmap(
+        lambda mode: st.sampled_from([None, 0, 1, 2, 3]).map(
+            lambda w: (f"edgebank {mode} {w}", lambda: EdgeBankScorer(mode, w)))),
+    st.builds(
+        lambda lam, alpha, window: (f"recurrency {lam} {alpha} {window}",
+                                    lambda: RecurrencyScorer(RecurrencyParams(lam, alpha, window))),
+        st.sampled_from([0.0, 0.1, 1.0]), st.sampled_from([0.0, 0.5, 0.99, 1.0]), _WINDOWS,
+    ),
+    st.builds(lambda: ("grid", lambda: _Grid(GRID))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cases(), scorer=_SUPPORTED)
+def test_every_node_outside_the_support_scores_bitwise_the_same(case, scorer):
+    g = case["graph"]
+    kind = "thg" if g.is_heterogeneous else "tkg"
+    feed = add_inverse_relations(g) if kind == "tkg" else g
+    nodes = np.arange(g.node_count)
+    nodes.setflags(write=False)
+    label, make = scorer
+    scorer = make()
+    scorer.fit(feed.time_slice(0, case["cut"] - 1))
+    for t in range(case["cut"], _TIMES):
+        for query in expand_queries(g.time_slice(t, t), kind):
+            support = scorer.support(query)
+            assert ((support >= 0) & (support < g.node_count)).all(), label
+            assert (np.diff(support) > 0).all(), label
+            bits = scorer.score_query(query, nodes).view(np.int64)
+            outside = np.delete(bits, support, axis=-1)
+            assert (outside == outside[..., :1]).all(), (label, query)
+        scorer.observe(feed.time_slice(t, t))
