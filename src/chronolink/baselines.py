@@ -70,7 +70,9 @@ class EdgeBankMemory:
 
     Long candidate lists are looked up through a scratch row with one slot
     per destination id seen plus two guard slots, so one memory serves one
-    :meth:`lookup` at a time.
+    :meth:`lookup` at a time. The run of the last key looked up is kept
+    until the next :meth:`observe`, so naming a query's support and then
+    scoring it searches the table once.
     """
 
     def __init__(self, key_mode: str = "pair", window: int | None = None):
@@ -85,6 +87,7 @@ class EdgeBankMemory:
         self._codes = _EMPTY
         self._times = _EMPTY
         self._scratch = np.zeros(0, dtype=bool)  # all False between lookups
+        self._last = None  # ((subject, relation), its run) of the last lookup
 
     def _keys(self, subjects, relations):
         if self.key_mode == "pair":
@@ -115,18 +118,25 @@ class EdgeBankMemory:
         self._times[at[present]] = times[present]
         self._codes = np.insert(self._codes, at[~present], codes[~present])
         self._times = np.insert(self._times, at[~present], times[~present])
+        self._last = None
+
+    def _located(self, subject: int, relation: int) -> tuple:
+        """:meth:`_run` of the key, searched only if it is not the last key's."""
+        if self._last is None or self._last[0] != (subject, relation):
+            self._last = (subject, relation), self._run(subject, relation)
+        return self._last[1]
 
     def _run(self, subject: int, relation: int) -> tuple:
         """(lo, hi, base): the key's codes are ``_codes[lo:hi]``, each ``base + destination``."""
         base = self._keys(subject, relation) * self.node_count
         lo = hi = 0
         if self.key_mode == "pair" or 0 <= relation < self.relation_count:
-            lo, hi = np.searchsorted(self._codes, (base, base + self.node_count))
+            lo, hi = self._codes.searchsorted((base, base + self.node_count)).tolist()
         return lo, hi, base
 
     def destinations(self, subject: int, relation: int) -> tuple:
         """(sorted destinations, last-seen time of each) of the key's run."""
-        lo, hi, base = self._run(subject, relation)
+        lo, hi, base = self._located(subject, relation)
         return self._codes[lo:hi] - base, self._times[lo:hi]
 
     def active(self, seen: np.ndarray, last: np.ndarray, t_now: int) -> np.ndarray:
@@ -144,13 +154,13 @@ class EdgeBankMemory:
         their times: O(run + candidates) instead of O(candidates * log(run)).
         """
         candidates = np.asarray(candidates, dtype=np.int64)
-        lo, hi, base = self._run(subject, relation)
+        lo, hi, base = self._located(subject, relation)
         if lo == hi:
             return np.zeros(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=np.int64)
         codes, times = self._codes[lo:hi], self._times[lo:hi]
         if len(candidates) < _SCATTER_FROM:
             targets = candidates + base
-            at = np.searchsorted(codes, targets)
+            at = codes.searchsorted(targets)
             seen = codes.take(at, mode="clip") == targets
             return seen, times.take(at, mode="clip")
         run = codes - (base - 1)  # the key's sorted destinations, plus 1
@@ -161,7 +171,7 @@ class EdgeBankMemory:
         self._scratch[run] = False
         last = np.zeros(len(candidates), dtype=np.int64)
         hits = np.flatnonzero(seen)
-        last[hits] = times[np.searchsorted(run, candidates[hits] + 1)]
+        last[hits] = times[run.searchsorted(candidates[hits] + 1)]
         return seen, last
 
 

@@ -22,7 +22,11 @@ contract):
   the truth are subtracted.
 - Materialized lists are counted in segments. A timestamp's queries are cut
   into chunks of at most ``_CHUNK_CELLS`` cells (a list's candidates plus its
-  truth; a longer list is a chunk of its own). Each query's scores go into
+  truth; a longer list is a chunk of its own). A chunk's lists are one slice
+  of the set's ``ids`` column, cut at its ``offsets``, with each truth
+  inserted after its list; a set whose records are not in canonical order
+  is joined to the queries once, and its chunks gather their lists by
+  record. Each query's scores go into
   one buffer for the chunk, and one pass compares every segment with its
   truth's score and sums the cells above and tied per segment. The conflicts
   in the chunk are found by one binary search; their scores may be NaN.
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ProtocolError
 from .graph import TemporalMultiGraph, add_inverse_relations, run_starts
-from .negatives import _DIRECTIONS, EvalQuery, NegativeSampleSet
+from .negatives import EvalQuery, NegativeSampleSet, _as_queries, _check_queries
 
 DEFAULT_KS = (1, 3, 10)
 
@@ -190,11 +194,6 @@ def _query_table(test: TemporalMultiGraph, kind: str) -> np.ndarray:
     return table[:, np.lexsort(table[[3, 1, 0, 2]])]  # by t, s, r, then truth
 
 
-def _as_queries(table: np.ndarray) -> list:
-    directions = np.array(_DIRECTIONS, dtype=object)[table[4]].tolist()
-    return list(map(EvalQuery, *table[:4].tolist(), directions))
-
-
 def time_aware_filter(
     candidates: np.ndarray, query: EvalQuery, full_graph: TemporalMultiGraph
 ) -> np.ndarray:
@@ -259,36 +258,35 @@ def evaluate_single_step(
     history = _augment_if_needed(history, kind)
 
     table = _query_table(feed, kind)
-    queries = _as_queries(table)
+    count = table.shape[1]
     dense = negatives.candidates is None
-    if not dense and len(negatives) != len(queries):
-        raise ProtocolError(
-            f"negative set covers {len(negatives)} queries, expected {len(queries)}"
-        )
+    if not dense and len(negatives) != count:
+        raise ProtocolError(f"negative set covers {len(negatives)} queries, expected {count}")
     # a set in canonical order holds query k at record k; else a missing one raises
-    records = (range(len(queries)) if negatives.queries == queries
-               else [negatives.index_of(query) for query in queries])
+    records = None if np.array_equal(negatives.table, table) else negatives.records_of(table)
     source, relation, timestamp, truth = table[:4]
-    if dense and ((truth < 0) | (truth >= universe.node_count)).any():
-        raise DataError("query destination outside the universe's node space")
+    if dense:
+        _check_queries(universe, table)
+    else:  # each list's cells: its candidates, then the truth
+        lengths = np.diff(negatives.offsets)
+        cells = (lengths if records is None else lengths[records]) + 1
     # each query's same-timestamp facts: universe.objects[lo:hi]
     lo, hi = universe.fact_runs(source, relation, timestamp)
-    if not dense:  # each list's cells: its candidates, then the truth
-        cells = [len(negatives.candidates[r]) + 1 for r in records]
 
     scorer.fit(history, static_context)
 
-    ranks = _Ranks(scorer, queries, universe.node_count)
-    cuts = [0, *(np.flatnonzero(np.diff(timestamp)) + 1).tolist(), len(queries)]
-    for i, j in zip(cuts[:-1], cuts[1:]) if queries else ():
+    ranks = _Ranks(scorer, count, universe.node_count)
+    cuts = [0, *(np.flatnonzero(np.diff(timestamp)) + 1).tolist(), count]
+    for i, j in zip(cuts[:-1], cuts[1:]) if count else ():
+        queries = _as_queries(table[:, i:j])  # this timestamp's, from query i on
         if dense:
             for k in range(i, j):
-                ranks.every_node(k, int(truth[k]), universe.objects[lo[k]:hi[k]])
+                ranks.every_node(k, queries[k - i], universe.objects[lo[k]:hi[k]])
         else:
             for a, b in _chunks(cells, i, j):
-                ids, starts = _with_truths(negatives.candidates, records[a:b], truth[a:b])
+                ids, starts = _with_truths(negatives, records, a, b, truth[a:b])
                 conflicts = _conflicts(ids, starts, universe, lo[a:b], hi[a:b], truth[a:b])
-                ranks.lists(a, ids, starts, conflicts)
+                ranks.lists(a, queries[a - i : b - i], ids, starts, conflicts)
         scorer.observe(feed.time_slice(timestamp[i], timestamp[i]))
 
     better, tied = ranks.better, ranks.tied
@@ -315,25 +313,25 @@ class _Ranks:
     ``(m, candidates)`` block.
     """
 
-    def __init__(self, scorer: Scorer, queries: list, node_count: int):
+    def __init__(self, scorer: Scorer, count: int, node_count: int):
         self.scorer = scorer
-        self.queries = queries
+        self.count = count
         self.node_count = node_count
         self.better = self.tied = None
         self._buffer = self._everything = None
 
-    def _score(self, k: int, candidates: np.ndarray) -> np.ndarray:
-        scores = np.asarray(self.scorer.score_query(self.queries[k], candidates), dtype=np.float64)
+    def _score(self, query: EvalQuery, candidates: np.ndarray) -> np.ndarray:
+        scores = np.asarray(self.scorer.score_query(query, candidates), dtype=np.float64)
         if self.better is None:
             self.better, self.tied = np.zeros(
-                (2, len(self.queries), *scores.shape[:-1]), dtype=np.int64)
+                (2, self.count, *scores.shape[:-1]), dtype=np.int64)
         if self.better.ndim > 2 or scores.shape != (*self.better.shape[1:], len(candidates)):
             raise ProtocolError(
                 f"scorer returned {scores.shape} scores for {len(candidates)} candidates"
             )
         return scores
 
-    def every_node(self, k: int, truth: int, excluded: np.ndarray) -> None:
+    def every_node(self, k: int, query: EvalQuery, excluded: np.ndarray) -> None:
         """Rank query k over every node except the excluded ones (its conflicts,
         perhaps with the truth).
 
@@ -343,8 +341,8 @@ class _Ranks:
         nodes. The excluded nodes in the support are scored, then subtracted;
         their scores may be NaN.
         """
-        n = self.node_count
-        support = self.scorer.support(self.queries[k])
+        n, truth = self.node_count, query.true_destination
+        support = self.scorer.support(query)
         if support is None:
             if self._everything is None:
                 self._everything = np.arange(n, dtype=np.int64)
@@ -356,7 +354,7 @@ class _Ranks:
                     len(support) and (support[0] < 0 or support[-1] >= n)):
                 raise ProtocolError(
                     "scorer returned a support that is not sorted distinct node ids"
-                    f" for {self.queries[k]}")
+                    f" for {query}")
         size = len(support)
         blocked = np.concatenate((excluded[excluded != truth], [truth]))  # conflicts, then truth
         at = np.searchsorted(support, blocked)
@@ -370,14 +368,14 @@ class _Ranks:
             tail.append(int(np.argmin(taken)))
         cells = np.concatenate((support, tail)) if tail else support.view()
         cells.setflags(write=False)
-        scores = self._score(k, cells)
+        scores = self._score(query, cells)
         top = scores[..., at[-1] if inside[-1] else size, None]
         gone = at[inside]  # the excluded nodes' cells in the support, the truth perhaps among them
         nan = np.isnan(scores)
         if nan.any():  # an excluded score is never ranked, so it may be NaN
             nan[..., gone] = False
             if nan.any() or np.isnan(top).any():
-                raise ProtocolError(f"scorer returned NaN scores for {self.queries[k]}")
+                raise ProtocolError(f"scorer returned NaN scores for {query}")
         axis = -1 if scores.ndim == 2 else None  # None counts a single row fastest
         ranked, gone = scores[..., :size], scores[..., gone]
         better = np.count_nonzero(ranked > top, axis=axis) - np.count_nonzero(gone > top, axis=axis)
@@ -387,17 +385,19 @@ class _Ranks:
             better, tied = better + rest * (last > top[..., 0]), tied + rest * (last == top[..., 0])
         self.better[k], self.tied[k] = better, tied
 
-    def lists(self, a: int, ids: np.ndarray, starts: np.ndarray, conflicts) -> None:
-        """Rank queries a, a + 1, ... over their segments of ``ids``, each ending with
-        its truth: score every segment into one buffer, then count them all.
+    def lists(self, a: int, queries: list, ids: np.ndarray, starts: np.ndarray,
+              conflicts) -> None:
+        """Rank queries a, a + 1, ... (``queries``) over their segments of ``ids``,
+        each ending with its truth: score every segment into one buffer, then
+        count them all.
 
         ``conflicts`` (None: no cell) masks the cells that are scored but never
         ranked; their scores may be NaN.
         """
         bounds = starts.tolist()
-        for k, x, y in zip(range(a, a + len(bounds) - 1), bounds, bounds[1:]):
-            scores = self._score(k, ids[x:y])
-            if k == a:
+        for query, x, y in zip(queries, bounds, bounds[1:]):
+            scores = self._score(query, ids[x:y])
+            if not x:
                 buffer = self._cells(bounds[-1])
             buffer[..., x:y] = scores
         top = np.repeat(buffer[..., starts[1:] - 1], np.diff(starts), axis=-1)
@@ -406,9 +406,9 @@ class _Ranks:
             above[..., conflicts] = same[..., conflicts] = nan[..., conflicts] = False
         if nan.any():
             cell = np.flatnonzero(nan.reshape(-1, len(ids)).any(axis=0))[0]
-            k = a + int(np.searchsorted(starts, cell, side="right")) - 1
-            raise ProtocolError(f"scorer returned NaN scores for {self.queries[k]}")
-        b = a + len(starts) - 1
+            k = int(np.searchsorted(starts, cell, side="right")) - 1
+            raise ProtocolError(f"scorer returned NaN scores for {queries[k]}")
+        b = a + len(queries)
         self.better[a:b] = np.add.reduceat(above, starts[:-1], axis=-1, dtype=np.int64).T
         # the truth ties with itself
         self.tied[a:b] = np.add.reduceat(same, starts[:-1], axis=-1, dtype=np.int64).T - 1
@@ -420,27 +420,37 @@ class _Ranks:
         return self._buffer[..., :cells]
 
 
-def _chunks(cells: list, i: int, j: int):
+def _chunks(cells: np.ndarray, i: int, j: int):
     """Queries i..j cut into runs (a, b) of at most :data:`_CHUNK_CELLS` cells;
     a longer list is a run of its own."""
     a, used = i, 0
-    for k in range(i, j):
-        if used and used + cells[k] > _CHUNK_CELLS:
+    for k, size in enumerate(cells[i:j].tolist(), i):
+        if used and used + size > _CHUNK_CELLS:
             yield a, k
             a, used = k, 0
-        used += cells[k]
+        used += size
     yield a, j
 
 
-def _with_truths(candidates, records, truths) -> tuple:
-    """A chunk's candidate lists, each followed by its truth, in one read-only
-    array; query k's ids are ``ids[starts[k]:starts[k + 1]]``."""
-    lists = [np.asarray(candidates[r], dtype=np.int64) for r in records]
-    ends = np.cumsum([len(c) for c in lists])
-    ids = np.insert(np.concatenate(lists), ends, truths)
+def _with_truths(negatives: NegativeSampleSet, records, a: int, b: int, truths) -> tuple:
+    """The candidate lists of queries a..b, each followed by its truth, in one
+    read-only array; the chunk's query k has ``ids[starts[k]:starts[k + 1]]``.
+
+    ``records`` maps queries to records (None: query k is record k, and the
+    chunk's lists are one slice of the set's ids)."""
+    offsets = negatives.offsets
+    if records is None:
+        ends = offsets[a + 1 : b + 1] - offsets[a]
+        lists = negatives.ids[offsets[a] : offsets[b]]
+    else:
+        first, after = offsets[records[a:b]], offsets[records[a:b] + 1]
+        ends = np.cumsum(after - first)
+        # the chunk's cell p of query k is id after[k] - ends[k] + p of the set
+        lists = negatives.ids[np.arange(ends[-1]) + np.repeat(after - ends, after - first)]
+    ids = np.insert(lists, ends, truths)
     ids.setflags(write=False)
-    starts = np.zeros(len(lists) + 1, dtype=np.int64)
-    starts[1:] = ends + np.arange(1, len(lists) + 1)
+    starts = np.zeros(b - a + 1, dtype=np.int64)
+    starts[1:] = ends + np.arange(1, b - a + 1)
     return ids, starts
 
 

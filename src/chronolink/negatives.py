@@ -33,11 +33,13 @@ malformed or out-of-range content raises CorruptionError.
 
 from __future__ import annotations
 
+import mmap
 import struct
 import warnings
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +57,9 @@ _DIRECTION_CODE = {name: i for i, name in enumerate(_DIRECTIONS)}
 
 _RECORD_FIELDS = 6  # source, relation, zigzag timestamp, truth, direction, count
 _BLOCK_RECORDS = 256  # records per vectorised encode pass
-_BLOCK_BYTES = 1 << 14  # record bytes per vectorised decode pass, cut at a varint end
+_BLOCK_BYTES = 1 << 15  # record bytes per vectorised decode pass, cut at a varint end
 _SHIFTS = np.arange(0, 70, 7, dtype=np.uint64)  # bit offset of each varint byte
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class EvalQuery(NamedTuple):
@@ -82,13 +85,28 @@ class Provenance:
 
 
 class NegativeSampleSet:
-    """Pre-generated candidate lists, one per evaluation query.
+    """Pre-generated candidate lists, one per evaluation query, held as columns.
 
-    ``candidates[i]`` is a sorted int64 array for ``queries[i]``. For the
-    "all" strategy the lists may be left unmaterialized (``candidates is
-    None``, every node implied); :meth:`candidates_for` reconstructs one on
-    demand, and the engine ranks every node without building the lists,
-    which keeps 1-vs-all evaluation memory-lean.
+    - ``table``: int64, shape ``(5, n)``: each record's source, relation,
+      timestamp, truth and head flag (0 tail, 1 head), one column per
+      record; the same rows as the engine's query table.
+    - ``offsets``: int64, shape ``(n + 1,)``, from 0 up to ``len(ids)``.
+    - ``ids``: int64; record k's sorted candidates are
+      ``ids[offsets[k]:offsets[k + 1]]``.
+
+    The columns are read-only. ``queries`` and ``candidates`` are read-only
+    sequence views over them: ``queries[k]`` is record k's
+    :class:`EvalQuery` and ``candidates[k]`` its candidate array, a view
+    into ``ids``. For the "all" strategy the lists may be left
+    unmaterialized (``offsets``, ``ids`` and ``candidates`` are None, every
+    node implied); :meth:`candidates_for` reconstructs one on demand, and
+    the engine ranks every node without building the lists, which keeps
+    1-vs-all evaluation memory-lean.
+
+    The constructor takes per-record sequences and copies them into
+    columns; a record that int64 columns cannot hold (a field outside
+    int64, an unknown direction, non-integer ids) is a DataError.
+    :meth:`from_columns` adopts ready columns without copying.
     """
 
     def __init__(
@@ -100,44 +118,82 @@ class NegativeSampleSet:
         candidates: Sequence[np.ndarray] | None,
         provenance: Provenance = Provenance(),
     ):
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {strategy!r}")
         if candidates is not None and len(candidates) != len(queries):
             raise DataError("one candidate list per query required")
-        if candidates is None and strategy != "all":
+        columns = (None, None) if candidates is None else _flatten(candidates)
+        self._adopt(strategy, q, seed, _table(queries), *columns, provenance)
+
+    @classmethod
+    def from_columns(cls, strategy: str, q: int, seed: int, table: np.ndarray,
+                     offsets: np.ndarray | None, ids: np.ndarray | None,
+                     provenance: Provenance = Provenance()) -> NegativeSampleSet:
+        """A set over the given int64 columns, kept as they are and made read-only."""
+        sample_set = cls.__new__(cls)
+        sample_set._adopt(strategy, q, seed, table, offsets, ids, provenance)
+        return sample_set
+
+    def _adopt(self, strategy, q, seed, table, offsets, ids, provenance) -> None:
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {strategy!r}")
+        if offsets is None and strategy != "all":
             raise DataError("only the all-strategy supports unmaterialized candidates")
+        if table.dtype != np.int64 or table.ndim != 2 or len(table) != 5:
+            raise DataError("the query table must be int64 with five rows")
+        if offsets is not None and not (
+                ids.dtype == offsets.dtype == np.int64 and ids.ndim == 1
+                and offsets.shape == (table.shape[1] + 1,) and offsets[0] == 0
+                and offsets[-1] == len(ids) and (offsets[1:] >= offsets[:-1]).all()):
+            raise DataError("offsets must rise from 0 to len(ids), one step per query")
+        for column in (table, offsets, ids):
+            if column is not None:
+                column.setflags(write=False)
         self.strategy = strategy
         self.q = int(q)
         self.seed = int(seed)
-        self.queries = list(queries)
-        self.candidates = None if candidates is None else list(candidates)
+        self.table, self.offsets, self.ids = table, offsets, ids
+        self.queries = _Queries(table)
+        self.candidates = None if offsets is None else _Candidates(offsets, ids)
         self.provenance = provenance
-        self._lookup = None
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return self.table.shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NegativeSampleSet):
             return NotImplemented
-        header = (self.strategy, self.q, self.seed, self.queries, self.provenance)
-        if header != (other.strategy, other.q, other.seed, other.queries, other.provenance):
+        header = (self.strategy, self.q, self.seed, self.provenance)
+        if header != (other.strategy, other.q, other.seed, other.provenance):
+            return False
+        if not np.array_equal(self.table, other.table):
             return False
         if self.candidates is None or other.candidates is None:
             return self.candidates is other.candidates
-        return all(np.array_equal(a, b) for a, b in zip(self.candidates, other.candidates))
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.ids, other.ids)
 
-    def index_of(self, query: EvalQuery) -> int:
-        if self._lookup is None:
-            self._lookup = {query: i for i, query in enumerate(self.queries)}
-        got = self._lookup.get(query)
-        if got is None:
-            raise ProtocolError(f"no negative record for query {query}")
-        return got
+    def records_of(self, table: np.ndarray) -> np.ndarray:
+        """The index of each query's record, for queries given as the five
+        rows of :attr:`table`; a query without a record is a ProtocolError.
+
+        The records are sorted once by (timestamp, source, relation, truth,
+        head), the canonical query order, and each query is then found by
+        binary search; a table that equals the sorted records needs no search.
+        """
+        order = np.lexsort(self.table[[4, 3, 1, 0, 2]])
+        mine = self.table[:, order]
+        if np.array_equal(mine, table):
+            return order
+        mine, wanted = _keys(mine), _keys(table)
+        at = mine.searchsorted(wanted)
+        found = at < len(mine)
+        found[found] = mine[at[found]] == wanted[found]
+        if not found.all():
+            k = int(np.argmin(found))
+            raise ProtocolError(f"no negative record for query {_as_queries(table[:, k:k + 1])[0]}")
+        return order[at]
 
     def candidates_for(self, query: EvalQuery, universe: TemporalMultiGraph | None = None):
         """Candidate array for one query; never silently skips a missing record."""
-        i = self.index_of(query)
+        (i,) = self.records_of(_table([query]))
         if self.candidates is not None:
             return self.candidates[i]
         if universe is None:
@@ -145,24 +201,104 @@ class NegativeSampleSet:
         return all_candidates(universe, query)
 
 
-def _check_queries(universe: TemporalMultiGraph, queries) -> None:
-    for query in queries:
-        if query.relation >= universe.relation_count:
-            raise DataError(
-                "query relation outside the graph's relation space; pass the "
-                "inverse-augmented graph when evaluating TKG queries"
-            )
+class _Queries(Sequence):
+    """Read-only :class:`EvalQuery` view of a query table, one per column."""
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.shape[1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _as_queries(self._table[:, k])
+        source, relation, timestamp, truth, head = self._table[:, k].tolist()
+        return EvalQuery(source, relation, timestamp, truth, _DIRECTIONS[head])
+
+    def __iter__(self):
+        return iter(_as_queries(self._table))
+
+
+class _Candidates(Sequence):
+    """Read-only view of each record's candidates, ``ids[offsets[k]:offsets[k + 1]]``."""
+
+    def __init__(self, offsets: np.ndarray, ids: np.ndarray):
+        self._offsets, self._ids = offsets, ids
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # a negative index counts from the end
+        return self._ids[self._offsets[k]:self._offsets[k + 1]]
+
+    def __iter__(self):
+        bounds = self._offsets.tolist()
+        return (self._ids[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _table(queries) -> np.ndarray:
+    """The int64 (source, relation, timestamp, truth, head) rows of EvalQuery records."""
+    try:
+        rows = [(*query[:4], _DIRECTION_CODE[query.direction]) for query in queries]
+    except KeyError:
+        raise DataError(f"query directions must be one of {_DIRECTIONS}") from None
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, 5).T.copy()
+    except OverflowError:
+        raise DataError("record fields must lie in the int64 range") from None
+
+
+def _as_queries(table: np.ndarray) -> list:
+    """The :class:`EvalQuery` of each column of a query table."""
+    directions = np.array(_DIRECTIONS, dtype=object)[table[4]].tolist()
+    return list(map(EvalQuery, *table[:4].tolist(), directions))
+
+
+def _flatten(candidates) -> tuple:
+    """(offsets, ids) of a sequence of integer candidate arrays."""
+    arrays = [np.asarray(c) for c in candidates]
+    if any(a.size and a.dtype.kind not in "iu" for a in arrays):
+        raise DataError("candidate ids must be integer arrays")
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in arrays], out=offsets[1:])
+    return offsets, np.concatenate([_EMPTY, *arrays], dtype=np.int64, casting="unsafe")
+
+
+def _keys(table: np.ndarray) -> np.ndarray:
+    """One structured value per query, ordered as (timestamp, source, relation,
+    truth, head) compare."""
+    rows = np.ascontiguousarray(table[[2, 0, 1, 3, 4]].T)
+    return rows.view([(name, np.int64) for name in "tsroh"]).ravel()
+
+
+def _check_queries(universe: TemporalMultiGraph, table: np.ndarray) -> None:
+    """Every query's relation, source and truth must be ids of the universe."""
+    checked = table[[1, 0, 3]]  # relation, source, truth
+    bounds = np.array([[universe.relation_count], [universe.node_count], [universe.node_count]])
+    outside = ((checked < 0) | (checked >= bounds)).any(axis=1)
+    if outside[0]:
+        raise DataError(
+            "query relation outside the graph's relation space; pass the "
+            "inverse-augmented graph when evaluating TKG queries"
+        )
+    if outside[1:].any():
+        raise DataError("query source or truth outside the graph's node space")
 
 
 def all_candidates(universe: TemporalMultiGraph, query: EvalQuery) -> np.ndarray:
     """Every node except the truth and the temporal conflicts, ascending."""
-    return _everything_but_excluded(universe, [query])[0]
+    return _everything_but_excluded(universe, _table([query]))[1]
 
 
-def _everything_but_excluded(universe: TemporalMultiGraph, queries) -> list:
+def _everything_but_excluded(universe: TemporalMultiGraph, table: np.ndarray) -> tuple:
     # a pool of every node and q = node_count: nothing is sampled or padded
     everything = np.arange(universe.node_count, dtype=np.int64)
-    return _draw(universe, queries, universe.node_count, 0, [everything] * len(queries), False)
+    n = table.shape[1]
+    return _draw(universe, table, universe.node_count, 0, [everything] * n, False)
 
 
 def collect_tail_pools(graph: TemporalMultiGraph) -> dict:
@@ -188,35 +324,39 @@ def _clamp_q(q: int, node_count: int) -> int:
     return q
 
 
-def _draw(universe: TemporalMultiGraph, queries, q: int, seed: int, pools, pad: bool) -> list:
-    """Candidate list per query: pool minus exclusions, sampled or padded to q.
+def _draw(universe: TemporalMultiGraph, table, q: int, seed: int, pools, pad: bool) -> tuple:
+    """(offsets, ids) of a candidate list per query: pool minus exclusions,
+    sampled or padded to q.
 
-    ``pools[i]`` is the sorted pool of ``queries[i]``. A query keeps every
-    pool member that is neither its truth nor a temporal conflict. More than
-    q kept members are sampled down to q; with ``pad``, fewer than q are
-    topped up from the conflict-free nodes outside the pool, so the list has
-    min(q, available) entries. Every query's conflicts come from one bulk
-    lookup of the universe's fact runs.
+    ``pools[i]`` is the sorted pool of query i, column i of the query
+    ``table``. A query keeps every pool member that is neither its truth nor
+    a temporal conflict. More than q kept members are sampled down to q;
+    with ``pad``, fewer than q are topped up from the conflict-free nodes
+    outside the pool, so the list has min(q, available) entries. Every
+    query's conflicts come from one bulk lookup of the universe's fact runs.
 
     Excluded ids are located in the pool by binary search and never copied
     out: a draw picks positions among the kept members, and
     ``Generator.choice(kept, ...)`` is ``kept[choice(len(kept), ...)]``, so
     the Philox stream and its one ``choice`` call per query are unchanged.
+    The lists are written into one ids column sized for the longest lists
+    possible; its pages past the ids written are never touched.
     """
     node_count = universe.node_count
-    keys = np.array([query[:3] for query in queries], dtype=np.int64).reshape(-1, 3)
-    lo, hi = universe.fact_runs(keys[:, 0], keys[:, 1], keys[:, 2])
+    source, relation, timestamp, truths = table[:4]
+    lo, hi = universe.fact_runs(source, relation, timestamp)
     # One Philox bit generator, reset per query to the state Philox(key=(seed, i))
     # starts in: counter-based streams, so generation order cannot change draws.
     bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
     rng = np.random.Generator(bits)
     fresh = bits.state
     key = fresh["state"]["key"]
-    lists = []
-    for i, (query, pool, a, b) in enumerate(zip(queries, pools, lo.tolist(), hi.tolist())):
+    ids = _column(sum(q if pad else min(q, len(pool)) for pool in pools))
+    ends = []
+    end = 0
+    for i, (truth, pool, a, b) in enumerate(zip(truths.tolist(), pools, lo.tolist(), hi.tolist())):
         # the temporal conflicts and the truth, each once
         excluded = universe.objects[a:b]
-        truth = query.true_destination
         if truth not in excluded:
             excluded = np.append(excluded, truth)
         where = pool.searchsorted(excluded)
@@ -226,19 +366,40 @@ def _draw(universe: TemporalMultiGraph, queries, q: int, seed: int, pools, pad: 
         if kept > q:
             key[1] = i
             bits.state = fresh
-            lists.append(pool[_skip(np.sort(rng.choice(kept, size=q, replace=False)), removed)])
-            continue
-        own = np.delete(pool, removed)
-        if pad and kept < q:
-            # the nodes outside the pool and the exclusions are arange(node_count) minus these
-            barred = np.union1d(pool, excluded[(excluded >= 0) & (excluded < node_count)])
-            take = min(q - kept, node_count - len(barred))
-            key[1] = i
-            bits.state = fresh
-            padding = _skip(rng.choice(node_count - len(barred), size=take, replace=False), barred)
-            own = np.sort(np.concatenate([own, padding]))
-        lists.append(own)
-    return lists
+            own = pool[_skip(np.sort(rng.choice(kept, size=q, replace=False)), removed)]
+        else:
+            own = np.delete(pool, removed)
+            if pad and kept < q:
+                # the nodes outside the pool and the exclusions are arange(node_count) minus these
+                barred = np.union1d(pool, excluded[(excluded >= 0) & (excluded < node_count)])
+                take = min(q - kept, node_count - len(barred))
+                key[1] = i
+                bits.state = fresh
+                padding = _skip(rng.choice(node_count - len(barred), size=take, replace=False),
+                                barred)
+                own = np.sort(np.concatenate([own, padding]))
+        ids[end:end + len(own)] = own
+        end += len(own)
+        ends.append(end)
+    offsets = np.zeros(len(ends) + 1, dtype=np.int64)
+    offsets[1:] = ends
+    return offsets, ids[:end]
+
+
+def _column(size: int) -> np.ndarray:
+    """An int64 ids column of ``size`` entries in its own anonymous memory map.
+
+    When a large malloc'd block is freed, glibc raises its mmap threshold to
+    that block's size (up to 32 MiB) and its trim threshold to twice that, so
+    each freed column of a few MiB would leave as much free heap resident for
+    the rest of the process. A map is returned to the system whole when the
+    column is freed.
+    """
+    try:
+        buffer = mmap.mmap(-1, max(8 * size, 1))
+    except OSError:
+        raise MemoryError(f"cannot map a column of {size} ids") from None
+    return np.frombuffer(buffer, dtype=np.int64, count=size)
 
 
 def _skip(picked: np.ndarray, removed: np.ndarray) -> np.ndarray:
@@ -263,13 +424,13 @@ def generate_type_aware(
     than q conflict-free pool members exist, pads uniformly from the nodes
     outside the pool. Emits exactly min(q, available) candidates per query.
     """
-    _check_queries(graph_all, queries)
+    table = _table(queries)
+    _check_queries(graph_all, table)
     q = _clamp_q(q, graph_all.node_count)
     tail_pools = collect_tail_pools(graph_all)
-    empty = np.empty(0, dtype=np.int64)
-    pools = [tail_pools.get(query.relation, empty) for query in queries]
-    candidates = _draw(graph_all, queries, q, seed, pools, pad=True)
-    return NegativeSampleSet("type-aware", q, seed, list(queries), candidates, provenance)
+    pools = [tail_pools.get(r, _EMPTY) for r in table[1].tolist()]
+    columns = _draw(graph_all, table, q, seed, pools, pad=True)
+    return NegativeSampleSet.from_columns("type-aware", q, seed, table, *columns, provenance)
 
 
 def generate_node_type(
@@ -293,19 +454,15 @@ def generate_node_type(
     types = np.asarray(node_types, dtype=np.int64)
     if len(types) != graph_all.node_count:
         raise DataError("node_types must cover every node")
-    _check_queries(graph_all, queries)
+    table = _table(queries)
+    _check_queries(graph_all, table)
     # no list can exceed node_count entries, so q = node_count never draws
     q = graph_all.node_count if entire_type_universe else _clamp_q(q, graph_all.node_count)
     by_type = {int(t): np.flatnonzero(types == t).astype(np.int64) for t in np.unique(types)}
-    pools = [by_type[int(types[query.true_destination])] for query in queries]
-    candidates = _draw(graph_all, queries, q, seed, pools, pad=False)
-    return NegativeSampleSet(
-        "node-type",
-        0 if entire_type_universe else q,
-        seed,
-        list(queries),
-        candidates,
-        provenance,
+    pools = [by_type[t] for t in types[table[3]].tolist()]
+    columns = _draw(graph_all, table, q, seed, pools, pad=False)
+    return NegativeSampleSet.from_columns(
+        "node-type", 0 if entire_type_universe else q, seed, table, *columns, provenance
     )
 
 
@@ -317,11 +474,12 @@ def generate_random(
     provenance: Provenance = Provenance(),
 ) -> NegativeSampleSet:
     """Uniform 1-vs-q sampling over all nodes (the ablation arm)."""
-    _check_queries(graph_all, queries)
+    table = _table(queries)
+    _check_queries(graph_all, table)
     q = _clamp_q(q, graph_all.node_count)
     everything = np.arange(graph_all.node_count, dtype=np.int64)
-    candidates = _draw(graph_all, queries, q, seed, [everything] * len(queries), pad=False)
-    return NegativeSampleSet("random", q, seed, list(queries), candidates, provenance)
+    columns = _draw(graph_all, table, q, seed, [everything] * len(queries), pad=False)
+    return NegativeSampleSet.from_columns("random", q, seed, table, *columns, provenance)
 
 
 def generate_all(
@@ -330,10 +488,17 @@ def generate_all(
     provenance: Provenance = Provenance(),
     materialize: bool = True,
 ) -> NegativeSampleSet:
-    """The 1-vs-all universe: all nodes minus conflicts minus the truth."""
-    _check_queries(graph_all, queries)
-    candidates = _everything_but_excluded(graph_all, queries) if materialize else None
-    return NegativeSampleSet("all", 0, 0, list(queries), candidates, provenance)
+    """The 1-vs-all universe: all nodes minus conflicts minus the truth.
+
+    Unmaterialized, the set builds no lists and leaves its queries to be
+    checked by the engine that ranks them.
+    """
+    table = _table(queries)
+    columns = (None, None)
+    if materialize:
+        _check_queries(graph_all, table)
+        columns = _everything_but_excluded(graph_all, table)
+    return NegativeSampleSet.from_columns("all", 0, 0, table, *columns, provenance)
 
 
 def generate_negative_set(
@@ -372,58 +537,68 @@ def _leb128(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def _encode_block(queries, candidates) -> bytes:
-    """The varint stream of a run of records: six fields each, then the id gaps."""
-    if any(q.direction not in _DIRECTION_CODE for q in queries):
+def _encode_block(table: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> bytes:
+    """The varint stream of a run of records: six fields each, then the id gaps.
+
+    ``table`` holds the run's query columns, ``offsets`` its ``len + 1``
+    offsets into the set's ids and ``ids`` its records' candidates.
+    """
+    if ((table[4] != 0) & (table[4] != 1)).any():
         raise DataError(f"query directions must be one of {_DIRECTIONS}")
-    arrays = [np.asarray(c) for c in candidates]
-    if any(a.size and a.dtype.kind not in "iu" for a in arrays):
-        raise DataError("candidate ids must be integer arrays")
-    try:
-        fields = np.array(
-            [(q.source, q.relation, q.timestamp, q.true_destination,
-              _DIRECTION_CODE[q.direction], len(c)) for q, c in zip(queries, arrays)],
-            dtype=np.int64,
-        ).reshape(-1, _RECORD_FIELDS)
-    except OverflowError:
-        raise DataError("record fields must lie in the int64 range") from None
-    ids = np.concatenate([np.asarray(a, dtype=np.int64) for a in [[], *arrays]])
-    if (fields[:, [0, 1, 3]] < 0).any() or (ids < 0).any():
+    if (table[[0, 1, 3]] < 0).any() or (ids < 0).any():
         raise DataError("varint fields must be non-negative")
-    counts = fields[:, 5]
-    starts = np.cumsum(counts) - counts
+    counts = np.diff(offsets)
+    starts = offsets[:-1] - offsets[0]
     firsts = starts[counts > 0]
     gaps = np.diff(ids, prepend=0)
     if (np.delete(gaps, firsts) <= 0).any():
         raise DataError("candidate lists must be strictly sorted")
     gaps[firsts] = ids[firsts]
-    words = fields.view(np.uint64)
-    words[:, 2] = (words[:, 2] << 1) ^ (fields[:, 2] >> 63).view(np.uint64)  # zigzag
+    words = np.vstack((table, counts)).T.view(np.uint64)
+    words[:, 2] = (words[:, 2] << 1) ^ (table[2] >> 63).view(np.uint64)  # zigzag
     heads = np.repeat(starts, _RECORD_FIELDS)
     return _leb128(np.insert(gaps.view(np.uint64), heads, words.ravel()))
 
 
-def _decode_block(chunk, wanted: int, remaining: int, queries: list, candidates: list) -> int:
-    """Append up to ``wanted`` whole records from the front of a uint8 chunk.
-
-    Returns the bytes they took (0: none fits); ``remaining`` counts the record
-    bytes from the chunk's start to the end of the file.
-    """
+def _varints(chunk: np.ndarray) -> tuple:
+    """(values, ends): the uint64 value and last byte of every whole varint
+    in a uint8 chunk, decoded one byte width at a time (most take one or two)."""
     ends = np.flatnonzero(chunk < 0x80)
-    if not len(ends):
-        return 0
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    widths = ends - starts + 1
-    if ((widths > 1) & (chunk[ends] == 0)).any():
+    widths = np.diff(ends, prepend=-1)
+    last = chunk[ends]
+    if ((last == 0) & (widths > 1)).any():
         raise CorruptionError("malformed varint in negative-set file")
-    if ((widths > 10) | (widths == 10) & (chunk[ends] > 1)).any():
+    top = int(widths.max(initial=0))
+    if top > 10 or top == 10 and (last[widths == 10] > 1).any():
         raise CorruptionError("varint outside the int64 range")
-    shifts = _SHIFTS[np.arange(ends[-1] + 1) - np.repeat(starts, widths)]
-    values = np.add.reduceat((chunk[: ends[-1] + 1] & 0x7F).astype(np.uint64) << shifts, starts)
-    rows, i = [], 0
-    while len(rows) < wanted and i + _RECORD_FIELDS <= len(values):
-        count = int(values[i + _RECORD_FIELDS - 1])
-        if i + _RECORD_FIELDS + count > len(values):
+    starts = ends - widths + 1
+    low = chunk & 0x7F
+    values = low[starts].astype(np.uint64)
+    for width in range(1, top):
+        # byte ``width`` of every varint that long, else 0
+        byte = low.take(starts + width, mode="clip") * (widths > width)
+        values |= byte.astype(np.uint64) << _SHIFTS[width]
+    return values, ends
+
+
+def _decode_block(chunk, wanted: int, remaining: int, out: np.ndarray) -> tuple:
+    """(bytes taken, fields) of up to ``wanted`` whole records from the front
+    of a uint8 chunk; their candidate ids are written to the front of ``out``.
+
+    ``fields`` is an int64 ``(records, 6)`` array of the records' source,
+    relation, timestamp, truth, head and candidate count (0 bytes taken: no
+    record fits). ``remaining`` counts the record bytes from the chunk's
+    start to the end of the file. ``out`` is the rest of the ids column, sized
+    for the records the header still promises; ids that do not fit it mean
+    the file is too short to hold those records.
+    """
+    values, ends = _varints(chunk)
+    size, rows, i = len(values), [], 0
+    for _ in range(min(wanted, size // _RECORD_FIELDS)):
+        if i + _RECORD_FIELDS > size:
+            break
+        count = values.item(i + _RECORD_FIELDS - 1)
+        if i + _RECORD_FIELDS + count > size:
             # every candidate takes at least one varint byte
             if count >= remaining - int(ends[i + _RECORD_FIELDS - 1]):
                 raise CorruptionError("candidate count exceeds the remaining file bytes")
@@ -431,28 +606,36 @@ def _decode_block(chunk, wanted: int, remaining: int, queries: list, candidates:
         rows.append(i)
         i += _RECORD_FIELDS + count
     if not rows:
-        return 0
+        return 0, None
     heads = (np.array(rows)[:, None] + np.arange(_RECORD_FIELDS)).ravel()
     fields = values[heads].reshape(-1, _RECORD_FIELDS)
-    gaps = np.delete(values[:i], heads)
+    is_id = np.ones(i, dtype=bool)
+    is_id[heads] = False
+    gaps = values[:i][is_id]
+    if len(gaps) > len(out):
+        raise CorruptionError("truncated negative-set file")
     counts = fields[:, 5].astype(np.int64)
     firsts = (np.cumsum(counts) - counts)[counts > 0]
     if (fields[:, 4] > 1).any():
         raise CorruptionError("unknown direction code in negative-set file")
-    if (np.delete(gaps, firsts) == 0).any():
+    repeated = gaps == 0
+    repeated[firsts] = False  # a first id may be 0
+    if repeated.any():
         raise CorruptionError("candidate ids not strictly increasing")
-    # per-record running sums: the uint64 wrap-around cancels in the
-    # subtraction, and the first sum past 2**63 reads as a negative int64
-    total = np.cumsum(gaps)
-    ids = (total - np.repeat(total[firsts] - gaps[firsts], counts[counts > 0])).view(np.int64)
-    if (fields[:, [0, 1, 3]] >> 63).any() or (gaps >> 63).any() or (ids < 0).any():
+    if max(fields[:, [0, 1, 3]].max(), gaps.max(initial=0)) >> 63:
+        raise CorruptionError("record field or candidate id outside the int64 range")
+    # one running sum over every record, restarted at each first id by taking
+    # the last id of the record before from it: the uint64 wrap-around
+    # cancels, and the first sum past 2**63 reads as a negative int64
+    if len(firsts) > 1:
+        gaps[firsts[1:]] -= np.add.reduceat(gaps, firsts)[:-1]
+    ids = out[: len(gaps)]
+    np.cumsum(gaps, out=ids.view(np.uint64))
+    if ids.min(initial=0) < 0:
         raise CorruptionError("record field or candidate id outside the int64 range")
     zigzag = fields[:, 2]
     fields[:, 2] = (zigzag >> 1) ^ (0 - (zigzag & 1))
-    for source, relation, timestamp, truth, direction in fields[:, :5].view(np.int64).tolist():
-        queries.append(EvalQuery(source, relation, timestamp, truth, _DIRECTIONS[direction]))
-    candidates.extend(np.split(ids, np.cumsum(counts)[:-1]))
-    return int(ends[i - 1]) + 1
+    return int(ends[i - 1]) + 1, fields.view(np.int64)
 
 
 def write_negative_set(sample_set: NegativeSampleSet, path) -> None:
@@ -470,9 +653,11 @@ def write_negative_set(sample_set: NegativeSampleSet, path) -> None:
     header = struct.pack("<HBBQQQ", _VERSION, code, 0, sample_set.q, seed, len(sample_set))
     parts = [_MAGIC + header]
     parts += [struct.pack("<H", len(text)) + text for text in texts]
+    table, offsets, ids = sample_set.table, sample_set.offsets, sample_set.ids
     for lo in range(0, len(sample_set), _BLOCK_RECORDS):
         hi = lo + _BLOCK_RECORDS
-        parts.append(_encode_block(sample_set.queries[lo:hi], sample_set.candidates[lo:hi]))
+        bounds = offsets[lo : hi + 1]
+        parts.append(_encode_block(table[:, lo:hi], bounds, ids[bounds[0] : bounds[-1]]))
     body = b"".join(parts)
     with open(path, "wb") as fh:
         fh.write(body)
@@ -480,6 +665,12 @@ def write_negative_set(sample_set: NegativeSampleSet, path) -> None:
 
 
 def read_negative_set(path) -> NegativeSampleSet:
+    """Decode a negative-set file into its columns, one block of records at a time.
+
+    The ids column is allocated once, sized by the varints the file holds; the
+    header's record count is first checked against them, as every record
+    takes at least six.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(_MAGIC) + 2:
@@ -509,18 +700,32 @@ def read_negative_set(path) -> NegativeSampleSet:
             texts.append(data[offset - length : offset].decode("utf-8"))
         except UnicodeDecodeError:
             raise CorruptionError("provenance string is not utf-8") from None
-    queries, candidates = [], []
-    size = _BLOCK_BYTES
-    while len(queries) < count:
+    body = np.frombuffer(data, dtype=np.uint8, count=limit - offset, offset=offset)
+    varints = sum(int(np.count_nonzero(body[a : a + _BLOCK_BYTES] < 0x80))
+                  for a in range(0, len(body), _BLOCK_BYTES))
+    if count > varints // _RECORD_FIELDS:
+        raise CorruptionError(f"record count {count} exceeds what the file holds")
+    ids = _column(varints - _RECORD_FIELDS * count)
+    blocks, records, filled, size = [], 0, 0, _BLOCK_BYTES
+    while records < count:
         stop = min(offset + size, limit)
         chunk = np.frombuffer(data, dtype=np.uint8, count=stop - offset, offset=offset)
-        taken = _decode_block(chunk, count - len(queries), limit - offset, queries, candidates)
-        if not taken and stop == limit:
-            raise CorruptionError("truncated negative-set file")
-        offset += taken
+        taken, fields = _decode_block(chunk, count - records, limit - offset, ids[filled:])
         if not taken:
+            if stop == limit:
+                raise CorruptionError("truncated negative-set file")
             size *= 2  # one record outgrows the block
+            continue
+        blocks.append(fields)
+        records += len(fields)
+        filled += int(fields[:, 5].sum())
+        offset += taken
+        size = _BLOCK_BYTES
     if offset != limit:
         raise CorruptionError("trailing bytes after the last negative record")
-    return NegativeSampleSet(STRATEGIES[strategy_code], q, seed, queries, candidates,
-                             Provenance(*texts))
+    fields = np.concatenate([np.empty((0, _RECORD_FIELDS), dtype=np.int64), *blocks])
+    offsets = np.zeros(len(fields) + 1, dtype=np.int64)
+    np.cumsum(fields[:, 5], out=offsets[1:])
+    return NegativeSampleSet.from_columns(STRATEGIES[strategy_code], q, seed,
+                                          np.ascontiguousarray(fields[:, :5].T), offsets, ids,
+                                          Provenance(*texts))

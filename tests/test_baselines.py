@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +138,34 @@ def test_edgebank_scorer_matches_module_ops():
     assert scorer.score_query(query, candidates).tolist() == edgebank_score(
         memory, query, candidates, 17
     ).tolist()
+
+
+@pytest.mark.parametrize("key_mode", ["pair", "triple"])
+def test_one_vs_all_searches_each_key_run_once_per_query(key_mode):
+    # naming a query's support and then scoring it share one search of the table
+    g = generate(SynthConfig(node_count=40, relation_count=3, timestep_count=30, rate=6, seed=2))
+    train, valid, test, _ = chronological_split(g)
+    universe = add_inverse_relations(g)
+    queries = expand_queries(test, "tkg")
+    negatives = generate_all(universe, queries, materialize=False)
+    with mock.patch.object(EdgeBankMemory, "_run", autospec=True,
+                           side_effect=EdgeBankMemory._run) as run:
+        got = evaluate_single_step(EdgeBankScorer(key_mode), merge(train, valid), test,
+                                   negatives, g)
+    assert 0 < run.call_count <= len(queries)
+    assert got == brute_force_evaluate(EdgeBankScorer(key_mode), merge(train, valid), test,
+                                       negatives, g)
+
+
+def test_key_run_is_searched_again_after_an_observation():
+    memory = EdgeBankMemory("pair")
+    memory.observe(from_quadruples([(0, 0, 1, 0), (2, 0, 3, 0)], node_count=5, relation_count=1))
+    assert memory.lookup(0, 0, np.arange(5))[0].tolist() == [False, True, False, False, False]
+    # new codes before and inside the key's run move it in the table
+    memory.observe(from_quadruples([(0, 0, 0, 1), (0, 0, 4, 1), (1, 0, 2, 1)], node_count=5,
+                                   relation_count=1))
+    assert memory.destinations(0, 0)[0].tolist() == [0, 1, 4]
+    assert memory.lookup(0, 0, np.arange(5))[0].tolist() == [True, True, False, False, True]
 
 
 def test_validation_window_default():

@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +10,12 @@ from chronolink import (
     ConfigError,
     ConstantScorer,
     DataError,
+    EdgeBankScorer,
     EvalQuery,
     NegativeSampleSet,
     OracleScorer,
     ProtocolError,
+    RecurrencyScorer,
     Scorer,
     SynthConfig,
     add_inverse_relations,
@@ -26,6 +31,7 @@ from chronolink import (
     merge,
     time_aware_filter,
 )
+from chronolink import evaluation
 from conftest import HashScorer
 
 
@@ -242,6 +248,39 @@ def test_missing_negative_record_raises():
     negatives = generate_random(universe, queries[:-1], q=5, seed=0)
     with pytest.raises(ProtocolError):
         evaluate_single_step(OracleScorer(), merge(train, valid), test, negatives, g)
+
+
+def _reordered(negatives, records):
+    """The set's records ``records`` in that order, as a set from outside."""
+    return NegativeSampleSet(negatives.strategy, negatives.q, negatives.seed,
+                             [negatives.queries[k] for k in records],
+                             [negatives.candidates[k] for k in records])
+
+
+@pytest.mark.parametrize("chunk", [7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("make", [EdgeBankScorer, RecurrencyScorer])
+def test_shuffled_records_give_the_canonical_result(chunk, make):
+    g, train, valid, test = _tkg(seed=3)
+    universe = add_inverse_relations(g)
+    negatives = generate_type_aware(universe, expand_queries(test, "tkg"), q=6, seed=2)
+    shuffled = _reordered(negatives, np.random.default_rng(0).permutation(len(negatives)))
+    assert shuffled.queries[0] != negatives.queries[0]
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        got, want = (evaluate_single_step(make(), merge(train, valid), test, ns, g)
+                     for ns in (shuffled, negatives))
+    assert got == want
+
+
+def test_duplicated_record_in_place_of_another_is_protocol_error():
+    g, train, valid, test = _tkg(seed=3)
+    universe = add_inverse_relations(g)
+    queries = expand_queries(test, "tkg")
+    records = np.arange(len(queries))
+    records[5] = 4  # query 5's record replaced by a copy of query 4's
+    negatives = _reordered(generate_random(universe, queries, q=4, seed=0), records[::-1])
+    missing = re.escape(str(queries[5]))
+    with pytest.raises(ProtocolError, match=f"no negative record for query {missing}$"):
+        evaluate_single_step(EdgeBankScorer(), merge(train, valid), test, negatives, g)
 
 
 def test_scorer_shape_mismatch_raises():

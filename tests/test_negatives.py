@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 import warnings
 import zlib
 from itertools import accumulate
@@ -36,6 +37,7 @@ from chronolink import (
 )
 from chronolink import negatives
 from chronolink.errors import ProtocolError
+from conftest import G4_QUADS
 
 
 def _tkg_setup(seed=0, **overrides):
@@ -194,6 +196,21 @@ def test_queries_must_match_relation_space(g4):
     queries = expand_queries(g4.time_slice(3, 3), "tkg")  # relations up to 2R
     with pytest.raises(DataError, match="inverse-augmented"):
         generate_type_aware(g4, queries, q=2, seed=0)
+
+
+@pytest.mark.parametrize("strategy", ["type-aware", "node-type", "random", "all"])
+@pytest.mark.parametrize("field,value,match", [
+    ("true_destination", 4, "node space"),
+    ("true_destination", -1, "node space"),
+    ("source", 7, "node space"),
+    ("source", -2, "node space"),
+    ("relation", -1, "relation space"),
+])
+def test_query_ids_outside_the_graph_are_data_errors(strategy, field, value, match):
+    g = from_quadruples(G4_QUADS, node_count=4, relation_count=2, node_types=[0, 0, 1, 1])
+    query = EvalQuery(0, 0, 3, 1)._replace(**{field: value})
+    with pytest.raises(DataError, match=match):
+        generate_negative_set(strategy, g, [EvalQuery(2, 1, 3, 3), query], q=2, seed=0)
 
 
 # -- cross-strategy invariants -------------------------------------------------------------
@@ -510,6 +527,40 @@ def test_crafted_record_is_corruption_error(tmp_path, record, match):
         read_negative_set(path)
 
 
+@pytest.mark.parametrize("count", [2, 2**63, 2**64 - 1])
+def test_header_count_beyond_the_file_is_corruption_error(tmp_path, count):
+    # a file of one record claiming more; never an allocation sized by the claim
+    ns = NegativeSampleSet("random", 1, 0, [EvalQuery(0, 0, 0, 1)],
+                           [np.array([2], dtype=np.int64)])
+    path, _ = _roundtrip(ns, tmp_path)
+    body = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<Q", body, 28, count)  # the header's record count
+    path.write_bytes(_with_crc(body))
+    with pytest.raises(CorruptionError, match=f"record count {count} exceeds"):
+        read_negative_set(path)
+
+
+def test_decoded_set_holds_its_columns_and_little_more(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 20_000
+    queries = [EvalQuery(*fields, ("tail", "head")[head]) for *fields, head in zip(
+        *rng.integers(0, 10**6, size=(4, n)).tolist(), rng.integers(0, 2, size=n).tolist())]
+    lists = [np.sort(rng.choice(10**6, size=k, replace=False)) for k in rng.integers(0, 20, n)]
+    ns = NegativeSampleSet("random", 20, 0, queries, lists)
+    write_negative_set(ns, tmp_path / "ns.bin")
+    tracemalloc.start()
+    try:
+        back = read_negative_set(tmp_path / "ns.bin")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == ns
+    # tracemalloc sees the table and offsets, but not the ids column, which
+    # lives in its own memory map; no per-record object may be left either way
+    columns = 8 * (5 * n + n + 1 + sum(map(len, lists)))  # table, offsets, ids
+    assert held <= columns + (64 << 10)
+
+
 @pytest.mark.parametrize("query,ids,q,match", [
     pytest.param(EvalQuery(0, 0, 0, 1), [3, 2], 1, "strictly sorted", id="descending"),
     pytest.param(EvalQuery(0, 0, 0, 1), [2, 2], 1, "strictly sorted", id="duplicate"),
@@ -520,9 +571,11 @@ def test_crafted_record_is_corruption_error(tmp_path, record, match):
     pytest.param(EvalQuery(0, 0, 0, 1), [2.5, 7.9], 1, "integer arrays", id="float-ids"),
 ])
 def test_writer_refuses_unreadable_records(tmp_path, query, ids, q, match):
-    ns = NegativeSampleSet("random", q, 0, [query], [np.asarray(ids)])
+    # a record that int64 columns cannot hold (source-2**64, direction-up,
+    # float-ids) is refused when the set is built, the others when written
     with pytest.raises(DataError, match=match):
-        write_negative_set(ns, tmp_path / "ns.bin")
+        write_negative_set(NegativeSampleSet("random", q, 0, [query], [np.asarray(ids)]),
+                           tmp_path / "ns.bin")
     assert not (tmp_path / "ns.bin").exists()
 
 
@@ -627,11 +680,29 @@ _EXTREMES = NegativeSampleSet(
 )
 
 
+# one record of 300 ids, each an eight-byte varint gap: 150 16-byte blocks long
+_LONG = NegativeSampleSet(
+    "random", 300, 1, [EvalQuery(1, 2, 3, 4), EvalQuery(5, 6, 7, 8, "head")],
+    [np.arange(1, 301, dtype=np.int64) << 53, np.array([9], dtype=np.int64)],
+)
+# nine-byte ids and gaps near 2**62, cut by 12-byte blocks inside their varints
+_STRADDLING = NegativeSampleSet(
+    "type-aware", 3, 2,
+    [EvalQuery(0, 0, t, 1) for t in range(4)],
+    [np.array([1, 2**61, 2**62 - 1, 2**62], dtype=np.int64),
+     np.array([2**62 - 3], dtype=np.int64),
+     np.array([2**56, 2**62], dtype=np.int64),
+     np.array([0, 2**62], dtype=np.int64)],
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(ns=_sample_sets(), block_records=st.integers(1, 4), block_bytes=st.integers(1, 48))
 @example(ns=NegativeSampleSet("random", 0, 0, [], []), block_records=1, block_bytes=1)
 @example(ns=_EXTREMES, block_records=2, block_bytes=3)
 @example(ns=_EXTREMES, block_records=256, block_bytes=1 << 14)
+@example(ns=_LONG, block_records=1, block_bytes=16)
+@example(ns=_STRADDLING, block_records=2, block_bytes=12)
 def test_codec_matches_scalar_reference(tmp_path_factory, ns, block_records, block_bytes):
     # small blocks make records straddle block ends and outgrow whole blocks
     path = tmp_path_factory.mktemp("codec") / "ns.bin"
@@ -672,11 +743,11 @@ def _reference_rng(seed, query_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _reference_draw(universe, queries, q, seed, pools, pad):
+def _reference_draw(universe, table, q, seed, pools, pad):
     """The sampler as a per-query set difference: a fresh Philox per query."""
     everything = np.arange(universe.node_count, dtype=np.int64)
     lists = []
-    for i, (query, pool) in enumerate(zip(queries, pools)):
+    for i, (query, pool) in enumerate(zip(negatives._as_queries(table), pools)):
         excluded = universe.objects_at(query.source, query.relation, query.timestamp)
         if query.true_destination not in excluded:
             excluded = np.append(excluded, query.true_destination)
@@ -689,7 +760,7 @@ def _reference_draw(universe, queries, q, seed, pools, pad):
             padding = _reference_rng(seed, i).choice(outside, size=take, replace=False)
             kept = np.sort(np.concatenate([kept, padding]))
         lists.append(kept)
-    return lists
+    return negatives._flatten(lists)
 
 
 @st.composite
