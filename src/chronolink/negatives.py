@@ -97,7 +97,8 @@ class NegativeSampleSet:
     The columns are read-only. ``queries`` and ``candidates`` are read-only
     sequence views over them: ``queries[k]`` is record k's
     :class:`EvalQuery` and ``candidates[k]`` its candidate array, a view
-    into ``ids``. For the "all" strategy the lists may be left
+    into ``ids``; ``queries`` compares equal to a list or tuple of the same
+    queries. For the "all" strategy the lists may be left
     unmaterialized (``offsets``, ``ids`` and ``candidates`` are None, every
     node implied); :meth:`candidates_for` reconstructs one on demand, and
     the engine ranks every node without building the lists, which keeps
@@ -151,6 +152,7 @@ class NegativeSampleSet:
         self.q = int(q)
         self.seed = int(seed)
         self.table, self.offsets, self.ids = table, offsets, ids
+        self._sorted = None  # (order, keys) of the records in canonical order
         self.queries = _Queries(table)
         self.candidates = None if offsets is None else _Candidates(offsets, ids)
         self.provenance = provenance
@@ -174,15 +176,15 @@ class NegativeSampleSet:
         """The index of each query's record, for queries given as the five
         rows of :attr:`table`; a query without a record is a ProtocolError.
 
-        The records are sorted once by (timestamp, source, relation, truth,
-        head), the canonical query order, and each query is then found by
-        binary search; a table that equals the sorted records needs no search.
+        The records are sorted once per set by (timestamp, source, relation,
+        truth, head), the canonical query order, and each query is then found
+        by binary search.
         """
-        order = np.lexsort(self.table[[4, 3, 1, 0, 2]])
-        mine = self.table[:, order]
-        if np.array_equal(mine, table):
-            return order
-        mine, wanted = _keys(mine), _keys(table)
+        if self._sorted is None:
+            order = np.lexsort(self.table[[4, 3, 1, 0, 2]])
+            self._sorted = order, _keys(self.table[:, order])
+        order, mine = self._sorted
+        wanted = _keys(table)
         at = mine.searchsorted(wanted)
         found = at < len(mine)
         found[found] = mine[at[found]] == wanted[found]
@@ -218,6 +220,13 @@ class _Queries(Sequence):
 
     def __iter__(self):
         return iter(_as_queries(self._table))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Queries):
+            return np.array_equal(self._table, other._table)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 class _Candidates(Sequence):
@@ -720,7 +729,6 @@ def read_negative_set(path) -> NegativeSampleSet:
         records += len(fields)
         filled += int(fields[:, 5].sum())
         offset += taken
-        size = _BLOCK_BYTES
     if offset != limit:
         raise CorruptionError("trailing bytes after the last negative record")
     fields = np.concatenate([np.empty((0, _RECORD_FIELDS), dtype=np.int64), *blocks])

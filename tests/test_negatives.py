@@ -352,6 +352,9 @@ def test_round_trip_equality(tmp_path):
     _, back = _roundtrip(ns, tmp_path)
     assert back == ns
     assert back.provenance.dataset == "synthetic"
+    assert back.queries == list(ns.queries) and back.queries == tuple(ns.queries)
+    assert back.queries == ns.queries
+    assert back.queries != list(ns.queries)[1:]
 
 
 def test_all_strategy_round_trip(tmp_path):
@@ -604,6 +607,22 @@ def test_missing_record_is_protocol_error():
         ns.candidates_for(queries[-1])
 
 
+def test_lookups_sort_the_records_once_per_set(monkeypatch):
+    g, universe, queries = _tkg_setup(seed=2)
+    ns = generate_random(universe, queries, q=3, seed=0)
+    shuffled = np.random.default_rng(0).permutation(len(ns))
+    ns = NegativeSampleSet.from_columns(
+        "random", 3, 0, ns.table[:, shuffled], *negatives._flatten(
+            [ns.candidates[k] for k in shuffled]))
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(negatives.np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    for k, query in enumerate(ns.queries):
+        assert ns.candidates_for(query) is not None
+        assert ns.candidates_for(query).tolist() == ns.candidates[k].tolist()
+    assert len(sorts) == 1
+
+
 def test_unmaterialized_all_needs_graph():
     g, universe, queries = _tkg_setup(seed=2)
     ns = generate_all(universe, queries, materialize=False)
@@ -714,6 +733,21 @@ def test_codec_matches_scalar_reference(tmp_path_factory, ns, block_records, blo
     assert data == _ref_encode(ns)
     assert back == ns
     assert _ref_decode(data) == ns
+
+
+def test_decode_blocks_grow_to_the_longest_record_and_stay(tmp_path):
+    # 40 records of about 60 bytes each, read in 16-byte blocks: once a
+    # block holds a record, later records are not first tried in a smaller one
+    ns = NegativeSampleSet("random", 30, 0, [EvalQuery(k, 0, k, 0) for k in range(40)],
+                           [np.arange(1, 31, dtype=np.int64) * 200] * 40)
+    path = tmp_path / "ns.bin"
+    write_negative_set(ns, path)
+    calls = []
+    decode = negatives._decode_block
+    with mock.patch.object(negatives, "_BLOCK_BYTES", 16), mock.patch.object(
+            negatives, "_decode_block", lambda *a: calls.append(1) or decode(*a)):
+        assert read_negative_set(path) == ns
+    assert len(calls) < 40 + 4
 
 
 def test_codec_matches_scalar_reference_at_default_blocks(tmp_path):
