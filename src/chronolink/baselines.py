@@ -70,9 +70,9 @@ class EdgeBankMemory:
 
     Long candidate lists are looked up through a scratch row with one slot
     per destination id seen plus two guard slots, so one memory serves one
-    :meth:`lookup` at a time. The run of the last key looked up is kept
-    until the next :meth:`observe`, so naming a query's support and then
-    scoring it searches the table once.
+    :meth:`lookup` at a time. The run of every key looked up is kept until
+    the next :meth:`observe`, so naming a timestamp's supports and then
+    scoring its queries searches the table once per key.
     """
 
     def __init__(self, key_mode: str = "pair", window: int | None = None):
@@ -87,7 +87,7 @@ class EdgeBankMemory:
         self._codes = _EMPTY
         self._times = _EMPTY
         self._scratch = np.zeros(0, dtype=bool)  # all False between lookups
-        self._last = None  # ((subject, relation), its run) of the last lookup
+        self._runs = {}  # (subject, relation) -> its run, since the last observe
 
     def _keys(self, subjects, relations):
         if self.key_mode == "pair":
@@ -118,13 +118,14 @@ class EdgeBankMemory:
         self._times[at[present]] = times[present]
         self._codes = np.insert(self._codes, at[~present], codes[~present])
         self._times = np.insert(self._times, at[~present], times[~present])
-        self._last = None
+        self._runs.clear()
 
     def _located(self, subject: int, relation: int) -> tuple:
-        """:meth:`_run` of the key, searched only if it is not the last key's."""
-        if self._last is None or self._last[0] != (subject, relation):
-            self._last = (subject, relation), self._run(subject, relation)
-        return self._last[1]
+        """:meth:`_run` of the key, searched once until the next observation."""
+        run = self._runs.get((subject, relation))
+        if run is None:
+            run = self._runs[subject, relation] = self._run(subject, relation)
+        return run
 
     def _run(self, subject: int, relation: int) -> tuple:
         """(lo, hi, base): the key's codes are ``_codes[lo:hi]``, each ``base + destination``."""

@@ -9,27 +9,29 @@ no score may depend on facts at or after the query time.
 
 The queries are one int64 table in canonical order, and every query's
 same-timestamp facts are looked up once, in bulk, as a run of the universe's
-sorted rows. Both ways of ranking score conflicts (facts at the query's
-(source, relation, timestamp) other than its truth) and subtract them from
-the counts of scores above and tied with the truth, which is exact only
-because a score may not depend on the other candidates (the :class:`Scorer`
-contract):
+sorted rows. One counter ranks every query over a list of cells that ends
+with its truth. Conflicts (facts at the query's (source, relation,
+timestamp) other than its truth) are scored and then masked, which is exact
+only because a score may not depend on the other candidates (the
+:class:`Scorer` contract). The lists are of two kinds:
 
-- An unmaterialized 1-vs-all set builds no candidate lists. Each query
-  scores its scorer's support (:meth:`Scorer.support`; every node if the
-  scorer names none), its truth and one node outside both, and the nodes
-  outside the support are counted from that node's score. Its conflicts and
-  the truth are subtracted.
-- Materialized lists are counted in segments. A timestamp's queries are cut
-  into chunks of at most ``_CHUNK_CELLS`` cells (a list's candidates plus its
-  truth; a longer list is a chunk of its own). A chunk's lists are one slice
-  of the set's ``ids`` column, cut at its ``offsets``, with each truth
-  inserted after its list; a set whose records are not in canonical order
-  is joined to the queries once, and its chunks gather their lists by
-  record. Each query's scores go into
-  one buffer for the chunk, and one pass compares every segment with its
-  truth's score and sums the cells above and tied per segment. The conflicts
-  in the chunk are found by one binary search; their scores may be NaN.
+- A materialized list is the set's candidates for the query: one slice of
+  the set's ``ids`` column, cut at its ``offsets``, with the truth appended.
+  A set whose records are not in canonical order is joined to the queries
+  once, and its chunks gather their lists by record.
+- An unmaterialized 1-vs-all query is a weighted list. The supports of all
+  of a timestamp's queries are named first (:meth:`Scorer.support`; every
+  node if the scorer names none). A query's cells are then its support, its
+  free node (the smallest node outside the support, the conflicts and the
+  truth) if there is one, and its truth. The free node's cell counts once
+  for every node it stands for; the conflicts, and the truth where the
+  support holds it, are masked.
+
+A timestamp's queries are cut into chunks of at most ``_CHUNK_CELLS`` cells
+(a longer list is a chunk of its own). Each query's scores go into one
+buffer for the chunk, and one pass compares every segment with its truth's
+score and sums the cells above and tied per segment. A score may be NaN only
+at a masked cell.
 
 Tied scores receive the average of their best and worst possible rank, so
 ranks live on a half-integer grid; a query counts for Hits@k iff its rank is
@@ -58,8 +60,8 @@ class Scorer(abc.ABC):
     Scoring must be pure given the history observed so far, and per
     candidate: the score of one candidate may not depend on which other
     candidates appear in the array. The engine relies on this: for 1-vs-all
-    it scores only the :meth:`support` and two more nodes, and subtracts the
-    excluded conflicts from the rank counts. The engine calls :meth:`observe`
+    it scores only the :meth:`support` and two more nodes, and it masks the
+    excluded conflicts after scoring them. The engine calls :meth:`observe`
     with strictly ascending timestamps, and the candidate array it passes is
     read-only.
     """
@@ -84,8 +86,13 @@ class Scorer(abc.ABC):
         ids, the truth and one node outside both, and counts the other nodes
         from that node's score. Like a score, the support may not depend on
         facts at or after the query time. ``None``, the default, means the
-        scorer cannot say, and every node is scored. A support that is not
-        sorted distinct ids in ``[0, node_count)`` is a :class:`ProtocolError`.
+        scorer cannot say, and every node is scored. A support that is not an
+        integer array of sorted distinct ids in ``[0, node_count)`` is a
+        :class:`ProtocolError`.
+
+        The supports of all of a timestamp's queries are named before any of
+        them is scored, and the engine may hold a returned array until then,
+        so a scorer must not change it in place.
         """
         return None
 
@@ -279,14 +286,20 @@ def evaluate_single_step(
     cuts = [0, *(np.flatnonzero(np.diff(timestamp)) + 1).tolist(), count]
     for i, j in zip(cuts[:-1], cuts[1:]) if count else ():
         queries = _as_queries(table[:, i:j])  # this timestamp's, from query i on
-        if dense:
-            for k in range(i, j):
-                ranks.every_node(k, queries[k - i], universe.objects[lo[k]:hi[k]])
-        else:
-            for a, b in _chunks(cells, i, j):
-                ids, starts = _with_truths(negatives, records, a, b, truth[a:b])
-                conflicts = _conflicts(ids, starts, universe, lo[a:b], hi[a:b], truth[a:b])
-                ranks.lists(a, queries[a - i : b - i], ids, starts, conflicts)
+        if dense:  # every support is named before any query is scored
+            supports = ranks.supports(queries)
+            # at most each support, its free node and its truth
+            most = np.fromiter(map(len, supports), np.int64, len(supports)) + 2
+        for a, b in _chunks(most if dense else cells[i:j]):
+            rows = slice(i + a, i + b)
+            if dense:
+                ids, starts, excluded, free = _one_vs_all(
+                    supports[a:b], queries[a:b], universe, lo[rows], hi[rows], truth[rows])
+            else:
+                ids, starts = _with_truths(negatives, records, i + a, i + b, truth[rows])
+                excluded = _conflicts(ids, starts, universe, lo[rows], hi[rows], truth[rows])
+                free = None
+            ranks.lists(i + a, queries[a:b], ids, starts, excluded, free)
         scorer.observe(feed.time_slice(timestamp[i], timestamp[i]))
 
     better, tied = ranks.better, ranks.tied
@@ -300,9 +313,10 @@ def evaluate_single_step(
     return results if better.ndim == 2 else results[0]
 
 
-# The most candidate cells (a list's candidates plus its truth) scored into one
-# buffer and counted at once; a longer list is a chunk of its own. This bounds
-# the buffer and its temporaries, e.g. for materialized 1-vs-all lists.
+# The most candidate cells (a list's candidates or a support and free node,
+# plus its truth) scored into one buffer and counted at once; a longer list is
+# a chunk of its own. This bounds the buffer and its temporaries, e.g. for
+# 1-vs-all lists.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -331,68 +345,34 @@ class _Ranks:
             )
         return scores
 
-    def every_node(self, k: int, query: EvalQuery, excluded: np.ndarray) -> None:
-        """Rank query k over every node except the excluded ones (its conflicts,
-        perhaps with the truth).
-
-        Scores the scorer's support (every node if it names none), then the
-        truth unless the support holds it, then the smallest node outside both
-        and the conflicts if there is one: it stands for all ``rest`` such
-        nodes. The excluded nodes in the support are scored, then subtracted;
-        their scores may be NaN.
-        """
-        n, truth = self.node_count, query.true_destination
-        support = self.scorer.support(query)
-        if support is None:
-            if self._everything is None:
-                self._everything = np.arange(n, dtype=np.int64)
-                self._everything.setflags(write=False)
-            support = self._everything
-        else:
-            support = np.asarray(support, dtype=np.int64)
-            if support.ndim != 1 or (support[1:] <= support[:-1]).any() or (
-                    len(support) and (support[0] < 0 or support[-1] >= n)):
-                raise ProtocolError(
-                    "scorer returned a support that is not sorted distinct node ids"
-                    f" for {query}")
-        size = len(support)
-        blocked = np.concatenate((excluded[excluded != truth], [truth]))  # conflicts, then truth
-        at = np.searchsorted(support, blocked)
-        inside = support.take(at, mode="clip") == blocked if size else at < 0  # all False
-        rest = n - size - len(blocked) + int(np.count_nonzero(inside))
-        tail = [] if inside[-1] else [truth]
-        if rest:  # the smallest free id is at most the number of ids taken
-            taken = np.zeros(size + len(blocked) + 1, dtype=bool)
-            ids = np.concatenate((support, blocked))
-            taken[ids[ids < len(taken)]] = True
-            tail.append(int(np.argmin(taken)))
-        cells = np.concatenate((support, tail)) if tail else support.view()
-        cells.setflags(write=False)
-        scores = self._score(query, cells)
-        top = scores[..., at[-1] if inside[-1] else size, None]
-        gone = at[inside]  # the excluded nodes' cells in the support, the truth perhaps among them
-        nan = np.isnan(scores)
-        if nan.any():  # an excluded score is never ranked, so it may be NaN
-            nan[..., gone] = False
-            if nan.any() or np.isnan(top).any():
-                raise ProtocolError(f"scorer returned NaN scores for {query}")
-        axis = -1 if scores.ndim == 2 else None  # None counts a single row fastest
-        ranked, gone = scores[..., :size], scores[..., gone]
-        better = np.count_nonzero(ranked > top, axis=axis) - np.count_nonzero(gone > top, axis=axis)
-        tied = np.count_nonzero(ranked == top, axis=axis) - np.count_nonzero(gone == top, axis=axis)
-        if rest:
-            last = scores[..., -1]
-            better, tied = better + rest * (last > top[..., 0]), tied + rest * (last == top[..., 0])
-        self.better[k], self.tied[k] = better, tied
+    def supports(self, queries: list) -> list:
+        """Each query's :meth:`Scorer.support` as an integer array; ``None`` is
+        every node, one read-only ``arange`` shared by all."""
+        supports = []
+        for query in queries:
+            support = self.scorer.support(query)
+            if support is None:
+                if self._everything is None:
+                    self._everything = np.arange(self.node_count, dtype=np.int64)
+                    self._everything.setflags(write=False)
+                support = self._everything
+            else:
+                support = np.asarray(support)
+                if support.ndim != 1 or support.dtype.kind not in "iu":
+                    raise _not_node_ids(query)
+            supports.append(support)
+        return supports
 
     def lists(self, a: int, queries: list, ids: np.ndarray, starts: np.ndarray,
-              conflicts) -> None:
+              excluded, free) -> None:
         """Rank queries a, a + 1, ... (``queries``) over their segments of ``ids``,
         each ending with its truth: score every segment into one buffer, then
         count them all.
 
-        ``conflicts`` (None: no cell) masks the cells that are scored but never
-        ranked; their scores may be NaN.
+        ``excluded`` (None: no cell) marks the cells that are scored but never
+        ranked; their scores may be NaN. ``free`` (None: no such cell) is
+        ``(queries, cells, weights)``: each of those cells stands for
+        ``weight + 1`` nodes that score like it.
         """
         bounds = starts.tolist()
         for query, x, y in zip(queries, bounds, bounds[1:]):
@@ -402,16 +382,21 @@ class _Ranks:
             buffer[..., x:y] = scores
         top = np.repeat(buffer[..., starts[1:] - 1], np.diff(starts), axis=-1)
         above, same, nan = buffer > top, buffer == top, np.isnan(buffer)
-        if conflicts is not None:
-            above[..., conflicts] = same[..., conflicts] = nan[..., conflicts] = False
+        if excluded is not None:
+            above[..., excluded] = same[..., excluded] = nan[..., excluded] = False
         if nan.any():
             cell = np.flatnonzero(nan.reshape(-1, len(ids)).any(axis=0))[0]
             k = int(np.searchsorted(starts, cell, side="right")) - 1
             raise ProtocolError(f"scorer returned NaN scores for {queries[k]}")
+        better = np.add.reduceat(above, starts[:-1], axis=-1, dtype=np.int64)
+        tied = np.add.reduceat(same, starts[:-1], axis=-1, dtype=np.int64)
+        if free is not None:
+            at, cells, weights = free
+            better[..., at] += weights * above[..., cells]
+            tied[..., at] += weights * same[..., cells]
         b = a + len(queries)
-        self.better[a:b] = np.add.reduceat(above, starts[:-1], axis=-1, dtype=np.int64).T
-        # the truth ties with itself
-        self.tied[a:b] = np.add.reduceat(same, starts[:-1], axis=-1, dtype=np.int64).T - 1
+        self.better[a:b] = better.T
+        self.tied[a:b] = tied.T - 1  # the truth ties with itself
 
     def _cells(self, cells: int) -> np.ndarray:
         """The reused score buffer, ``(*rows, cells)``."""
@@ -420,16 +405,16 @@ class _Ranks:
         return self._buffer[..., :cells]
 
 
-def _chunks(cells: np.ndarray, i: int, j: int):
-    """Queries i..j cut into runs (a, b) of at most :data:`_CHUNK_CELLS` cells;
-    a longer list is a run of its own."""
-    a, used = i, 0
-    for k, size in enumerate(cells[i:j].tolist(), i):
+def _chunks(cells: np.ndarray):
+    """Queries 0..len(cells) cut into runs (a, b) of at most
+    :data:`_CHUNK_CELLS` cells; a longer list is a run of its own."""
+    a, used = 0, 0
+    for k, size in enumerate(cells.tolist()):
         if used and used + size > _CHUNK_CELLS:
             yield a, k
             a, used = k, 0
         used += size
-    yield a, j
+    yield a, len(cells)
 
 
 def _with_truths(negatives: NegativeSampleSet, records, a: int, b: int, truths) -> tuple:
@@ -454,23 +439,95 @@ def _with_truths(negatives: NegativeSampleSet, records, a: int, b: int, truths) 
     return ids, starts
 
 
+def _facts(universe: TemporalMultiGraph, lo, hi, truths) -> tuple:
+    """(query, id) of each fact at a query's (s, r, t) other than its truth,
+    ids ascending per query; queries count from 0."""
+    runs = hi - lo
+    query = np.repeat(np.arange(len(runs)), runs)
+    facts = universe.objects[np.arange(len(query)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)]
+    other = facts != truths[query]
+    return query[other], facts[other]
+
+
 def _conflicts(ids, starts, universe: TemporalMultiGraph, lo, hi, truths):
     """Mask of the cells whose id is a fact at its query's (s, r, t) other than
     the truth; None if no cell is.
 
     Cells and facts are coded ``query * node_count + id``; the facts' codes
     come out sorted, as each run's objects are."""
-    runs = hi - lo
-    query = np.repeat(np.arange(len(runs)), runs)
-    facts = universe.objects[np.arange(len(query)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)]
-    other = facts != truths[query]
-    if not other.any():
+    query, facts = _facts(universe, lo, hi, truths)
+    if not len(facts):
         return None
     n = universe.node_count
-    codes = (query * n + facts)[other]
-    cell = np.repeat(np.arange(len(runs)), np.diff(starts))
+    codes = query * n + facts
+    cell = np.repeat(np.arange(len(truths)), np.diff(starts))
     cell = np.where((ids >= 0) & (ids < n), cell * n + ids, -1)  # an id outside is no fact
     return codes.take(np.searchsorted(codes, cell), mode="clip") == cell
+
+
+def _one_vs_all(supports: list, queries: list, universe: TemporalMultiGraph, lo, hi,
+                truths) -> tuple:
+    """Unmaterialized 1-vs-all queries as weighted lists for :meth:`_Ranks.lists`:
+    ``(ids, starts, excluded, free)``.
+
+    A query's cells are its support, then its free node if it has one, then
+    its truth. The free node is the smallest node outside the support, the
+    conflicts and the truth; it stands for all ``rest`` such nodes. The
+    conflicts, and the truth where the support holds it, are excluded cells.
+
+    Supports and blocked nodes (conflicts and truths) are coded
+    ``query * node_count + id``, so one binary search finds the blocked nodes
+    inside the supports. A query names fewer nodes than its window of
+    ``named + 1`` slots, so its free node is the first open slot there.
+    """
+    n, m = universe.node_count, len(supports)
+    sizes = np.fromiter(map(len, supports), np.int64, m)
+    support = np.concatenate(supports, dtype=np.int64, casting="unsafe")
+    query = np.repeat(np.arange(m), sizes)
+    codes = query * n + support
+    # ids in range whose codes ascend are sorted distinct ids per query
+    bad = (support < 0) | (support >= n)
+    bad[1:] |= codes[1:] <= codes[:-1]
+    if bad.any():
+        raise _not_node_ids(queries[query[bad.argmax()]])
+    fact_query, facts = _facts(universe, lo, hi, truths)
+    owner = np.concatenate((fact_query, np.arange(m)))
+    blocked = np.concatenate((facts, truths))
+    wanted = owner * n + blocked
+    at = np.searchsorted(codes, wanted)
+    inside = codes.take(at, mode="clip") == wanted if len(codes) else owner < 0
+    named = sizes + np.bincount(owner[~inside], minlength=m)
+    rest = n - named
+    has = np.flatnonzero(rest)  # the queries with a free node
+
+    window = np.where(rest > 0, named + 1, 0)
+    first = np.cumsum(window) - window
+    taken = np.zeros(int(window.sum()), dtype=bool)
+    for q, ids in ((query, support), (owner, blocked)):
+        low = ids < window[q]
+        taken[first[q[low]] + ids[low]] = True
+    open_ = np.flatnonzero(~taken)
+
+    extra = np.where(rest > 0, 2, 1)  # the cells after each support
+    starts = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(sizes + extra, out=starts[1:])
+    free_cells = starts[has + 1] - 2
+    cells = np.empty(starts[-1], dtype=np.int64)
+    appended = np.zeros(starts[-1], dtype=bool)
+    appended[starts[1:] - 1] = appended[free_cells] = True
+    cells[~appended] = support
+    cells[starts[1:] - 1] = truths
+    cells[free_cells] = open_[np.searchsorted(open_, first[has])] - first[has]
+    cells.setflags(write=False)
+
+    excluded = at[inside] + (np.cumsum(extra) - extra)[owner[inside]]
+    free = (has, free_cells, rest[has] - 1) if len(has) else None
+    return cells, starts, excluded if len(excluded) else None, free
+
+
+def _not_node_ids(query: EvalQuery) -> ProtocolError:
+    return ProtocolError(
+        f"scorer returned a support that is not sorted distinct node ids for {query}")
 
 
 def _groups(keys: np.ndarray) -> list:

@@ -7,8 +7,9 @@ symmetric pairs, self-loops, same-timestamp conflicts and empty timesteps
 are common; a failure shrinks to a handful of quadruples. Besides the
 generated sets, every case ranks lists as a file from outside may hold them:
 with the truth itself and the conflicts among the candidates. The engine
-counts materialized lists in chunks of at most ``evaluation._CHUNK_CELLS``
-cells; the chunked tests shrink that bound so a timestamp spans many chunks.
+counts materialized lists and 1-vs-all queries in chunks of at most
+``evaluation._CHUNK_CELLS`` cells; the chunked tests shrink that bound so a
+timestamp spans many chunks.
 """
 
 import itertools
@@ -251,17 +252,24 @@ def test_nan_at_a_ranked_score_names_its_query_in_chunks(chunk, where, target):
 class _Supported(Scorer):
     """HashScorer's scores on a support drawn per query, ``default`` elsewhere.
 
-    ``kind`` picks the support: ``hash`` a third of the nodes by a hash of the
-    ids, ``no-truth`` the same without the truth, ``empty`` no node,
-    ``all-but-one`` every node but one, ``every`` every node, and
-    ``below-truth`` every node but the truth and the last one, so the smallest
-    node outside the support is the truth. With ``facts`` every conflict is
-    in the support and scores NaN.
+    ``kind`` picks the support. ``hash`` is a third of the nodes by a hash of
+    the ids; ``no-truth`` is the same without the truth, and ``alternate``
+    the same with an even truth and without an odd one. ``empty`` is no
+    node, ``all-but-one`` every node but one, ``every`` every node and
+    ``all-but-truth`` every node but the truth. ``below-truth`` is every node
+    but the truth and the last one, so the smallest node outside the support
+    is the truth. ``gapless`` is every node below the largest conflict or
+    truth that is neither, so that the free node is the next one.
+    ``none-or-hash`` is None (every node) for an even source and ``hash``
+    for an odd one. ``facts`` are the universe's quadruples; with ``nan``
+    every conflict is in the support and scores NaN. Every scored list is
+    kept in ``scored``.
     """
 
-    def __init__(self, default, kind, facts=None):
-        self.default, self.kind, self.facts = default, kind, facts
+    def __init__(self, default, kind, facts=frozenset(), nan=False):
+        self.default, self.kind, self.facts, self.nan = default, kind, facts, nan
         self.node_count = 0
+        self.scored = []
 
     def fit(self, history, static_context=None):
         self.node_count = history.node_count
@@ -269,17 +277,24 @@ class _Supported(Scorer):
     def support(self, query):
         s, r, t, truth = query[:4]
         nodes = np.arange(self.node_count)
+        hashed = (nodes * 7 + s * 3 + r) % 3 == 0
+        conflicts = self._conflicts(query, nodes)
+        blocked = conflicts | (nodes == truth)
         keep = {
-            "hash": (nodes * 7 + s * 3 + r) % 3 == 0,
-            "no-truth": ((nodes * 7 + s * 3 + r) % 3 == 0) & (nodes != truth),
+            "hash": hashed,
+            "no-truth": hashed & (nodes != truth),
+            "alternate": hashed & (nodes != truth) | (nodes == truth) & (truth % 2 == 0),
             "empty": nodes < 0,
             "all-but-one": nodes != (s + r) % max(self.node_count, 1),
             "every": nodes >= 0,
+            "all-but-truth": nodes != truth,
             "below-truth": (nodes != truth) & (nodes != self.node_count - 1),
+            "gapless": (nodes < nodes[blocked].max()) & ~blocked,
+            "none-or-hash": hashed if s % 2 else None,
         }[self.kind]
-        if self.facts is not None:
-            keep |= self._conflicts(query, nodes)
-        return nodes[keep]
+        if keep is None:
+            return None
+        return nodes[keep | conflicts if self.nan else keep]
 
     def _conflicts(self, query, candidates):
         s, r, t, truth = query[:4]
@@ -287,11 +302,18 @@ class _Supported(Scorer):
                          for c in candidates.tolist()], dtype=bool)
 
     def score_query(self, query, candidates):
-        inside = np.isin(candidates, self.support(query))
+        self.scored.append((query, candidates.copy()))
+        support = self.support(query)
+        inside = np.isin(candidates, support) if support is not None else candidates >= 0
         scores = np.where(inside, HashScorer(1).score_query(query, candidates), self.default)
-        if self.facts is not None:
+        if self.nan:
             scores[self._conflicts(query, candidates)] = np.nan
         return scores
+
+
+def _facts(case):
+    g = case["graph"]
+    return frozenset(g if g.is_heterogeneous else add_inverse_relations(g))
 
 
 def _one_vs_all(case, make):
@@ -305,7 +327,23 @@ def _one_vs_all(case, make):
     return got, brute_force_evaluate(make(), history, test, negatives, g, kind=kind)
 
 
-_KINDS = ["hash", "no-truth", "empty", "all-but-one", "every", "below-truth"]
+def _lists(case, make, chunk=evaluation._CHUNK_CELLS):
+    """The lists the engine scored for the case's 1-vs-all queries, after
+    checking its result against the oracle's."""
+    made = []
+
+    def keep():
+        made.append(make())
+        return made[-1]
+
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        got, want = _one_vs_all(case, keep)
+    assert got == want
+    return made[0].scored
+
+
+_KINDS = ["hash", "no-truth", "alternate", "empty", "all-but-one", "every", "all-but-truth",
+          "below-truth", "gapless", "none-or-hash"]
 _DEFAULTS = [0.0, 0.5, np.inf, -np.inf]
 
 
@@ -316,13 +354,80 @@ _DEFAULTS = [0.0, 0.5, np.inf, -np.inf]
 @example(case=_MIXED, default=np.inf, kind="empty", nan=True)
 @example(case=_MIXED, default=-np.inf, kind="every", nan=True)
 def test_sparse_ranking_equals_brute_force_oracle(case, default, kind, nan):
-    g = case["graph"]
-    facts = set(add_inverse_relations(g) if not g.is_heterogeneous else g) if nan else None
-    got, want = _one_vs_all(case, lambda: _Supported(default, kind, facts))
+    got, want = _one_vs_all(case, lambda: _Supported(default, kind, _facts(case), nan))
     assert got == want
 
 
-def test_grid_block_over_unmaterialized_one_vs_all_equals_each_row_alone():
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=60, deadline=None)
+@given(case=_cases(), default=st.sampled_from(_DEFAULTS), kind=st.sampled_from(_KINDS),
+       nan=st.booleans())
+@example(case=_MIXED, default=0.5, kind="none-or-hash", nan=True)
+@example(case=_MIXED, default=-np.inf, kind="alternate", nan=False)
+def test_chunked_sparse_ranking_equals_brute_force_oracle(chunk, case, default, kind, nan):
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        got, want = _one_vs_all(case, lambda: _Supported(default, kind, _facts(case), nan))
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+def test_one_timestamp_mixes_every_node_with_supports(chunk):
+    # timestamp 3 of the mixed graph has queries from even and odd sources
+    scored = _lists(_MIXED, lambda: _Supported(0.5, "none-or-hash", _facts(_MIXED), True), chunk)
+    lengths = {query.source % 2: len(cells) for query, cells in scored}
+    assert lengths[0] == _MIXED["graph"].node_count + 1  # every node, then the truth
+    assert lengths[1] < lengths[0]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+def test_free_node_follows_a_gapless_run_of_named_nodes(chunk):
+    # facts at timestamp 2: (0, 0, 1), (0, 0, 3) and (4, 0, 6), and their inverses
+    case = _case([(0, 0, 5, 0), (4, 0, 2, 1), (0, 0, 1, 2), (0, 0, 3, 2), (4, 0, 6, 2)], 10, 1,
+                 cut=2)
+    facts = _facts(case)
+    scored = _lists(case, lambda: _Supported(0.5, "gapless", facts), chunk)
+    assert len(scored) == 6
+    for query, cells in scored:
+        s, r, t, truth = query[:4]
+        last = max(o for (a, b, o, c) in facts if (a, b, c) == (s, r, t))
+        assert cells.tolist() == [*(c for c in range(last) if (s, r, c, t) not in facts),
+                                  last + 1, truth], query
+
+
+@pytest.mark.parametrize("kind", ["every", "all-but-truth"])
+def test_no_free_node_when_nothing_is_left_outside(kind):
+    scored = _lists(_MIXED, lambda: _Supported(-np.inf, kind, _facts(_MIXED)))
+    n = _MIXED["graph"].node_count
+    assert [len(cells) for _, cells in scored] == [n + (kind == "every")] * len(scored)
+
+
+def test_truth_inside_and_outside_the_support_in_one_chunk():
+    scored = _lists(_MIXED, lambda: _Supported(0.5, "alternate", _facts(_MIXED), True))
+    inside = {query.true_destination in cells[:-1] for query, cells in scored}
+    assert inside == {True, False}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("target", [0, 3, -1])
+def test_nan_at_the_free_node_names_its_query(chunk, target):
+    query = expand_queries(_MIXED["graph"].time_slice(3, 3), "tkg")[target]
+    facts = _facts(_MIXED)
+
+    class NanFree(_Supported):
+        def score_query(self, q, candidates):
+            scores = super().score_query(q, candidates)
+            if q == query:  # NaN outside the support, the conflicts and the truth
+                free = ~np.isin(candidates, self.support(q)) & (candidates != q.true_destination)
+                scores[free & ~self._conflicts(q, candidates)] = np.nan
+            return scores
+
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        with pytest.raises(ProtocolError, match=f"NaN scores for {re.escape(str(query))}$"):
+            _one_vs_all(_MIXED, lambda: NanFree(0.5, "empty", facts))
+
+
+def _grid_over_one_vs_all():
+    """The 27-row grid block and each row alone by the oracle, on 1-vs-all."""
     g = generate(SynthConfig(node_count=40, relation_count=3, timestep_count=14, rate=12,
                              p_rep=0.6, seed=11))
     history, test = g.time_slice(0, 9), g.time_slice(10, 13)
@@ -331,6 +436,18 @@ def test_grid_block_over_unmaterialized_one_vs_all_equals_each_row_alone():
     got = evaluate_single_step(_Grid(GRID), history, test, negatives, g)
     want = tuple(brute_force_evaluate(RecurrencyScorer(p), history, test, negatives, g)
                  for p in GRID)
+    return got, want
+
+
+def test_grid_block_over_unmaterialized_one_vs_all_equals_each_row_alone():
+    got, want = _grid_over_one_vs_all()
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk", [1, 100])
+def test_chunked_grid_block_over_unmaterialized_one_vs_all_equals_each_row_alone(chunk):
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        got, want = _grid_over_one_vs_all()
     assert got == want
 
 
@@ -344,7 +461,8 @@ class _BadSupport(HashScorer):
 
 
 @pytest.mark.parametrize(
-    "ids", [[2, 1], [1, 1], [[0, 1]], [-1, 0], [0, _MIXED["graph"].node_count]])
+    "ids", [[2, 1], [1, 1], [[0, 1]], [-1, 0], [0, _MIXED["graph"].node_count], [0.5, 1.5],
+            [True]])
 def test_support_not_sorted_distinct_node_ids_is_a_protocol_error(ids):
     g = _MIXED["graph"]
     negatives = generate_all(add_inverse_relations(g), expand_queries(g.time_slice(3, 3), "tkg"),
