@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ProtocolError
 from .evaluation import DEFAULT_KS, Scorer, evaluate_single_step
-from .graph import TemporalMultiGraph
+from .graph import TemporalMultiGraph, run_starts
 from .negatives import EvalQuery, NegativeSampleSet
 
 RECURRENCY_FORMULA = "strict-exp2-decay+relaxed-relfreq/v1"
@@ -107,17 +107,18 @@ class EdgeBankMemory:
         if width > len(self._scratch):
             self._scratch = np.zeros(width, dtype=bool)
         codes = self._keys(graph.subjects, graph.relations) * self.node_count + graph.objects
-        # rows are time-sorted, so a stable sort puts each code's latest row last in its run
-        order = np.argsort(codes, kind="stable")
+        order = np.argsort(codes)
         codes = codes[order]
-        last = np.ones(len(codes), dtype=bool)
-        np.not_equal(codes[:-1], codes[1:], out=last[:-1])
-        codes, times = codes[last], graph.timestamps[order[last]]
+        starts = np.flatnonzero(run_starts(codes))
+        codes = codes[starts]
+        # a code seen at several timestamps keeps the latest
+        times = np.maximum.reduceat(graph.timestamps[order], starts) if len(starts) else _EMPTY
         at = np.searchsorted(self._codes, codes)
         present = np.searchsorted(self._codes, codes, side="right") > at
         self._times[at[present]] = times[present]
-        self._codes = np.insert(self._codes, at[~present], codes[~present])
-        self._times = np.insert(self._times, at[~present], times[~present])
+        new = ~present
+        self._codes, self._times = _insert_sorted(
+            at[new], (self._codes, self._times), (codes[new], times[new]))
         self._runs.clear()
 
     def _located(self, subject: int, relation: int) -> tuple:
@@ -176,6 +177,24 @@ class EdgeBankMemory:
         return seen, last
 
 
+def _insert_sorted(at, columns, values) -> tuple:
+    """Each column with its values inserted before the positions ``at``, as
+    ``np.insert`` does, or the values themselves into empty columns. ``at``
+    must not decrease, so unlike ``np.insert`` this never sorts it."""
+    if len(columns[0]) == 0:
+        return tuple(values)
+    to = at + np.arange(len(at))  # where each new value lands
+    kept = np.ones(len(columns[0]) + len(at), dtype=bool)
+    kept[to] = False
+    merged = []
+    for column, value in zip(columns, values):
+        out = np.empty(len(kept), dtype=np.int64)
+        out[to] = value
+        out[kept] = column
+        merged.append(out)
+    return tuple(merged)
+
+
 def edgebank_observe(memory: EdgeBankMemory, quads: TemporalMultiGraph) -> EdgeBankMemory:
     """Insert every quadruple's key with its timestamp as last_seen."""
     memory.observe(quads)
@@ -213,8 +232,9 @@ class EdgeBankScorer(Scorer):
     def support(self, query):
         """The key's destinations, those still inside the window if there is one."""
         destinations, last = self.memory.destinations(query.source, query.relation)
-        every = np.ones(len(destinations), dtype=bool)
-        return destinations[self.memory.active(every, last, query.timestamp)]
+        if self.memory.window is None:
+            return destinations
+        return destinations[last >= query.timestamp - self.memory.window]
 
     def params_manifest(self):
         return {
@@ -275,14 +295,23 @@ class HistoryIndex:
                 f"observations must arrive in ascending time order "
                 f"({quads.t_min} after {self.high_water})"
             )
+        bits = len(quads).bit_length()
+        if quads.relation_count << bits >= 2**63:
+            raise DataError(f"{quads.relation_count} relations and {len(quads)} rows "
+                            "overflow int64 codes")
         self.latest.observe(quads)
         self.high_water = quads.t_max
         self._frequencies.clear()
-        order = np.argsort(quads.relations, kind="stable")
-        at = np.searchsorted(self._relations, quads.relations[order], side="right")
-        self._relations = np.insert(self._relations, at, quads.relations[order])
-        self._objects = np.insert(self._objects, at, quads.objects[order])
-        self._times = np.insert(self._times, at, quads.timestamps[order])
+        # (relation, row) in one int64: one unstable sort orders by relation, then arrival
+        key = quads.relations << bits
+        key |= np.arange(len(quads))
+        key.sort()
+        rows = key & ((1 << bits) - 1)
+        relations = key >> bits
+        at = np.searchsorted(self._relations, relations, side="right")
+        self._relations, self._objects, self._times = _insert_sorted(
+            at, (self._relations, self._objects, self._times),
+            (relations, quads.objects[rows], quads.timestamps[rows]))
 
     def object_frequencies(self, relation: int, t_now: int, window: int) -> tuple:
         """(ids, fractions): the sorted distinct objects of ``relation``, from

@@ -6,13 +6,17 @@ relation, object) and deduplicated at construction. All node and relation ids
 are dense non-negative integers; raw string identifiers live in vocabulary
 sidecars handled by :mod:`chronolink.datasets`.
 
-Construction sorts by one int64 key per row, ``(((t - t_min) * N + s) * R +
-r) * N + o`` with N nodes and R relations: one stable argsort orders the rows
-and equal neighbouring keys are the duplicates. Rows whose keys already
-strictly increase, such as a reloaded edge list, a time slice or a merge of
-consecutive splits, are kept as they are after one O(n) check. Graphs whose
-key would not fit int64, such as unix-second spans times N * R * N, fall
-back to a four-column lexsort.
+Construction packs each row into one int64 key, ``(((t - t_min) * N' + s) *
+R' + r) * N' + o``. N' and R' are the node and relation counts rounded up to
+powers of two when the key still fits int64, and the counts themselves when
+only they fit. Equal keys are identical rows, so one unstable sort of the keys
+orders the rows, dropping equal neighbours removes the duplicates, and the
+four columns are decoded back from the sorted keys (by masks and shifts for
+power-of-two radices). Rows whose keys already strictly increase, such as a
+reloaded edge list, a time slice or a merge of consecutive splits, are kept
+as they are after one O(n) check. Graphs whose key would not fit int64 even
+with exact radices, such as unix-second spans times N * R * N, fall back to
+a four-column lexsort.
 
 Instances are immutable after construction and safe for unrestricted
 concurrent reads.
@@ -118,28 +122,33 @@ class TemporalMultiGraph:
         if not (len(s) == len(r) == len(o) == len(t)):
             raise DataError("quadruple columns have mismatched lengths")
 
-        dropped = 0
-        key = order = None
+        dropped, rows = 0, None
         if len(s) > 0:
             if s.min() < 0 or o.min() < 0 or int(max(s.max(), o.max())) >= node_count:
                 raise DataError("node id out of range [0, node_count)")
             if r.min() < 0 or int(r.max()) >= relation_count:
                 raise DataError("relation id out of range [0, relation_count)")
-            key = _sort_key(s, r, o, t, int(node_count), int(relation_count))
-            if key is None:  # too wide for one int64 code
+            packed = _sort_key(s, r, o, t, int(node_count), int(relation_count))
+            if packed is None:  # too wide for one int64 code
                 order = np.lexsort((o, r, s, t))
-            elif not (key[1:] > key[:-1]).all():
-                order = np.argsort(key, kind="stable")
-        if order is None:  # empty, or sorted and unique already
+                new = _first_of_equal_rows(order, (s, r, o, t))
+                order = order[new]
+                rows = s[order], r[order], o[order], t[order]
+            else:
+                key, radices, t_min = packed
+                del packed  # the sort below then frees the unsorted keys
+                if not (key[1:] > key[:-1]).all():
+                    # equal keys are identical rows, so an unstable sort will do
+                    key = np.sort(key)
+                    new = run_starts(key)
+                    rows = _unpack(key if new.all() else key[new], radices, t_min)
+            if rows is not None:
+                dropped = int(len(s) - np.count_nonzero(new))
+        if rows is None:  # empty, or sorted and unique already
             # the columns get frozen below: never freeze or alias one the caller writes
             s, r, o, t = (c.copy() if c.flags.writeable else c for c in (s, r, o, t))
         else:
-            new = _first_of_equal_rows(order, (s, r, o, t) if key is None else (key,))
-            del key  # before the columns are gathered
-            dropped = int(len(order) - np.count_nonzero(new))
-            if dropped:
-                order = order[new]
-            s, r, o, t = s[order], r[order], o[order], t[order]
+            s, r, o, t = rows
 
         types = None
         if node_types is not None:
@@ -316,16 +325,37 @@ class TemporalMultiGraph:
 
 
 def _sort_key(s, r, o, t, node_count: int, relation_count: int):
-    """Int64 codes ``(((t - t_min) * N + s) * R + r) * N + o``, in (t, s, r, o)
-    order; None if they would overflow int64."""
+    """(key, radices, t_min): int64 keys ``(((t - t_min) * N' + s) * R' + r) *
+    N' + o``, in (t, s, r, o) order, with radices (N', R', N') as the module
+    docstring describes; None if even exact radices would overflow int64."""
     t_min = int(t.min())
-    if (int(t.max()) - t_min + 1) * node_count * relation_count * node_count >= 2**63:
-        return None
+    span = int(t.max()) - t_min + 1
+    radices = tuple(1 << (n - 1).bit_length() for n in (node_count, relation_count, node_count))
+    if span * radices[0] * radices[1] * radices[2] >= 2**63:
+        radices = (node_count, relation_count, node_count)
+        if span * node_count * relation_count * node_count >= 2**63:
+            return None
     key = t - t_min
-    for factor, column in ((node_count, s), (relation_count, r), (node_count, o)):
-        key *= factor  # in place: one n-row temporary in all
+    for radix, column in zip(radices, (s, r, o)):
+        key *= radix  # in place: one n-row temporary in all
         key += column
-    return key
+    return key, radices, t_min
+
+
+def _unpack(key, radices, t_min: int) -> tuple:
+    """The (s, r, o, t) columns that :func:`_sort_key` packed into ``key``,
+    which becomes the t column."""
+    columns = []
+    for radix in reversed(radices):
+        if radix & (radix - 1):
+            columns.append(key % radix)
+            key //= radix
+        else:  # masks and shifts, about twice as fast as % and //
+            columns.append(key & (radix - 1))
+            key >>= radix.bit_length() - 1
+    key += t_min
+    o, r, s = columns
+    return s, r, o, key
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -381,10 +411,9 @@ def from_quadruples(
 def add_inverse_relations(graph: TemporalMultiGraph) -> TemporalMultiGraph:
     """Augment a graph with one inverse quadruple (o, r + R, s, t) per edge.
 
-    The returned graph has ``2 * relation_count`` relations. The quadruple
-    count exactly doubles unless an inverse collides with an existing
-    quadruple; collisions are deduplicated and the difference is observable
-    as ``2 * len(graph) - len(result)``.
+    The returned graph has ``2 * relation_count`` relations and exactly twice
+    the quadruples: an inverse's relation is at least R, so it never equals a
+    base quadruple, and distinct base quadruples have distinct inverses.
 
     Raises
     ------

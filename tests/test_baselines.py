@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 from unittest import mock
@@ -56,13 +57,62 @@ def test_observed_table_equals_an_np_unique_reference(rows, key_mode):
     rng = np.random.default_rng(rows)
     quads = [tuple(q) for q in rng.integers(0, [30, 4, 30, 50], size=(rows, 4)).tolist()]
     g = from_quadruples(quads, node_count=30, relation_count=4)
-    memory = EdgeBankMemory(key_mode)
-    memory.observe(g)
     keys = g.subjects if key_mode == "pair" else g.subjects * 4 + g.relations
     # a code's latest row is its first in the reversed rows
     codes, first = np.unique((keys * 30 + g.objects)[::-1], return_index=True)
-    assert memory._codes.tolist() == codes.tolist()
-    assert memory._times.tolist() == g.timestamps[::-1][first].tolist()
+    # the whole graph at once, then ascending time chunks of which the third is empty
+    for bounds in ([0, 50], [0, 20, 40, 40, 50]):
+        memory = EdgeBankMemory(key_mode)
+        for lo, hi in zip(bounds, bounds[1:]):
+            memory.observe(g.time_slice(lo, hi - 1) if hi > lo else g.time_slice(99, 99))
+        assert memory._codes.tolist() == codes.tolist()
+        assert memory._times.tolist() == g.timestamps[::-1][first].tolist()
+
+
+@pytest.mark.parametrize("key_mode", ["pair", "triple"])
+def test_a_code_keeps_its_latest_time_within_and_across_chunks(key_mode):
+    memory = EdgeBankMemory(key_mode)
+    chunks = [[(0, 0, 1, 4), (0, 0, 1, 2), (0, 1, 1, 3), (2, 0, 1, 9), (0, 0, 2, 1)],
+              [],
+              [(0, 1, 1, 10), (0, 0, 2, 11), (0, 0, 2, 12)]]
+    expected = {"pair": [{1: 4, 2: 1}, {1: 4, 2: 1}, {1: 10, 2: 12}],
+                "triple": [{1: 4, 2: 1}, {1: 4, 2: 1}, {1: 4, 2: 12}]}[key_mode]
+    for chunk, want in zip(chunks, expected):
+        memory.observe(from_quadruples(chunk, node_count=3, relation_count=2))
+        destinations, times = memory.destinations(0, 0)
+        assert dict(zip(destinations.tolist(), times.tolist())) == want
+        assert memory.destinations(2, 0)[1].tolist() == [9]
+
+
+def _naive_frequencies(quads, relation, t_now, window):
+    counts = collections.Counter(
+        o for _, r, o, t in quads if r == relation and (window == 0 or t >= t_now - window))
+    top = max(counts.values(), default=1)
+    return sorted(counts), [counts[o] / top for o in sorted(counts)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_object_frequencies_equal_a_naive_count(seed):
+    rng = np.random.default_rng(seed)
+    # few relations and objects: many repeated (relation, object) rows
+    quads = [tuple(q) for q in rng.integers(0, [6, 3, 4, 20], size=(300, 4)).tolist()]
+    g = from_quadruples(quads, node_count=6, relation_count=3)
+    index = HistoryIndex()
+    seen = []
+    # ascending time chunks, the second one empty
+    for lo, hi in [(0, 7), (7, 7), (7, 15), (15, 20)]:
+        chunk = g.time_slice(lo, hi - 1) if hi > lo else g.time_slice(99, 99)
+        index.observe(chunk)
+        seen += list(chunk)
+        order = np.argsort([q.relation for q in seen], kind="stable")
+        assert index._relations.tolist() == [seen[i].relation for i in order]
+        assert index._objects.tolist() == [seen[i].object for i in order]
+        assert index._times.tolist() == [seen[i].timestamp for i in order]
+        for relation in range(4):
+            for window in (0, 1, 3, 100):
+                ids, fractions = index.object_frequencies(relation, hi, window)
+                assert (ids.tolist(), fractions.tolist()) == \
+                    _naive_frequencies(seen, relation, hi, window)
 
 
 def test_edgebank_window_expiry():
@@ -192,6 +242,13 @@ def test_code_width_overflow_is_data_error():
     edgebank_observe(EdgeBankMemory("pair"), edge)
     with pytest.raises(DataError, match="overflow"):
         edgebank_observe(EdgeBankMemory("triple"), edge)
+    # one node fits the triple codes, but not two rows' (relation, row) sort keys
+    rows = from_quadruples([(0, 2**62 - 1, 0, 0), (0, 0, 0, 1)], node_count=1,
+                           relation_count=2**62)
+    index = HistoryIndex()
+    with pytest.raises(DataError, match="overflow"):
+        index.observe(rows)
+    assert index.high_water is None and index.latest._codes.size == 0
 
 
 # -- EdgeBankMemory.lookup against a per-candidate reference -------------------------------

@@ -112,6 +112,25 @@ def test_inverse_count_always_doubles(g4):
     assert len(aug) == 2 * len(g4)
 
 
+@pytest.mark.parametrize("times", ["small", "unix-seconds", "beyond-pow2"])
+@pytest.mark.parametrize("sizes", [(1, 1), (5, 3), (30, 4)])
+def test_inverse_augmentation_equals_a_lexsort_reference(sizes, times):
+    node_count, relation_count = sizes
+    rng = np.random.default_rng(node_count)
+    rows = rng.integers(0, [node_count, relation_count, node_count, 4], size=(200, 4))
+    # with 5 nodes and 6 augmented relations, a 2**55 span fits only exact radices
+    rows[:, 3] = np.array({"small": [0, 1, 2, 3], "unix-seconds": [1_700_000_000 + 3600 * i
+                                                                   for i in range(4)],
+                           "beyond-pow2": [0, 1, 2, 2**55]}[times])[rows[:, 3]]
+    g = TemporalMultiGraph(*rows.T, node_count=node_count, relation_count=relation_count)
+    aug = add_inverse_relations(g)
+    doubled = list(g) + [(o, r + relation_count, s, t) for s, r, o, t in g]
+    want, dropped = _reference_build(doubled, node_count, 2 * relation_count)
+    assert np.array_equal(np.stack([aug.subjects, aug.relations, aug.objects, aug.timestamps]),
+                          want)
+    assert dropped == aug.duplicates_removed == 0 and len(aug) == 2 * len(g)
+
+
 def test_slice_window(g4):
     assert set(g4.time_slice(1, 1)) == {Quadruple(0, 0, 1, 1), Quadruple(2, 1, 3, 1)}
     assert g4.time_slice(g4.t_min, g4.t_max) == g4
@@ -251,6 +270,8 @@ _TIMES = {
     "small": st.integers(-5, 5),
     "unix-seconds": st.integers(1_700_000_000, 1_700_000_000 + 86_400),
     "int64-ends": st.sampled_from([-(2**63), -(2**63) + 1, 0, 2**63 - 2, 2**63 - 1]),
+    # with 5 nodes and 3 relations only the exact radices fit the key
+    "beyond-pow2": st.sampled_from([0, 1, 2**56, 2**56 + 1]),
 }
 
 
@@ -322,8 +343,8 @@ def test_sorted_graphs_are_rebuilt_without_a_sort(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a sorted graph was sorted again")
 
-    monkeypatch.setattr(np, "argsort", refuse)
-    monkeypatch.setattr(np, "lexsort", refuse)
+    for sort in ("sort", "argsort", "lexsort"):
+        monkeypatch.setattr(np, sort, refuse)
     reloaded, _ = load_graph_dir(tmp_path / "graph")
     assert reloaded == full and reloaded.duplicates_removed == 0
     assert merge(train, valid, test) == full
@@ -335,13 +356,24 @@ def test_only_keys_beyond_int64_fall_back_to_the_lexsort(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the other sort was expected")
 
+    def build(times):
+        rows = [(s, r, o, times[t]) for s, r, o, t in quads]
+        return from_quadruples(rows, node_count=5, relation_count=3)
+
     quads = [(4, 2, 0, 2), (0, 0, 4, -3), (4, 2, 0, 2), (1, 1, 1, 0)]
     monkeypatch.setattr(np, "lexsort", refuse)
-    g = from_quadruples(quads, node_count=5, relation_count=3)
+    g = build({-3: -3, 0: 0, 2: 2})
     assert g.timestamps.tolist() == [-3, 0, 2] and g.duplicates_removed == 1
+    # a span that fits the key with exact radices (5, 3, 5) but not with (8, 4, 8)
+    span = (2**63 - 1) // 75
+    g = build({-3: 0, 0: 1, 2: span - 1})
+    assert g.timestamps.tolist() == [0, 1, span - 1] and g.duplicates_removed == 1
+    assert g.subjects.tolist() == [0, 1, 4] and g.objects.tolist() == [4, 1, 0]
     monkeypatch.undo()
+    monkeypatch.setattr(np, "sort", refuse)
+    # one more timestamp and the exact key overflows too
+    g = build({-3: 0, 0: 1, 2: span})
+    assert g.timestamps.tolist() == [0, 1, span] and g.duplicates_removed == 1
     # both int64 ends: the span alone overflows the key
-    monkeypatch.setattr(np, "argsort", refuse)
-    ends = [(s, r, o, {-3: -(2**63), 0: 0, 2: 2**63 - 1}[t]) for s, r, o, t in quads]
-    wide = from_quadruples(ends, node_count=5, relation_count=3)
+    wide = build({-3: -(2**63), 0: 0, 2: 2**63 - 1})
     assert wide.timestamps.tolist() == [-(2**63), 0, 2**63 - 1] and wide.duplicates_removed == 1
