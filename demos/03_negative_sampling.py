@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import chronolink as cl
+from chronolink.negatives import STRATEGIES
 
 config = cl.SynthConfig(node_count=50, relation_count=3, timestep_count=60,
                         node_type_count=2, rate=8, p_rep=0.4, seed=21)
@@ -19,12 +20,9 @@ queries = cl.expand_queries(test, "thg")
 print(graph)
 print("test quadruples:", len(test), "-> tail queries:", len(queries))
 
-sets = {
-    "all": cl.generate_all(graph, queries),
-    "type-aware": cl.generate_type_aware(graph, queries, q=10, seed=3),
-    "node-type": cl.generate_node_type(graph, graph.node_types, queries, q=10, seed=3),
-    "random": cl.generate_random(graph, queries, q=10, seed=3),
-}
+# One generator for every strategy; "all" keeps every candidate and ignores q.
+sets = {strategy: cl.generate_negative_set(strategy, graph, queries, q=10, seed=3)
+        for strategy in STRATEGIES}
 query = queries[0]
 print(f"\nfirst query: source={query.source} relation={query.relation} "
       f"t={query.timestamp} truth={query.true_destination}")
@@ -50,7 +48,7 @@ print("node-type closure holds:", closure)
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "negatives.bin"
     cl.write_negative_set(sets["random"], path)
-    again = cl.generate_random(graph, queries, q=10, seed=3)
+    again = cl.generate_negative_set("random", graph, queries, q=10, seed=3)
     path2 = Path(tmp) / "again.bin"
     cl.write_negative_set(again, path2)
     print("file round trip:", cl.read_negative_set(path) == sets["random"])

@@ -38,7 +38,7 @@ graph = cl.generate(config)
 train, valid, test, _ = cl.chronological_split(graph)
 universe = cl.add_inverse_relations(graph)       # TKG: both query directions
 queries = cl.expand_queries(test, "tkg")
-negatives = cl.generate_type_aware(universe, queries, q=12, seed=5)
+negatives = cl.generate_negative_set("type-aware", universe, queries, q=12, seed=5)
 history = cl.merge(train, valid)
 
 engine = cl.evaluate_single_step(cl.RecurrencyScorer(), history, test, negatives, graph)

@@ -14,8 +14,6 @@ from .baselines import (
     HistoryIndex,
     RecurrencyParams,
     RecurrencyScorer,
-    edgebank_observe,
-    edgebank_score,
     grid_search_recurrency,
     recurrency_score,
     validation_window,
@@ -75,9 +73,6 @@ from .negatives import (
     collect_tail_pools,
     generate_all,
     generate_negative_set,
-    generate_node_type,
-    generate_random,
-    generate_type_aware,
     read_negative_set,
     write_negative_set,
 )

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ProtocolError
-from .evaluation import DEFAULT_KS, Scorer, evaluate_single_step
+from .evaluation import Scorer, evaluate_single_step
 from .graph import TemporalMultiGraph, run_starts
 from .negatives import EvalQuery, NegativeSampleSet
 
@@ -63,10 +63,8 @@ class EdgeBankMemory:
 
     ``_codes`` are the sorted unique ``key * node_count + destination`` and
     ``_times`` the latest timestamp of each, so the destinations of one key
-    are a contiguous run found by binary search. In window mode a key is
-    active iff ``last_seen >= t_now - window``; with ``window=None`` every key
-    ever seen stays active. The code widths are those of the first graph
-    observed into the empty table.
+    are a contiguous run found by binary search. The code widths are those
+    of the first graph observed into the empty table.
 
     Long candidate lists are looked up through a scratch row with one slot
     per destination id seen plus two guard slots, so one memory serves one
@@ -75,13 +73,10 @@ class EdgeBankMemory:
     scoring its queries searches the table once per key.
     """
 
-    def __init__(self, key_mode: str = "pair", window: int | None = None):
+    def __init__(self, key_mode: str = "pair"):
         if key_mode not in ("pair", "triple"):
             raise ConfigError(f"key_mode must be pair or triple, got {key_mode!r}")
-        if window is not None and window < 0:
-            raise ConfigError("window must be non-negative")
         self.key_mode = key_mode
-        self.window = window
         self.node_count = 0
         self.relation_count = 0
         self._codes = _EMPTY
@@ -141,11 +136,6 @@ class EdgeBankMemory:
         lo, hi, base = self._located(subject, relation)
         return self._codes[lo:hi] - base, self._times[lo:hi]
 
-    def active(self, seen: np.ndarray, last: np.ndarray, t_now: int) -> np.ndarray:
-        """``seen``, narrowed to the keys still active at t_now: those whose
-        last-seen time ``last`` is inside the window, if there is one."""
-        return seen if self.window is None else seen & (last >= t_now - self.window)
-
     def lookup(self, subject: int, relation: int, candidates) -> tuple:
         """(seen mask, last-seen time) per candidate; times count only where seen.
 
@@ -195,52 +185,49 @@ def _insert_sorted(at, columns, values) -> tuple:
     return tuple(merged)
 
 
-def edgebank_observe(memory: EdgeBankMemory, quads: TemporalMultiGraph) -> EdgeBankMemory:
-    """Insert every quadruple's key with its timestamp as last_seen."""
-    memory.observe(quads)
-    return memory
-
-
-def edgebank_score(
-    memory: EdgeBankMemory, query: EvalQuery, candidates: np.ndarray, t_now: int
-) -> np.ndarray:
-    """1.0 for candidates whose key is active at t_now, else 0.0."""
-    seen, last = memory.lookup(query.source, query.relation, candidates)
-    return memory.active(seen, last, t_now).astype(np.float64)
-
-
 class EdgeBankScorer(Scorer):
     """EdgeBank as an evaluation-engine scorer.
 
     The default pair keying deliberately omits edge-type information; triple
-    keying is exposed for ablation. ``window=None`` is the unbounded variant.
+    keying is exposed for ablation. ``window=None`` is the unbounded variant;
+    otherwise a key is active at time t iff it was last seen at or after
+    ``t - window``.
     """
 
     def __init__(self, key_mode: str = "pair", window: int | None = None):
-        self.memory = EdgeBankMemory(key_mode, window)
+        if window is not None and window < 0:
+            raise ConfigError("window must be non-negative")
+        self.memory = EdgeBankMemory(key_mode)
+        self.window = window
         self.name = "edgebank-inf" if window is None else "edgebank-tw"
 
     def fit(self, history, static_context=None):
-        edgebank_observe(self.memory, history)
+        self.memory.observe(history)
 
     def observe(self, quads):
-        edgebank_observe(self.memory, quads)
+        self.memory.observe(quads)
+
+    def _active(self, last: np.ndarray, t_now: int):
+        """Which last-seen times are inside the window at t_now; None without one."""
+        return None if self.window is None else last >= t_now - self.window
 
     def score_query(self, query, candidates):
-        return edgebank_score(self.memory, query, candidates, query.timestamp)
+        """1.0 for candidates whose key is active at the query time, else 0.0."""
+        seen, last = self.memory.lookup(query.source, query.relation, candidates)
+        active = self._active(last, query.timestamp)
+        return (seen if active is None else seen & active).astype(np.float64)
 
     def support(self, query):
-        """The key's destinations, those still inside the window if there is one."""
+        """The key's active destinations."""
         destinations, last = self.memory.destinations(query.source, query.relation)
-        if self.memory.window is None:
-            return destinations
-        return destinations[last >= query.timestamp - self.memory.window]
+        active = self._active(last, query.timestamp)
+        return destinations if active is None else destinations[active]
 
     def params_manifest(self):
         return {
             "scorer": self.name,
             "key_mode": self.memory.key_mode,
-            "window": self.memory.window,
+            "window": self.window,
         }
 
 
@@ -440,7 +427,6 @@ def grid_search_recurrency(
     lam_grid=DEFAULT_LAMBDA_GRID,
     alpha_grid=DEFAULT_ALPHA_GRID,
     window_grid=DEFAULT_WINDOW_GRID,
-    ks=DEFAULT_KS,
     kind: str | None = None,
 ) -> RecurrencyParams:
     """Pick the validation-MRR argmax over the parameter grid.
@@ -458,7 +444,7 @@ def grid_search_recurrency(
         raise ConfigError("parameter grid is empty")
     rows = [RecurrencyParams(lam, alpha, window) for lam, alpha, window in combos]
     results = evaluate_single_step(
-        _GridScorer(rows), train, valid, negatives, full_graph, ks, kind
+        _GridScorer(rows), train, valid, negatives, full_graph, kind=kind
     )
     if not isinstance(results, tuple):  # no validation query was scored
         results = (results,) * len(rows)

@@ -45,6 +45,7 @@ from .datasets import (
     load_splits,
     parse_edgelist,
     parse_static_edgelist,
+    read_keyvalue_file,
     save_splits,
     write_graph_dir,
 )
@@ -64,6 +65,7 @@ from .evaluation import (
 )
 from .graph import Granularity, add_inverse_relations, merge
 from .negatives import (
+    STRATEGIES,
     Provenance,
     generate_all,
     generate_negative_set,
@@ -174,6 +176,9 @@ def cmd_ingest(run: _Run):
         schema = dataclasses.replace(schema, node_type_path=Path(args.node_types))
     if args.kind == "thg" and schema.node_type_path is None:
         raise ConfigError("THG ingestion needs a node-type sidecar (--node-types)")
+    if args.kind == "tkg" and schema.node_type_path is not None:
+        raise ConfigError(f"--kind tkg conflicts with the node-type sidecar "
+                          f"{schema.node_type_path}; a typed graph is ingested with --kind thg")
     run.add_input(args.edgelist)
     if schema.node_type_path:
         run.add_input(schema.node_type_path)
@@ -437,13 +442,7 @@ def cmd_report(run: _Run):
     rows = []
     for result_dir in args.results:
         run.add_input(result_dir)
-        path = Path(result_dir) / "result.txt"
-        values = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+        values = read_keyvalue_file(Path(result_dir) / "result.txt")
         rows.append((Path(result_dir).name, values))
     keys = ["mrr", "hits@1", "hits@3", "hits@10", "query_count"]
     lines = ["run\t" + "\t".join(keys)]
@@ -530,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", required=True)
     p.add_argument("--dataset", default=None, help="dataset name recorded in provenance")
     p.add_argument("--split", choices=["valid", "test"], default="test")
-    p.add_argument("--strategy", choices=["all", "type-aware", "node-type", "random"],
-                   required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     common(p)

@@ -33,6 +33,7 @@ from .errors import (
     SplitError,
 )
 from .graph import Granularity, SplitBoundaries, TemporalMultiGraph
+from .negatives import STRATEGIES
 
 _FIELDS = ("timestamp", "subject", "relation", "object")
 STATIC_TIMESTAMP = 0  # sentinel for the relation-only companion graph
@@ -91,13 +92,13 @@ class DatasetManifest:
     checksum: str  # "sha256:<hex>"; required for any remote fetch
     granularity: Granularity
     kind: str  # "tkg" | "thg"
-    strategy: str  # "all" | "type-aware" | "node-type" | "random"
+    strategy: str  # one of negatives.STRATEGIES
     q: int = 0
 
     def __post_init__(self):
         if self.kind not in ("tkg", "thg"):
             raise ConfigError(f"kind must be tkg or thg, got {self.kind!r}")
-        if self.strategy not in ("all", "type-aware", "node-type", "random"):
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown sampling strategy {self.strategy!r}")
         if self.strategy != "all" and self.q < 1:
             raise ConfigError("q must be >= 1 for 1-vs-q strategies")
@@ -575,8 +576,6 @@ def chronological_split(
 
 def _first_reaching(cumulative: np.ndarray, fraction: float) -> int:
     idx = int(np.searchsorted(cumulative, fraction, side="left"))
-    while idx < len(cumulative) and cumulative[idx] < fraction:
-        idx += 1
     return min(idx, len(cumulative) - 1)
 
 

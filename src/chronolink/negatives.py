@@ -1,12 +1,14 @@
 """Reproducible negative-candidate generation and its on-disk format.
 
-Candidate draws use a counter-based RNG keyed on (seed, query index), so a
-query's draw does not depend on the order in which queries are generated. All
-strategies share one pool -> exclude -> draw -> pad routine and differ only in
-the pool each query draws from and whether short lists are padded. Candidate
-lists never contain the true destination and never contain a temporal
-conflict, i.e. a node c for which (source, relation, c, timestamp) is a true
-fact anywhere in the dataset.
+:func:`generate_negative_set` is the one generator: every strategy in
+:data:`STRATEGIES` runs the same pool -> exclude -> draw -> pad routine and
+differs only in the pool each query draws from, whether short lists are
+padded, and the q it records (the table in its docstring). Candidate draws use
+a counter-based RNG keyed on (seed, query index), so a query's draw does not
+depend on the order in which queries are generated. Candidate lists never
+contain the true destination and never contain a temporal conflict, i.e. a
+node c for which (source, relation, c, timestamp) is a true fact anywhere in
+the dataset.
 
 Serialized layout (little-endian)::
 
@@ -300,14 +302,8 @@ def _check_queries(universe: TemporalMultiGraph, table: np.ndarray) -> None:
 
 def all_candidates(universe: TemporalMultiGraph, query: EvalQuery) -> np.ndarray:
     """Every node except the truth and the temporal conflicts, ascending."""
-    return _everything_but_excluded(universe, _table([query]))[1]
-
-
-def _everything_but_excluded(universe: TemporalMultiGraph, table: np.ndarray) -> tuple:
-    # a pool of every node and q = node_count: nothing is sampled or padded
-    everything = np.arange(universe.node_count, dtype=np.int64)
-    n = table.shape[1]
-    return _draw(universe, table, universe.node_count, 0, [everything] * n, False)
+    table = _table([query])
+    return _draw(universe, table, universe.node_count, 0, _pools("all", universe, table), False)[1]
 
 
 def collect_tail_pools(graph: TemporalMultiGraph) -> dict:
@@ -420,75 +416,59 @@ def _skip(picked: np.ndarray, removed: np.ndarray) -> np.ndarray:
     return picked + np.searchsorted(removed - np.arange(len(removed)), picked, side="right")
 
 
-def generate_type_aware(
+def _pools(strategy: str, universe: TemporalMultiGraph, table: np.ndarray) -> list:
+    """The sorted pool of each query, a column of ``table``, under a strategy."""
+    if strategy == "type-aware":
+        tail_pools = collect_tail_pools(universe)
+        return [tail_pools.get(r, _EMPTY) for r in table[1].tolist()]
+    if strategy == "node-type":
+        types = universe.node_types
+        if types is None:
+            raise DataError("node-type sampling requires node types")
+        by_type = {t: np.flatnonzero(types == t) for t in np.unique(types).tolist()}
+        return [by_type[t] for t in types[table[3]].tolist()]
+    if strategy in ("all", "random"):
+        return [np.arange(universe.node_count, dtype=np.int64)] * table.shape[1]
+    raise ConfigError(f"unknown strategy {strategy!r}")
+
+
+def generate_negative_set(
+    strategy: str,
     graph_all: TemporalMultiGraph,
     queries: Sequence[EvalQuery],
-    q: int,
-    seed: int,
+    q: int = 0,
+    seed: int = 0,
     provenance: Provenance = Provenance(),
 ) -> NegativeSampleSet:
-    """1-vs-q sampling biased to observed objects of the query's edge type.
+    """One candidate list per query: its pool minus the truth and the
+    temporal conflicts, sampled down to q and, for type-aware, padded up to q.
 
-    Draws without replacement from the relation's tail pool first; if fewer
-    than q conflict-free pool members exist, pads uniformly from the nodes
-    outside the pool. Emits exactly min(q, available) candidates per query.
+    ==========  ================================  ====================  ==========
+    strategy    pool                              padding               recorded q
+    ==========  ================================  ====================  ==========
+    all         every node                        none                  0
+    type-aware  observed objects of the relation  conflict-free nodes   q
+                (:func:`collect_tail_pools`)      outside the pool
+    node-type   nodes of the truth's node type    none                  q
+    random      every node                        none                  q
+    ==========  ================================  ====================  ==========
+
+    A sampled strategy clamps q to ``node_count - 1`` with a warning and
+    emits min(q, available) candidates per query. Node-type lists are never
+    padded across types, so at ``q = node_count - 1`` each holds every
+    same-type node. "all" keeps every pool member and records q and seed 0.
     """
     table = _table(queries)
     _check_queries(graph_all, table)
-    q = _clamp_q(q, graph_all.node_count)
-    tail_pools = collect_tail_pools(graph_all)
-    pools = [tail_pools.get(r, _EMPTY) for r in table[1].tolist()]
-    columns = _draw(graph_all, table, q, seed, pools, pad=True)
-    return NegativeSampleSet.from_columns("type-aware", q, seed, table, *columns, provenance)
-
-
-def generate_node_type(
-    graph_all: TemporalMultiGraph,
-    node_types,
-    queries: Sequence[EvalQuery],
-    q: int,
-    seed: int,
-    provenance: Provenance = Provenance(),
-    entire_type_universe: bool = False,
-) -> NegativeSampleSet:
-    """1-vs-q sampling restricted to nodes sharing the truth's node type.
-
-    There is deliberately no cross-type padding: when fewer than q same-type
-    nodes remain, the whole same-type universe is emitted. With
-    ``entire_type_universe`` the sampling step is skipped entirely and every
-    same-type node is kept (q is recorded as 0).
-    """
-    if node_types is None:
-        raise DataError("node-type sampling requires node types")
-    types = np.asarray(node_types, dtype=np.int64)
-    if len(types) != graph_all.node_count:
-        raise DataError("node_types must cover every node")
-    table = _table(queries)
-    _check_queries(graph_all, table)
-    # no list can exceed node_count entries, so q = node_count never draws
-    q = graph_all.node_count if entire_type_universe else _clamp_q(q, graph_all.node_count)
-    by_type = {int(t): np.flatnonzero(types == t).astype(np.int64) for t in np.unique(types)}
-    pools = [by_type[t] for t in types[table[3]].tolist()]
-    columns = _draw(graph_all, table, q, seed, pools, pad=False)
-    return NegativeSampleSet.from_columns(
-        "node-type", 0 if entire_type_universe else q, seed, table, *columns, provenance
-    )
-
-
-def generate_random(
-    graph_all: TemporalMultiGraph,
-    queries: Sequence[EvalQuery],
-    q: int,
-    seed: int,
-    provenance: Provenance = Provenance(),
-) -> NegativeSampleSet:
-    """Uniform 1-vs-q sampling over all nodes (the ablation arm)."""
-    table = _table(queries)
-    _check_queries(graph_all, table)
-    q = _clamp_q(q, graph_all.node_count)
-    everything = np.arange(graph_all.node_count, dtype=np.int64)
-    columns = _draw(graph_all, table, q, seed, [everything] * len(queries), pad=False)
-    return NegativeSampleSet.from_columns("random", q, seed, table, *columns, provenance)
+    pools = _pools(strategy, graph_all, table)
+    if strategy == "all":
+        # no list exceeds node_count entries, so none is sampled
+        q = seed = 0
+        columns = _draw(graph_all, table, graph_all.node_count, 0, pools, False)
+    else:
+        q = _clamp_q(q, graph_all.node_count)
+        columns = _draw(graph_all, table, q, seed, pools, strategy == "type-aware")
+    return NegativeSampleSet.from_columns(strategy, q, seed, table, *columns, provenance)
 
 
 def generate_all(
@@ -502,32 +482,9 @@ def generate_all(
     Unmaterialized, the set builds no lists and leaves its queries to be
     checked by the engine that ranks them.
     """
-    table = _table(queries)
-    columns = (None, None)
     if materialize:
-        _check_queries(graph_all, table)
-        columns = _everything_but_excluded(graph_all, table)
-    return NegativeSampleSet.from_columns("all", 0, 0, table, *columns, provenance)
-
-
-def generate_negative_set(
-    strategy: str,
-    graph_all: TemporalMultiGraph,
-    queries: Sequence[EvalQuery],
-    q: int = 0,
-    seed: int = 0,
-    provenance: Provenance = Provenance(),
-) -> NegativeSampleSet:
-    """Dispatch to the strategy-specific generator."""
-    if strategy == "all":
-        return generate_all(graph_all, queries, provenance)
-    if strategy == "type-aware":
-        return generate_type_aware(graph_all, queries, q, seed, provenance)
-    if strategy == "node-type":
-        return generate_node_type(graph_all, graph_all.node_types, queries, q, seed, provenance)
-    if strategy == "random":
-        return generate_random(graph_all, queries, q, seed, provenance)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+        return generate_negative_set("all", graph_all, queries, provenance=provenance)
+    return NegativeSampleSet.from_columns("all", 0, 0, _table(queries), None, None, provenance)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_criterion_3_protocol_laws():
         queries = cl.expand_queries(test, "tkg")
         history = cl.merge(train, valid)
         all_set = cl.generate_all(universe, queries)
-        q_set = cl.generate_random(universe, queries, q=6, seed=seed)
+        q_set = cl.generate_negative_set("random", universe, queries, q=6, seed=seed)
 
         # per-query subset monotonicity with a stateless scorer, exact
         scorer = HashScorer(salt=seed)
@@ -172,7 +172,7 @@ def test_criterion_3_protocol_laws():
             def score_query(self, query, candidates):
                 return self.warp(self.inner.score_query(query, candidates))
 
-        negatives = cl.generate_type_aware(universe, queries, q=6, seed=seed)
+        negatives = cl.generate_negative_set("type-aware", universe, queries, q=6, seed=seed)
         base = cl.evaluate_single_step(HashScorer(seed), history, test, negatives, g)
         for warp in (lambda x: 2.0 * x + 5.0, np.expm1):
             warped = cl.evaluate_single_step(Warped(warp), history, test, negatives, g)
@@ -311,7 +311,7 @@ def test_criterion_9_excluded_reproductions_replaced_by_properties():
     train, valid, test, _ = cl.chronological_split(g)
     universe = cl.add_inverse_relations(g)
     queries = cl.expand_queries(valid, "tkg")
-    negatives = cl.generate_type_aware(universe, queries, q=10, seed=7)
+    negatives = cl.generate_negative_set("type-aware", universe, queries, q=10, seed=7)
     lam_grid, alpha_grid, window_grid = (0.01, 0.1, 1.0), (0.5, 0.9, 0.99), (0, 4)
     best = cl.grid_search_recurrency(
         train, valid, negatives, g, lam_grid, alpha_grid, window_grid

@@ -23,8 +23,7 @@ from chronolink import (
     from_quadruples,
     generate,
     generate_all,
-    generate_node_type,
-    generate_type_aware,
+    generate_negative_set,
     grid_search_recurrency,
     merge,
     validation_window,
@@ -33,8 +32,6 @@ from chronolink import baselines
 from chronolink.baselines import (
     EdgeBankMemory,
     EdgeBankScorer,
-    edgebank_observe,
-    edgebank_score,
     recurrency_score,
 )
 from chronolink.graph import SplitBoundaries
@@ -44,10 +41,10 @@ from chronolink.graph import SplitBoundaries
 
 
 def test_edgebank_pair_key_activation():
-    memory = EdgeBankMemory("pair")
+    scorer = EdgeBankScorer("pair")
     g = from_quadruples([(0, 0, 1, 5)], node_count=3, relation_count=1)
-    edgebank_observe(memory, g)
-    scores = edgebank_score(memory, EvalQuery(0, 0, 9, 1), np.array([1, 2]), 9)
+    scorer.observe(g)
+    scores = scorer.score_query(EvalQuery(0, 0, 9, 1), np.array([1, 2]))
     assert scores.tolist() == [1.0, 0.0]
 
 
@@ -116,49 +113,47 @@ def test_object_frequencies_equal_a_naive_count(seed):
 
 
 def test_edgebank_window_expiry():
-    memory = EdgeBankMemory("pair", window=2)
+    scorer = EdgeBankScorer("pair", window=2)
     g = from_quadruples([(0, 0, 1, 5)], node_count=3, relation_count=1)
-    edgebank_observe(memory, g)
-    at_7 = edgebank_score(memory, EvalQuery(0, 0, 7, 1), np.array([1]), 7)
-    at_8 = edgebank_score(memory, EvalQuery(0, 0, 8, 1), np.array([1]), 8)
+    scorer.observe(g)
+    at_7 = scorer.score_query(EvalQuery(0, 0, 7, 1), np.array([1]))
+    at_8 = scorer.score_query(EvalQuery(0, 0, 8, 1), np.array([1]))
     assert at_7.tolist() == [1.0]  # 7 - 5 = 2 <= window
     assert at_8.tolist() == [0.0]  # 8 - 5 = 3 > window
 
 
 def test_edgebank_reobservation_refreshes():
-    memory = EdgeBankMemory("pair", window=2)
-    edgebank_observe(memory, from_quadruples([(0, 0, 1, 5)], node_count=2, relation_count=1))
-    edgebank_observe(memory, from_quadruples([(0, 0, 1, 7)], node_count=2, relation_count=1))
-    assert edgebank_score(memory, EvalQuery(0, 0, 9, 1), np.array([1]), 9).tolist() == [1.0]
+    scorer = EdgeBankScorer("pair", window=2)
+    scorer.observe(from_quadruples([(0, 0, 1, 5)], node_count=2, relation_count=1))
+    scorer.observe(from_quadruples([(0, 0, 1, 7)], node_count=2, relation_count=1))
+    assert scorer.score_query(EvalQuery(0, 0, 9, 1), np.array([1])).tolist() == [1.0]
 
 
 def test_edgebank_g4_pair_mode(g4):
-    memory = EdgeBankMemory("pair")
-    edgebank_observe(memory, g4.time_slice(0, 1))
-    scores = edgebank_score(memory, EvalQuery(0, 0, 3, 1), np.array([1, 2]), 3)
+    scorer = EdgeBankScorer("pair")
+    scorer.observe(g4.time_slice(0, 1))
+    scores = scorer.score_query(EvalQuery(0, 0, 3, 1), np.array([1, 2]))
     assert scores.tolist() == [1.0, 0.0]
 
 
 def test_edgebank_triple_mode_distinguishes_relations():
-    memory = EdgeBankMemory("triple")
-    edgebank_observe(memory, from_quadruples([(0, 0, 1, 2)], node_count=2, relation_count=2))
-    same_rel = edgebank_score(memory, EvalQuery(0, 0, 5, 1), np.array([1]), 5)
-    other_rel = edgebank_score(memory, EvalQuery(0, 1, 5, 1), np.array([1]), 5)
+    scorer = EdgeBankScorer("triple")
+    scorer.observe(from_quadruples([(0, 0, 1, 2)], node_count=2, relation_count=2))
+    same_rel = scorer.score_query(EvalQuery(0, 0, 5, 1), np.array([1]))
+    other_rel = scorer.score_query(EvalQuery(0, 1, 5, 1), np.array([1]))
     assert same_rel.tolist() == [1.0]
     assert other_rel.tolist() == [0.0]
-    pair = EdgeBankMemory("pair")
-    edgebank_observe(pair, from_quadruples([(0, 0, 1, 2)], node_count=2, relation_count=2))
-    assert edgebank_score(pair, EvalQuery(0, 1, 5, 1), np.array([1]), 5).tolist() == [1.0]
+    pair = EdgeBankScorer("pair")
+    pair.observe(from_quadruples([(0, 0, 1, 2)], node_count=2, relation_count=2))
+    assert pair.score_query(EvalQuery(0, 1, 5, 1), np.array([1])).tolist() == [1.0]
 
 
 def test_edgebank_infinite_is_monotone():
-    memory = EdgeBankMemory("pair", window=None)
-    edgebank_observe(memory, from_quadruples([(0, 0, 1, 0)], node_count=3, relation_count=1))
+    scorer = EdgeBankScorer("pair", window=None)
+    scorer.observe(from_quadruples([(0, 0, 1, 0)], node_count=3, relation_count=1))
     for t in (1, 10, 1000):
-        edgebank_observe(
-            memory, from_quadruples([(0, 0, 2, t)], node_count=3, relation_count=1)
-        )
-        assert edgebank_score(memory, EvalQuery(0, 0, t + 1, 1), np.array([1]), t + 1)[0] == 1.0
+        scorer.observe(from_quadruples([(0, 0, 2, t)], node_count=3, relation_count=1))
+        assert scorer.score_query(EvalQuery(0, 0, t + 1, 1), np.array([1]))[0] == 1.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -169,25 +164,11 @@ def test_edgebank_window_covering_span_equals_infinite(seed):
     train, valid, test, _ = chronological_split(g)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_type_aware(universe, queries, q=6, seed=seed)
+    negatives = generate_negative_set("type-aware", universe, queries, q=6, seed=seed)
     history = merge(train, valid)
     inf = evaluate_single_step(EdgeBankScorer("pair", None), history, test, negatives, g)
     wide = evaluate_single_step(EdgeBankScorer("pair", g.span()), history, test, negatives, g)
     assert inf == wide
-
-
-def test_edgebank_scorer_matches_module_ops():
-    cfg = SynthConfig(node_count=20, relation_count=2, timestep_count=20, rate=5, seed=1)
-    g = generate(cfg)
-    scorer = EdgeBankScorer("pair", window=4)
-    scorer.fit(g.time_slice(0, 15))
-    memory = EdgeBankMemory("pair", window=4)
-    edgebank_observe(memory, g.time_slice(0, 15))
-    query = EvalQuery(int(g.subjects[0]), int(g.relations[0]), 17, int(g.objects[0]))
-    candidates = np.arange(g.node_count)
-    assert scorer.score_query(query, candidates).tolist() == edgebank_score(
-        memory, query, candidates, 17
-    ).tolist()
 
 
 @pytest.mark.parametrize("key_mode", ["pair", "triple"])
@@ -226,7 +207,7 @@ def test_edgebank_memory_validation():
     with pytest.raises(ConfigError):
         EdgeBankMemory("nonsense")
     with pytest.raises(ConfigError):
-        EdgeBankMemory("pair", window=-1)
+        EdgeBankScorer("pair", window=-1)
 
 
 def test_code_width_overflow_is_data_error():
@@ -234,14 +215,14 @@ def test_code_width_overflow_is_data_error():
     wide = from_quadruples([(0, 0, 1, 0)], node_count=2**32, relation_count=1)
     for memory in (EdgeBankMemory("pair"), EdgeBankMemory("triple")):
         with pytest.raises(DataError, match="overflow"):
-            edgebank_observe(memory, wide)
+            memory.observe(wide)
     with pytest.raises(DataError, match="overflow"):
         HistoryIndex().observe(wide)
     # 2 ** 31 nodes over 2 relations is exactly 2 ** 63 triple codes
     edge = from_quadruples([(0, 0, 1, 0)], node_count=2**31, relation_count=2)
-    edgebank_observe(EdgeBankMemory("pair"), edge)
+    EdgeBankMemory("pair").observe(edge)
     with pytest.raises(DataError, match="overflow"):
-        edgebank_observe(EdgeBankMemory("triple"), edge)
+        EdgeBankMemory("triple").observe(edge)
     # one node fits the triple codes, but not two rows' (relation, row) sort keys
     rows = from_quadruples([(0, 2**62 - 1, 0, 0), (0, 0, 0, 1)], node_count=1,
                            relation_count=2**62)
@@ -298,10 +279,10 @@ def test_lookup_matches_a_per_candidate_reference(key_mode, seed, size):
     ids = [-1, n, *range(n), *(n + d for d in range(n)), *(d - n for d in range(n))]
     candidates = np.random.default_rng(seed).permutation(np.resize(ids, size))
     memory = EdgeBankMemory(key_mode)
-    windowed = {w: EdgeBankMemory(key_mode, window=w) for w in (0, 2)}
+    windowed = {w: EdgeBankScorer(key_mode, window=w) for w in (0, 2)}
     for start, cut in ((0, 5), (6, 11)):
         for m in (memory, *windowed.values()):
-            edgebank_observe(m, g.time_slice(start, cut))
+            m.observe(g.time_slice(start, cut))
         quads = [q for q in g if q[3] <= cut]
         for subject, relation in itertools.product(range(-1, n + 1), range(-1, rels + 1)):
             # only too small, or only too large, ids must not wrap around either
@@ -310,7 +291,7 @@ def test_lookup_matches_a_per_candidate_reference(key_mode, seed, size):
             want = _assert_lookup(memory, quads, subject, relation, candidates)
             query = EvalQuery(subject, relation, cut + 1, 0)
             for window, m in windowed.items():
-                assert edgebank_score(m, query, candidates, cut + 1).tolist() == [
+                assert m.score_query(query, candidates).tolist() == [
                     float(t is not None and t >= cut + 1 - window) for t in want]
 
 
@@ -319,7 +300,7 @@ def test_lookup_takes_empty_repeated_and_read_only_candidates(size):
     g = _two_chunk_graph(0)
     memory = EdgeBankMemory("pair")
     assert memory.lookup(0, 0, [1, 2])[0].tolist() == [False, False]
-    edgebank_observe(memory, g)
+    memory.observe(g)
     subject = int(g.subjects[0])
     frozen = np.resize([3, 1, 3, 3, 0, 1, g.node_count + 1], size)
     frozen.setflags(write=False)
@@ -334,8 +315,8 @@ def test_lookup_takes_empty_repeated_and_read_only_candidates(size):
 def test_lookup_leaves_no_scratch_state_behind(key_mode):
     g = _two_chunk_graph(1)
     memory, fresh = EdgeBankMemory(key_mode), EdgeBankMemory(key_mode)
-    edgebank_observe(memory, g)
-    edgebank_observe(fresh, g)
+    memory.observe(g)
+    fresh.observe(g)
     everything = np.resize(np.arange(-1, g.node_count + 1), baselines._SCATTER_FROM)
     keys = sorted({(int(s), int(r)) for s, r in zip(g.subjects, g.relations)})
     for (a_s, a_r), (b_s, b_r) in zip(keys, keys[1:] + [(g.node_count, 0)]):
@@ -484,7 +465,7 @@ def test_positive_scaling_leaves_result_unchanged():
     train, valid, test, _ = chronological_split(g)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_type_aware(universe, queries, q=6, seed=3)
+    negatives = generate_negative_set("type-aware", universe, queries, q=6, seed=3)
     history = merge(train, valid)
     plain = evaluate_single_step(RecurrencyScorer(), history, test, negatives, g)
     scaled = evaluate_single_step(Scaled(), history, test, negatives, g)
@@ -501,7 +482,7 @@ def _grid_fixture():
     train, valid, test, _ = chronological_split(g)
     universe = add_inverse_relations(g)
     valid_queries = expand_queries(valid, "tkg")
-    negatives = generate_type_aware(universe, valid_queries, q=10, seed=7)
+    negatives = generate_negative_set("type-aware", universe, valid_queries, q=10, seed=7)
     return g, train, valid, negatives
 
 
@@ -553,9 +534,7 @@ def test_grid_search_tie_break_preference():
     valid = g.time_slice(1, 2)
     universe = add_inverse_relations(g)
     queries = expand_queries(valid, "tkg")
-    from chronolink import generate_random
-
-    negatives = generate_random(universe, queries, q=3, seed=0)
+    negatives = generate_negative_set("random", universe, queries, q=3, seed=0)
     best = grid_search_recurrency(
         train, valid, negatives, g,
         lam_grid=(1.0, 0.1), alpha_grid=(0.9, 0.99), window_grid=(5, 1),
@@ -581,14 +560,14 @@ def _grid_case(case):
                                  node_type_count=3, rate=6, p_rep=0.5, run_length=0.4, seed=31))
         train, valid, _, _ = chronological_split(g)
         queries = expand_queries(valid, "thg")
-        return g, train, valid, generate_node_type(g, g.node_types, queries, q=6, seed=2)
+        return g, train, valid, generate_negative_set("node-type", g, queries, q=6, seed=2)
     g = generate(SynthConfig(node_count=30, relation_count=3, timestep_count=30, rate=6,
                              p_rep=0.5, run_length=0.4, seed=32))
     train, valid, _, _ = chronological_split(g)
     universe = add_inverse_relations(g)
     queries = expand_queries(valid, "tkg")
     if case == "tkg-sampled":
-        return g, train, valid, generate_type_aware(universe, queries, q=8, seed=4)
+        return g, train, valid, generate_negative_set("type-aware", universe, queries, q=8, seed=4)
     return g, train, valid, generate_all(universe, queries, materialize=False)
 
 
@@ -718,7 +697,7 @@ def _golden_setup(kind):
                                  rate=10, p_rep=0.5, run_length=0.3, seed=21))
         train, valid, test, _ = chronological_split(g)
         universe = add_inverse_relations(g)
-        negatives = generate_type_aware(universe, expand_queries(test, "tkg"), q=12, seed=5)
+        negatives = generate_negative_set("type-aware", universe, expand_queries(test, "tkg"), q=12, seed=5)
     else:
         g = generate(SynthConfig(node_count=36, relation_count=4, timestep_count=40,
                                  node_type_count=3, rate=10, p_rep=0.5, run_length=0.3,
@@ -784,7 +763,7 @@ def test_scores_match_naive_formulas(seed):
                      int(rng.choice(times))) for _ in range(int(rng.integers(1, 60)))},
                    key=lambda q: q[3])
     g = from_quadruples(quads, node_count=n, relation_count=rels)
-    banks = {(mode, window): EdgeBankMemory(mode, window)
+    banks = {(mode, window): EdgeBankScorer(mode, window)
              for mode in ("pair", "triple") for window in (None, 0, 2, 100)}
     index = HistoryIndex()
     grid = [RecurrencyParams(lam, alpha, window) for lam in (0.0, 0.3, 1.7)
@@ -794,8 +773,8 @@ def test_scores_match_naive_formulas(seed):
     done = -23
     for cut in cuts:
         chunk = g.time_slice(done + 1, cut)
-        for memory in banks.values():
-            edgebank_observe(memory, chunk)
+        for bank in banks.values():
+            bank.observe(chunk)
         index.observe(chunk)
         seen_quads = [q for q in quads if q[3] <= cut]
         done = cut
@@ -804,8 +783,8 @@ def test_scores_match_naive_formulas(seed):
             query = EvalQuery(int(rng.integers(n + 1)), int(rng.integers(rels + 1)),
                               cut + int(rng.integers(1, 5)), 0)
             candidates = rng.integers(-1, n + 2, size=int(rng.integers(1, 2 * n)))
-            for (mode, window), memory in banks.items():
-                assert edgebank_score(memory, query, candidates, query.timestamp).tolist() \
+            for (mode, window), bank in banks.items():
+                assert bank.score_query(query, candidates).tolist() \
                     == _naive_edgebank(seen_quads, mode, window, query, candidates.tolist(),
                                        query.timestamp)
             for params in grid:

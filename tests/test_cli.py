@@ -77,7 +77,18 @@ def test_pipeline_end_to_end(pipeline, capsys):
 
     report_dir = tmp_path / "report"
     assert main(["report", "--results", str(eval_dir), "--out-dir", str(report_dir)]) == EXIT_OK
-    assert "mrr" in (report_dir / "summary.tsv").read_text()
+    assert (report_dir / "summary.tsv").read_text() == MANIFEST_REFERENCE + (
+        "run\tmrr\thits@1\thits@3\thits@10\tquery_count\neval\t1\t1\t1\t1\t98\n")
+
+
+def test_report_of_a_result_line_without_equals_is_config_error(tmp_path, capsys):
+    result_dir = tmp_path / "eval"
+    result_dir.mkdir()
+    result = result_dir / "result.txt"
+    result.write_text(MANIFEST_REFERENCE + "mrr = 0.5\nhits@1 0.25\n")
+    assert main(["report", "--results", str(result_dir),
+                 "--out-dir", str(tmp_path / "report")]) == EXIT_CONFIG
+    assert f"{result}: malformed line 'hits@1 0.25'" in capsys.readouterr().err
 
 
 def test_every_scorer_runs(pipeline):
@@ -484,6 +495,24 @@ def _raw_edges(tmp_path, rows):
     path.write_text("timestamp,subject,relation,object\n" + "".join(r + "\n" for r in rows),
                     encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize("source", ["--node-types", "schema"])
+def test_tkg_ingest_with_a_node_type_sidecar_is_config_error(tmp_path, capsys, source):
+    raw = _raw_edges(tmp_path, ["0,a,r,b", "1,b,r,c", "2,c,r,a"])
+    types = tmp_path / "types.csv"
+    types.write_text("a,x\nb,y\nc,x\n")
+    if source == "schema":
+        schema = tmp_path / "schema.cfg"
+        schema.write_text(f"node_type_path = {types}\n")
+        extra = ["--schema", str(schema)]
+    else:
+        extra = ["--node-types", str(types)]
+    graph_dir = tmp_path / "graph"
+    assert main(["ingest", "--edgelist", str(raw), "--kind", "tkg", *extra,
+                 "--out-dir", str(graph_dir)]) == EXIT_CONFIG
+    assert f"--kind tkg conflicts with the node-type sidecar {types}" in capsys.readouterr().err
+    assert not (graph_dir / "meta.txt").exists()
 
 
 def test_ingest_of_timestamp_outside_int64_is_data_error_naming_line(tmp_path, capsys):

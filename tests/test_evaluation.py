@@ -26,8 +26,7 @@ from chronolink import (
     from_quadruples,
     generate,
     generate_all,
-    generate_random,
-    generate_type_aware,
+    generate_negative_set,
     merge,
     time_aware_filter,
 )
@@ -217,7 +216,7 @@ def test_constant_scorer_full_tie_mrr():
     test = g.time_slice(3, 3)
     queries = expand_queries(test, "thg")  # tail-only keeps the arithmetic transparent
     universe = g
-    negatives = generate_random(universe, queries, q=9, seed=0)
+    negatives = generate_negative_set("random", universe, queries, q=9, seed=0)
     result = evaluate_single_step(
         ConstantScorer(), train, test, negatives, g, kind="thg"
     )
@@ -234,7 +233,7 @@ def test_half_integer_rank_misses_hits_at_ten():
     train = g.time_slice(0, 2)
     test = g.time_slice(3, 3)
     queries = expand_queries(test, "thg")
-    negatives = generate_random(g, queries, q=19, seed=1)
+    negatives = generate_negative_set("random", g, queries, q=19, seed=1)
     assert len(negatives.candidates[0]) == 19
     result = evaluate_single_step(ConstantScorer(), train, test, negatives, g, kind="thg")
     assert result.mrr == pytest.approx(1.0 / 10.5)
@@ -245,7 +244,7 @@ def test_missing_negative_record_raises():
     g, train, valid, test = _tkg(seed=2)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_random(universe, queries[:-1], q=5, seed=0)
+    negatives = generate_negative_set("random", universe, queries[:-1], q=5, seed=0)
     with pytest.raises(ProtocolError):
         evaluate_single_step(OracleScorer(), merge(train, valid), test, negatives, g)
 
@@ -262,7 +261,7 @@ def _reordered(negatives, records):
 def test_shuffled_records_give_the_canonical_result(chunk, make):
     g, train, valid, test = _tkg(seed=3)
     universe = add_inverse_relations(g)
-    negatives = generate_type_aware(universe, expand_queries(test, "tkg"), q=6, seed=2)
+    negatives = generate_negative_set("type-aware", universe, expand_queries(test, "tkg"), q=6, seed=2)
     shuffled = _reordered(negatives, np.random.default_rng(0).permutation(len(negatives)))
     assert shuffled.queries[0] != negatives.queries[0]
     with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
@@ -277,7 +276,7 @@ def test_duplicated_record_in_place_of_another_is_protocol_error():
     queries = expand_queries(test, "tkg")
     records = np.arange(len(queries))
     records[5] = 4  # query 5's record replaced by a copy of query 4's
-    negatives = _reordered(generate_random(universe, queries, q=4, seed=0), records[::-1])
+    negatives = _reordered(generate_negative_set("random", universe, queries, q=4, seed=0), records[::-1])
     missing = re.escape(str(queries[5]))
     with pytest.raises(ProtocolError, match=f"no negative record for query {missing}$"):
         evaluate_single_step(EdgeBankScorer(), merge(train, valid), test, negatives, g)
@@ -291,14 +290,14 @@ def test_scorer_shape_mismatch_raises():
     g, train, valid, test = _tkg(seed=2)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_random(universe, queries, q=5, seed=0)
+    negatives = generate_negative_set("random", universe, queries, q=5, seed=0)
     with pytest.raises(ProtocolError, match="scorer returned"):
         evaluate_single_step(Broken(), merge(train, valid), test, negatives, g)
 
 
 def _test_run(scorer, **kwargs):
     g, train, valid, test = _tkg(seed=2)
-    negatives = generate_random(add_inverse_relations(g), expand_queries(test, "tkg"),
+    negatives = generate_negative_set("random", add_inverse_relations(g), expand_queries(test, "tkg"),
                                 q=5, seed=0)
     return evaluate_single_step(scorer, merge(train, valid), test, negatives, g, **kwargs)
 
@@ -468,7 +467,7 @@ def test_score_scale_invariance():
     g, train, valid, test = _tkg(seed=3)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_type_aware(universe, queries, q=6, seed=2)
+    negatives = generate_negative_set("type-aware", universe, queries, q=6, seed=2)
     history = merge(train, valid)
     base = evaluate_single_step(HashScorer(), history, test, negatives, g)
     for transform in (lambda x: 3.0 * x + 1.0, np.exp, lambda x: x**3 + x):
@@ -486,7 +485,7 @@ def test_candidate_subset_monotone_per_query(seed):
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
     all_set = generate_all(universe, queries)
-    q_set = generate_random(universe, queries, q=5, seed=seed)
+    q_set = generate_negative_set("random", universe, queries, q=5, seed=seed)
     scorer = HashScorer(salt=seed)
     for query, full_c, sub_c in zip(queries, all_set.candidates, q_set.candidates):
         assert set(sub_c.tolist()) <= set(full_c.tolist())
@@ -507,7 +506,7 @@ def test_subset_monotonicity_in_aggregate():
         HashScorer(), history, test, generate_all(universe, queries), g
     ).mrr
     mrr_q = evaluate_single_step(
-        HashScorer(), history, test, generate_random(universe, queries, q=5, seed=0), g
+        HashScorer(), history, test, generate_negative_set("random", universe, queries, q=5, seed=0), g
     ).mrr
     assert mrr_q >= mrr_all
 
@@ -516,7 +515,7 @@ def test_per_relation_breakdown_weighted_mean():
     g, train, valid, test = _tkg(seed=4)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_type_aware(universe, queries, q=6, seed=4)
+    negatives = generate_negative_set("type-aware", universe, queries, q=6, seed=4)
     result = evaluate_single_step(HashScorer(), merge(train, valid), test, negatives, g)
     breakdown = result.per_relation
     weighted = sum(mrr * count for mrr, count in breakdown.values())
@@ -560,7 +559,7 @@ def test_result_serialization_deterministic():
     g, train, valid, test = _tkg(seed=5)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_type_aware(universe, queries, q=5, seed=5)
+    negatives = generate_negative_set("type-aware", universe, queries, q=5, seed=5)
     history = merge(train, valid)
     a = evaluate_single_step(HashScorer(), history, test, negatives, g)
     b = evaluate_single_step(HashScorer(), history, test, negatives, g)
@@ -590,7 +589,7 @@ def test_ground_truth_fed_between_timestamps():
     g, train, valid, test = _tkg(seed=6)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_random(universe, queries, q=4, seed=6)
+    negatives = generate_negative_set("random", universe, queries, q=4, seed=6)
     recorder = Recorder()
     evaluate_single_step(recorder, merge(train, valid), test, negatives, g)
     assert sorted(set(recorder.seen)) == sorted(set(test.timestamps.tolist()))
@@ -601,7 +600,7 @@ def test_per_timestep_series_covers_all_test_timestamps():
     g, train, valid, test = _tkg(seed=8)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_random(universe, queries, q=4, seed=8)
+    negatives = generate_negative_set("random", universe, queries, q=4, seed=8)
     result = evaluate_single_step(HashScorer(), merge(train, valid), test, negatives, g)
     assert [t for t, _, _ in result.per_timestep] == sorted(set(test.timestamps.tolist()))
     assert sum(c for _, _, c in result.per_timestep) == result.query_count
@@ -611,7 +610,7 @@ def test_mrr_bounds_and_hits_monotone():
     g, train, valid, test = _tkg(seed=9)
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
-    negatives = generate_random(universe, queries, q=7, seed=9)
+    negatives = generate_negative_set("random", universe, queries, q=7, seed=9)
     r = evaluate_single_step(HashScorer(), merge(train, valid), test, negatives, g)
     assert 0.0 <= r.mrr <= 1.0
     assert r.hits[1] <= r.hits[3] <= r.hits[10]

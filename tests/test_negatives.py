@@ -29,9 +29,6 @@ from chronolink import (
     generate,
     generate_all,
     generate_negative_set,
-    generate_node_type,
-    generate_random,
-    generate_type_aware,
     read_negative_set,
     write_negative_set,
 )
@@ -101,7 +98,7 @@ def test_inverse_pool_is_subject_set(g4):
 def test_type_aware_pads_outside_pool(g4):
     aug = add_inverse_relations(g4)
     query = EvalQuery(0, 0, 3, 1)
-    ns = generate_type_aware(aug, [query], q=2, seed=0)
+    ns = generate_negative_set("type-aware", aug, [query], q=2, seed=0)
     cands = ns.candidates[0]
     # pool(0) \ {truth} is empty; padding comes from {0, 2, 3} minus conflicts
     assert len(cands) == 2
@@ -114,14 +111,14 @@ def test_type_aware_exhaustive_equals_all(g4):
     query = EvalQuery(0, 0, 3, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ns = generate_type_aware(aug, [query], q=10, seed=0)
+        ns = generate_negative_set("type-aware", aug, [query], q=10, seed=0)
     assert ns.candidates[0].tolist() == all_candidates(aug, query).tolist()
 
 
 def test_q_clamped_with_warning(g4):
     aug = add_inverse_relations(g4)
     with pytest.warns(UserWarning, match="clamped"):
-        ns = generate_type_aware(aug, [EvalQuery(0, 0, 3, 1)], q=99, seed=0)
+        ns = generate_negative_set("type-aware", aug, [EvalQuery(0, 0, 3, 1)], q=99, seed=0)
     assert ns.q == 3
 
 
@@ -130,14 +127,14 @@ def test_type_aware_prefers_pool_members():
     quads = [(0, 0, i, 0) for i in range(1, 20)] + [(5, 0, 6, 9)]
     g = from_quadruples(quads, node_count=25, relation_count=1)
     query = EvalQuery(5, 0, 9, 6)
-    ns = generate_type_aware(g, [query], q=8, seed=3)
+    ns = generate_negative_set("type-aware", g, [query], q=8, seed=3)
     pool = set(collect_tail_pools(g)[0].tolist())
     assert set(ns.candidates[0].tolist()) <= pool - {6}
 
 
 def test_node_type_closure_and_short_lists():
     g, queries = _thg_setup()
-    ns = generate_node_type(g, g.node_types, queries, q=20, seed=1)
+    ns = generate_negative_set("node-type", g, queries, q=20, seed=1)
     types = g.node_types
     for query, cands in zip(ns.queries, ns.candidates):
         assert all(types[c] == types[query.true_destination] for c in cands.tolist())
@@ -153,15 +150,17 @@ def test_node_type_small_universe_emits_everything():
     g = from_quadruples(quads, node_count=12, relation_count=1, node_types=types)
     query = EvalQuery(0, 0, 2, 1)
     with pytest.warns(UserWarning, match="clamped"):
-        ns = generate_node_type(g, g.node_types, [query], q=20, seed=0)
+        ns = generate_negative_set("node-type", g, [query], q=20, seed=0)
     expected = {3, 4, 5, 6, 7}  # type-1 nodes minus the truth
     assert set(ns.candidates[0].tolist()) == expected
 
 
-def test_node_type_entire_universe_switch():
+def test_node_type_at_node_count_minus_one_keeps_every_same_type_node():
     g, queries = _thg_setup()
-    ns = generate_node_type(g, g.node_types, queries, q=2, seed=1, entire_type_universe=True)
-    assert ns.q == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # node_count - 1 is never clamped
+        ns = generate_negative_set("node-type", g, queries, q=g.node_count - 1, seed=1)
+    assert ns.q == g.node_count - 1
     types = g.node_types
     for query, cands in zip(ns.queries, ns.candidates):
         universe = all_candidates(g, query)
@@ -171,13 +170,13 @@ def test_node_type_entire_universe_switch():
 
 def test_node_type_requires_types(g4):
     with pytest.raises(DataError):
-        generate_node_type(g4, None, [EvalQuery(0, 0, 3, 1)], q=2, seed=0)
+        generate_negative_set("node-type", g4, [EvalQuery(0, 0, 3, 1)], q=2, seed=0)
 
 
 def test_random_full_coverage_equals_all(g4):
     aug = add_inverse_relations(g4)
     query = EvalQuery(0, 0, 3, 1)
-    ns = generate_random(aug, [query], q=3, seed=5)
+    ns = generate_negative_set("random", aug, [query], q=3, seed=5)
     assert ns.candidates[0].tolist() == all_candidates(aug, query).tolist()
 
 
@@ -195,7 +194,7 @@ def test_all_strategy_universe(g4):
 def test_queries_must_match_relation_space(g4):
     queries = expand_queries(g4.time_slice(3, 3), "tkg")  # relations up to 2R
     with pytest.raises(DataError, match="inverse-augmented"):
-        generate_type_aware(g4, queries, q=2, seed=0)
+        generate_negative_set("type-aware", g4, queries, q=2, seed=0)
 
 
 @pytest.mark.parametrize("strategy", ["type-aware", "node-type", "random", "all"])
@@ -227,7 +226,7 @@ def test_subset_of_all_universe(strategy, q):
 
 def test_node_type_subset_of_all():
     g, queries = _thg_setup()
-    ns = generate_node_type(g, g.node_types, queries, q=5, seed=7)
+    ns = generate_negative_set("node-type", g, queries, q=5, seed=7)
     for query, cands in zip(ns.queries, ns.candidates):
         assert set(cands.tolist()) <= set(all_candidates(g, query).tolist())
 
@@ -246,7 +245,7 @@ def test_conflict_freedom_exhaustive(seed):
 
 def test_candidates_sorted_strictly():
     g, universe, queries = _tkg_setup(seed=2)
-    ns = generate_type_aware(universe, queries, q=8, seed=11)
+    ns = generate_negative_set("type-aware", universe, queries, q=8, seed=11)
     for cands in ns.candidates:
         diffs = np.diff(cands)
         assert (diffs > 0).all() if len(cands) > 1 else True
@@ -254,21 +253,21 @@ def test_candidates_sorted_strictly():
 
 def test_determinism_and_seed_dependence():
     g, universe, queries = _tkg_setup(seed=4)
-    a = generate_type_aware(universe, queries, q=6, seed=13)
-    b = generate_type_aware(universe, queries, q=6, seed=13)
+    a = generate_negative_set("type-aware", universe, queries, q=6, seed=13)
+    b = generate_negative_set("type-aware", universe, queries, q=6, seed=13)
     assert a == b
-    c = generate_type_aware(universe, queries, q=6, seed=14)
+    c = generate_negative_set("type-aware", universe, queries, q=6, seed=14)
     assert c != a  # different seed, different draws
 
 
 def test_seed_keyed_per_query_not_per_order():
     g, universe, queries = _tkg_setup(seed=5)
-    full = generate_random(universe, queries, q=4, seed=21)
+    full = generate_negative_set("random", universe, queries, q=4, seed=21)
     # generating a suffix of the queries must not change their draws
-    tail = generate_random(universe, queries[3:], q=4, seed=21)
+    tail = generate_negative_set("random", universe, queries[3:], q=4, seed=21)
     # indices shift, so draws legitimately differ; but regenerating the same
     # list is stable
-    again = generate_random(universe, queries, q=4, seed=21)
+    again = generate_negative_set("random", universe, queries, q=4, seed=21)
     assert full == again
     assert len(tail) == len(queries) - 3
 
@@ -291,8 +290,16 @@ GOLDEN_SHA256 = {
         "380da850bdd1123fd84f96f09b8e2c23af72cc4bf09a68362f1a7f95a3d447df",
     "node-type":
         "d6f67f4babc88c4e173ae440b2026ffcd4cb0b5376437e446b78073c8c373470",
-    "node-type-entire":
-        "b41d69cbb8374d1f661afcbd27e2b163c3647398cf6f3c5658d02a96e58ad66b",
+    "node-type-full":
+        "f741681d73e0109d651303f2e44acf2a95a0c30c2640dd65c620ef239b441ac7",
+}
+
+# sha256 of the node-type-full set's columns: the lists of every same-type
+# node that an unsampled node-type set holds
+NODE_TYPE_FULL_COLUMNS = {
+    "ids": "1c5f3c93114ee068998ac873f79225fb2ff6275937a9e929083c4f9a99b4d3e6",
+    "offsets": "93dec5c78b2c81b8dc3f32041130eb461f2aabaf9386202724079b34638cb444",
+    "table": "3d44be911acaa1042082a9118ff09d975cba4dff3c1ed17ab5dcac5d34aa28c8",
 }
 
 
@@ -300,9 +307,9 @@ def _golden_set(case):
     provenance = Provenance("golden", "test")
     if case.startswith("node-type"):
         g, queries = _thg_setup(seed=3)
-        return generate_node_type(g, g.node_types, queries, q=10, seed=8,
-                                  provenance=provenance,
-                                  entire_type_universe=case == "node-type-entire")
+        q = g.node_count - 1 if case == "node-type-full" else 10
+        return generate_negative_set("node-type", g, queries, q=q, seed=8,
+                                     provenance=provenance)
     g, universe, queries = _tkg_setup(seed=3)
     strategy, q = {
         "all": ("all", 0),
@@ -330,6 +337,9 @@ def test_golden_negative_file_bytes(tmp_path, case):
         padded = [set(c.tolist()) - set(pools[query.relation].tolist())
                   for query, c in zip(ns.queries, ns.candidates)]
         assert any(padded)
+    if case == "node-type-full":
+        assert {name: hashlib.sha256(getattr(ns, name).tobytes()).hexdigest()
+                for name in NODE_TYPE_FULL_COLUMNS} == NODE_TYPE_FULL_COLUMNS
     path = tmp_path / "golden.bin"
     write_negative_set(ns, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
@@ -346,8 +356,8 @@ def _roundtrip(ns, tmp_path, name="ns.bin"):
 
 def test_round_trip_equality(tmp_path):
     g, universe, queries = _tkg_setup(seed=6)
-    ns = generate_type_aware(
-        universe, queries, q=5, seed=3, provenance=Provenance("synthetic", "test")
+    ns = generate_negative_set(
+        "type-aware", universe, queries, q=5, seed=3, provenance=Provenance("synthetic", "test")
     )
     _, back = _roundtrip(ns, tmp_path)
     assert back == ns
@@ -367,7 +377,7 @@ def test_all_strategy_round_trip(tmp_path):
 
 def test_write_is_deterministic(tmp_path):
     g, universe, queries = _tkg_setup(seed=6)
-    ns = generate_random(universe, queries, q=5, seed=3)
+    ns = generate_negative_set("random", universe, queries, q=5, seed=3)
     p1 = tmp_path / "a.bin"
     p2 = tmp_path / "b.bin"
     write_negative_set(ns, p1)
@@ -391,7 +401,7 @@ def test_bad_magic_is_format_error(tmp_path):
 
 def test_bad_version_is_format_error(tmp_path):
     g, universe, queries = _tkg_setup(seed=6)
-    ns = generate_random(universe, queries[:4], q=3, seed=3)
+    ns = generate_negative_set("random", universe, queries[:4], q=3, seed=3)
     path, _ = _roundtrip(ns, tmp_path)
     data = bytearray(path.read_bytes())
     data[8] = 99  # version word
@@ -402,7 +412,7 @@ def test_bad_version_is_format_error(tmp_path):
 
 def test_truncation_is_corruption_error(tmp_path):
     g, universe, queries = _tkg_setup(seed=6)
-    ns = generate_random(universe, queries[:4], q=3, seed=3)
+    ns = generate_negative_set("random", universe, queries[:4], q=3, seed=3)
     path, _ = _roundtrip(ns, tmp_path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -413,7 +423,7 @@ def test_truncation_is_corruption_error(tmp_path):
 @pytest.mark.parametrize("seed", range(10))
 def test_fuzzed_byte_flips_detected(tmp_path, seed):
     g, universe, queries = _tkg_setup(seed=1)
-    ns = generate_random(universe, queries[:6], q=4, seed=9)
+    ns = generate_negative_set("random", universe, queries[:6], q=4, seed=9)
     path = tmp_path / "fuzz.bin"
     write_negative_set(ns, path)
     data = bytearray(path.read_bytes())
@@ -584,7 +594,7 @@ def test_writer_refuses_unreadable_records(tmp_path, query, ids, q, match):
 
 def test_mutations_with_valid_crc_fail_cleanly(tmp_path):
     g, universe, queries = _tkg_setup(seed=1)
-    ns = generate_random(universe, queries[:6], q=4, seed=9,
+    ns = generate_negative_set("random", universe, queries[:6], q=4, seed=9,
                          provenance=Provenance("synthetic", "test"))
     path, _ = _roundtrip(ns, tmp_path)
     body = path.read_bytes()[:-4]
@@ -602,14 +612,14 @@ def test_mutations_with_valid_crc_fail_cleanly(tmp_path):
 
 def test_missing_record_is_protocol_error():
     g, universe, queries = _tkg_setup(seed=2)
-    ns = generate_random(universe, queries[:-1], q=3, seed=0)
+    ns = generate_negative_set("random", universe, queries[:-1], q=3, seed=0)
     with pytest.raises(ProtocolError, match="no negative record"):
         ns.candidates_for(queries[-1])
 
 
 def test_lookups_sort_the_records_once_per_set(monkeypatch):
     g, universe, queries = _tkg_setup(seed=2)
-    ns = generate_random(universe, queries, q=3, seed=0)
+    ns = generate_negative_set("random", universe, queries, q=3, seed=0)
     shuffled = np.random.default_rng(0).permutation(len(ns))
     ns = NegativeSampleSet.from_columns(
         "random", 3, 0, ns.table[:, shuffled], *negatives._flatten(
@@ -818,11 +828,9 @@ def _sampler_cases(draw):
 
 
 _SAMPLERS = {
-    "type-aware": lambda u, qs, q, seed: generate_type_aware(u, qs, q, seed),
-    "node-type": lambda u, qs, q, seed: generate_node_type(u, u.node_types, qs, q, seed),
-    "entire-type-universe": lambda u, qs, q, seed: generate_node_type(
-        u, u.node_types, qs, q, seed, entire_type_universe=True),
-    "random": lambda u, qs, q, seed: generate_random(u, qs, q, seed),
+    "type-aware": lambda u, qs, q, seed: generate_negative_set("type-aware", u, qs, q, seed),
+    "node-type": lambda u, qs, q, seed: generate_negative_set("node-type", u, qs, q, seed),
+    "random": lambda u, qs, q, seed: generate_negative_set("random", u, qs, q, seed),
     "all": lambda u, qs, q, seed: generate_all(u, qs),
 }
 
@@ -846,8 +854,8 @@ def test_pool_index_sampler_equals_reference_on_a_synthetic_split():
     """Padded and sampled lists of a desk-like graph, both paths exercised."""
     g, universe, queries = _tkg_setup(seed=4)
     for q in (3, 12, 29):
-        got = generate_type_aware(universe, queries, q, 11).candidates
+        got = generate_negative_set("type-aware", universe, queries, q, 11).candidates
         with mock.patch.object(negatives, "_draw", _reference_draw):
-            want = generate_type_aware(universe, queries, q, 11).candidates
+            want = generate_negative_set("type-aware", universe, queries, q, 11).candidates
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert len(got) == len(want) == len(queries)
