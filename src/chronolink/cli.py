@@ -36,11 +36,17 @@ from .baselines import (
     validation_window,
 )
 from .datasets import (
+    KINDS,
     DatasetManifest,
     EdgeListSchema,
     chronological_split,
     checksum_file,
+    converted,
     fetch_dataset,
+    finite,
+    integer,
+    keyvalue_fields,
+    listed,
     load_graph_dir,
     load_splits,
     parse_edgelist,
@@ -113,6 +119,8 @@ class _Run:
 
     def add_input(self, path) -> None:
         path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"{path} does not exist")
         if path.is_dir():
             for child in sorted(path.rglob("*")):
                 if child.is_file():
@@ -154,8 +162,8 @@ class _Run:
 
 def cmd_fetch(run: _Run):
     args = run.args
-    manifest = DatasetManifest.from_file(args.manifest)
     run.add_input(args.manifest)
+    manifest = DatasetManifest.from_file(args.manifest)
     cache_dir = Path(args.cache_dir) if args.cache_dir else _default_cache_dir()
     path = fetch_dataset(manifest, cache_dir)
     run.config = {"dataset": manifest.name, "cache_dir": str(cache_dir)}
@@ -171,7 +179,10 @@ def cmd_fetch(run: _Run):
 
 def cmd_ingest(run: _Run):
     args = run.args
-    schema = EdgeListSchema.from_file(args.schema) if args.schema else EdgeListSchema()
+    schema = EdgeListSchema()
+    if args.schema:
+        run.add_input(args.schema)
+        schema = EdgeListSchema.from_file(args.schema)
     if args.node_types:
         schema = dataclasses.replace(schema, node_type_path=Path(args.node_types))
     if args.kind == "thg" and schema.node_type_path is None:
@@ -262,7 +273,9 @@ def cmd_stats(run: _Run):
 
 
 def _universe(graph, kind):
-    return add_inverse_relations(graph) if kind == "tkg" else graph
+    if kind == "tkg" and not graph.inverse_augmented:
+        return add_inverse_relations(graph)
+    return graph
 
 
 def cmd_negatives(run: _Run):
@@ -288,32 +301,22 @@ def cmd_negatives(run: _Run):
     print(f"wrote {len(sample_set)} negative records to {path}")
 
 
-# the --params keys each scorer accepts
+# the --params keys each scorer accepts, with their converters
 _SCORER_PARAMS = {
-    "oracle": (),
-    "constant": (),
-    "edgebank-inf": ("key_mode",),
-    "edgebank-tw": ("window", "key_mode"),
-    "recurrency": ("lambda", "alpha", "window"),
-    "recurrency-trained": ("lambda_grid", "alpha_grid", "window_grid"),
+    "oracle": {},
+    "constant": {},
+    "edgebank-inf": {"key_mode": str},
+    "edgebank-tw": {"window": integer, "key_mode": str},
+    "recurrency": {"lambda": finite, "alpha": finite, "window": integer},
+    "recurrency-trained": {"lambda_grid": listed(finite, "/"), "alpha_grid": listed(finite, "/"),
+                           "window_grid": listed(integer, "/")},
 }
 
 
 def _parse_params(raw: str | None, scorer: str) -> dict:
-    out = {}
-    for chunk in (raw or "").split(","):
-        if not chunk.strip():
-            continue
-        if "=" not in chunk:
-            raise ConfigError(f"--params entries must be key=value, got {chunk!r}")
-        key, value = chunk.split("=", 1)
-        out[key.strip()] = value.strip()
-    accepted = _SCORER_PARAMS[scorer]
-    for key in out:
-        if key not in accepted:
-            raise ConfigError(f"--params key {key!r} is unknown to {scorer}, which accepts "
-                              f"{', '.join(accepted) if accepted else 'no keys'}")
-    return out
+    """The converted ``--params`` entries, each ``key=value``, given to ``scorer``."""
+    entries = ((None, entry) for entry in (raw or "").split(","))
+    return keyvalue_fields(entries, "--params", _SCORER_PARAMS[scorer], scorer)
 
 
 def _build_scorer(name, params, boundaries, train, valid, negatives, universe_graph, kind):
@@ -324,26 +327,16 @@ def _build_scorer(name, params, boundaries, train, valid, negatives, universe_gr
     if name == "edgebank-inf":
         return EdgeBankScorer(key_mode=params.get("key_mode", "pair"), window=None)
     if name == "edgebank-tw":
-        if "window" in params:
-            window = _number(int, params["window"], "window")
-        elif boundaries is not None:
-            window = validation_window(boundaries)
-        else:
-            raise ConfigError("edgebank-tw needs --params window=... without split boundaries")
-        return EdgeBankScorer(key_mode=params.get("key_mode", "pair"), window=window)
+        return EdgeBankScorer(key_mode=params.get("key_mode", "pair"),
+                              window=params.get("window", validation_window(boundaries)))
     if name == "recurrency":
-        return RecurrencyScorer(
-            RecurrencyParams(
-                lam=_number(float, params.get("lambda", 0.1), "lambda"),
-                alpha=_number(float, params.get("alpha", 0.99), "alpha"),
-                window=_number(int, params.get("window", 0), "window"),
-            )
-        )
+        return RecurrencyScorer(RecurrencyParams(
+            params.get("lambda", 0.1), params.get("alpha", 0.99), params.get("window", 0)))
     if name == "recurrency-trained":
         grids = (
-            _grid(params, "lambda_grid", DEFAULT_LAMBDA_GRID, float),
-            _grid(params, "alpha_grid", DEFAULT_ALPHA_GRID, float),
-            _grid(params, "window_grid", DEFAULT_WINDOW_GRID, int),
+            params.get("lambda_grid", DEFAULT_LAMBDA_GRID),
+            params.get("alpha_grid", DEFAULT_ALPHA_GRID),
+            params.get("window_grid", DEFAULT_WINDOW_GRID),
         )
         best = grid_search_recurrency(
             train, valid, negatives, universe_graph, *grids, kind=kind
@@ -353,25 +346,11 @@ def _build_scorer(name, params, boundaries, train, valid, negatives, universe_gr
     raise ConfigError(f"unknown scorer {name!r}")
 
 
-def _number(convert, raw, name):
-    """``convert(raw)``; a malformed value is a config error, not a crash."""
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: {raw!r} is not a valid number") from None
-
-
-def _grid(params, name, default, convert):
-    if name not in params:
-        return default
-    return tuple(_number(convert, x, name) for x in params[name].split("/"))
-
-
 def cmd_eval(run: _Run):
     args = run.args
     run.add_input(args.graph)
     run.add_input(args.splits)
-    ks = tuple(_number(int, k, "--ks") for k in args.ks.split(","))
+    ks = converted("--ks", args.ks, listed(integer, ","))
     params = _parse_params(args.params, args.scorer)
     graph, static = load_graph_dir(args.graph)
     train, valid, test, boundaries = load_splits(args.splits, graph)
@@ -439,24 +418,25 @@ def cmd_synth(run: _Run):
 
 def cmd_report(run: _Run):
     args = run.args
-    rows = []
-    for result_dir in args.results:
-        run.add_input(result_dir)
-        values = read_keyvalue_file(Path(result_dir) / "result.txt")
-        rows.append((Path(result_dir).name, values))
     keys = ["mrr", "hits@1", "hits@3", "hits@10", "query_count"]
     lines = ["run\t" + "\t".join(keys)]
-    for name, values in rows:
-        lines.append(name + "\t" + "\t".join(values.get(k, "-") for k in keys))
+    for result_dir in map(Path, args.results):
+        run.add_input(result_dir)
+        values = read_keyvalue_file(result_dir / "result.txt")
+        lines.append(result_dir.name + "\t" + "\t".join(values.get(k, "-") for k in keys))
     run.add_output(_write_output(run.out_dir, "summary.tsv", "\n".join(lines) + "\n"))
     print("\n".join(lines))
 
 
 def cmd_replay(run: _Run):
     args = run.args
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     run.add_input(args.manifest)
-    argv = list(manifest["argv"])
+    try:
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+        argv, outputs = list(manifest["argv"]), dict(manifest["outputs"])
+        command = manifest["command"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{args.manifest} is not a run manifest: {exc!r}") from None
     if "--out-dir" in argv:
         argv[argv.index("--out-dir") + 1] = str(run.out_dir)
     else:
@@ -465,14 +445,14 @@ def cmd_replay(run: _Run):
     if code != EXIT_OK:
         raise ProtocolError(f"replayed command failed with exit code {code}")
     mismatched = []
-    for rel, expected in manifest["outputs"].items():
+    for rel, expected in outputs.items():
         actual_path = run.out_dir / rel
         if not actual_path.exists() or checksum_file(actual_path) != expected:
             mismatched.append(rel)
     if mismatched:
         raise IntegrityError(f"replay outputs differ from manifest: {', '.join(mismatched)}")
-    run.config = {"replayed": manifest["command"]}
-    print(f"replay of {manifest['command']} is bit-exact ({len(manifest['outputs'])} files)")
+    run.config = {"replayed": command}
+    print(f"replay of {command} is bit-exact ({len(outputs)} files)")
 
 
 # -- parser and entry point --------------------------------------------------------
@@ -500,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edgelist", required=True)
     p.add_argument("--schema", default=None, help="key-value schema file")
     p.add_argument("--granularity", choices=[g.value for g in Granularity], default="day")
-    p.add_argument("--kind", choices=["tkg", "thg"], default="tkg")
+    p.add_argument("--kind", choices=KINDS, default="tkg")
     p.add_argument("--node-types", default=None, help="node-type sidecar (THG)")
     p.add_argument("--static", default=None, help="static companion edge list")
     p.add_argument("--on-invalid", choices=["error", "skip"], default="error")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import re
 import shutil
 import urllib.error
@@ -38,6 +39,8 @@ from .negatives import STRATEGIES
 _FIELDS = ("timestamp", "subject", "relation", "object")
 STATIC_TIMESTAMP = 0  # sentinel for the relation-only companion graph
 _DENSE_INT = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+KINDS = ("tkg", "thg")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _WRITE_BLOCK_ROWS = 1 << 16  # rows per formatted block, bounding the text buffer
 
@@ -70,17 +73,8 @@ class EdgeListSchema:
 
     @classmethod
     def from_file(cls, path) -> "EdgeListSchema":
-        """Read a ``key = value`` schema file; ``delimiter = \\t`` selects a tab."""
-        kv = read_keyvalue_file(path)
-        columns = tuple(c.strip() for c in kv.get("columns", ",".join(_FIELDS)).split(","))
-        delimiter = kv.get("delimiter", ",")
-        return cls(
-            columns=columns,
-            header=kv.get("header", "true").lower() == "true",
-            delimiter="\t" if delimiter == "\\t" else delimiter,
-            node_type_path=Path(kv["node_type_path"]) if "node_type_path" in kv else None,
-            static_path=Path(kv["static_path"]) if "static_path" in kv else None,
-        )
+        """Read a schema file whose keys are the fields; ``delimiter = \\t`` selects a tab."""
+        return cls(**read_fields(path, _SCHEMA_FIELDS, "an edge-list schema"))
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ class DatasetManifest:
     q: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("tkg", "thg"):
+        if self.kind not in KINDS:
             raise ConfigError(f"kind must be tkg or thg, got {self.kind!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown sampling strategy {self.strategy!r}")
@@ -107,35 +101,12 @@ class DatasetManifest:
 
     @classmethod
     def from_file(cls, path) -> "DatasetManifest":
-        kv = read_keyvalue_file(path)
-        try:
-            return cls(
-                name=kv["name"],
-                url=kv.get("url", ""),
-                checksum=kv.get("checksum", ""),
-                granularity=Granularity(kv["granularity"]),
-                kind=kv["kind"],
-                strategy=kv["strategy"],
-                q=int(kv.get("q", "0")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"dataset manifest {path} is missing key {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"dataset manifest {path}: {exc}") from exc
+        """Read a manifest file whose keys are the fields."""
+        return cls(**read_fields(path, _MANIFEST_FIELDS, "a dataset manifest",
+                                 ("name", "granularity", "kind", "strategy")))
 
     def to_file(self, path) -> None:
-        write_keyvalue_file(
-            path,
-            [
-                ("name", self.name),
-                ("url", self.url),
-                ("checksum", self.checksum),
-                ("granularity", self.granularity.value),
-                ("kind", self.kind),
-                ("strategy", self.strategy),
-                ("q", str(self.q)),
-            ],
-        )
+        write_keyvalue_file(path, vars(self).items())
 
 
 @dataclass
@@ -150,32 +121,137 @@ class IngestReport:
     skipped_lines: list = field(default_factory=list)
 
 
-# -- key-value config files ----------------------------------------------------
+# -- key = value inputs --------------------------------------------------------
+# Each input maps its keys to converters. A converter returns the stripped
+# value converted, or raises ValueError saying what the value should be.
 
 
-def read_keyvalue_file(path) -> dict:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
-    return {key: value for key, (value, _) in _read_keyvalue_lines(path).items()}
+def integer(raw: str) -> int:
+    """An integer under :func:`_int64_fields`' rule."""
+    try:
+        return int(_int64_fields([raw], [None], None)[0])
+    except ParseError:
+        raise ValueError("an int64 integer") from None
 
 
-def _read_keyvalue_lines(path) -> dict:
-    """key -> (value, 1-based line number) of a ``key = value`` config file."""
+def nonnegative(raw: str) -> int:
+    if (value := integer(raw)) < 0:
+        raise ValueError("a non-negative integer")
+    return value
+
+
+def finite(raw: str) -> float:
+    """An ASCII decimal number, with an optional exponent, that is finite."""
+    if not _DECIMAL.fullmatch(raw) or not math.isfinite(value := float(raw)):
+        raise ValueError("a finite decimal number")
+    return value
+
+
+def choice(names):
+    """A name: a key of the dict ``names`` for its value, or a name or enum value in ``names``."""
+    values = names if isinstance(names, dict) else {getattr(n, "value", n): n for n in names}
+
+    def named(raw: str):
+        if raw not in values:
+            raise ValueError(f"one of {', '.join(values)}")
+        return values[raw]
+    return named
+
+
+boolean = choice({"true": True, "false": False})
+
+
+def optional(convert):
+    """``none`` for None, else a value for ``convert``."""
+    return lambda raw: None if raw == "none" else convert(raw)
+
+
+def listed(convert, separator: str):
+    """A tuple of values for ``convert``, split at ``separator``."""
+    def convert_each(raw: str) -> tuple:
+        try:
+            return tuple(convert(item.strip()) for item in raw.split(separator))
+        except ValueError as exc:
+            raise ValueError(f"a list split at {separator!r} of items each {exc}") from None
+    return convert_each
+
+
+def read_fields(path, fields=None, what=None, required=(), error=ConfigError) -> dict:
+    """:func:`keyvalue_fields` over the lines of the file at ``path``."""
+    lines = enumerate(_split_lines(_read_text(path)[0]), start=1)
+    return keyvalue_fields(lines, path, fields, what, required, error)
+
+
+read_keyvalue_file = read_fields  # key -> raw value, whatever the keys
+
+
+def keyvalue_fields(lines, where, fields=None, what=None, required=(),
+                    error=ConfigError) -> dict:
+    """key -> value of the numbered ``(number, text)`` lines of ``where``, a file or flag.
+
+    Each line holds ``key = value``; ``#`` starts a comment, and lines blank
+    without it are skipped. ``fields`` maps each key that the input ``what``
+    accepts to its converter; without ``fields`` any key is accepted and its
+    value kept as text. A line without ``=``, a key set twice, a key outside
+    ``fields``, a value its converter refuses and a ``required`` key left
+    out are each an ``error`` naming ``where``, the line and the key.
+    """
     out = {}
-    lines = _split_lines(Path(path).read_text(encoding="utf-8"))
-    for lineno, raw_line in enumerate(lines, start=1):
+    for number, raw_line in lines:
         line = raw_line.split("#", 1)[0].strip()
+        key, equals, raw = (part.strip() for part in line.partition("="))
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: malformed line {raw_line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = (value.strip(), lineno)
+        if not equals:
+            raise error(f"malformed line {raw_line!r}", number, where)
+        if key in out:
+            raise error(f"key {key!r} is set again", number, where)
+        if fields is not None and key not in fields:
+            accepted = ", ".join(fields) or "no keys"
+            raise error(f"key {key!r} is unknown to {what}, which accepts {accepted}",
+                        number, where)
+        out[key] = raw if fields is None else converted(key, raw, fields[key], number, where, error)
+    for key in required:
+        if key not in out:
+            raise error(f"lacks {key}", None, where)
     return out
 
 
+def converted(key: str, raw: str, converter, number=None, where=None, error=ConfigError):
+    """``converter(raw)``; a value it refuses is an ``error`` naming ``where``, line and key."""
+    try:
+        return converter(raw)
+    except ValueError as exc:
+        raise error(f"{key} {raw!r} is not {exc}", number, where) from None
+
+
 def write_keyvalue_file(path, items) -> None:
-    text = "".join(f"{k} = {v}\n" for k, v in items)
+    """``key = value`` lines, each value spelled as the converters above read it."""
+    text = "".join(f"{key} = {_spelled(value)}\n" for key, value in items)
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _spelled(value) -> str:
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_spelled, value))
+    return str(getattr(value, "value", value))
+
+
+_SCHEMA_FIELDS = {
+    "columns": listed(str, ","), "header": boolean,
+    "delimiter": lambda raw: "\t" if raw == "\\t" else raw,
+    "node_type_path": optional(Path), "static_path": optional(Path),
+}
+_MANIFEST_FIELDS = {
+    "name": str, "url": str, "checksum": str, "granularity": choice(Granularity),
+    "kind": choice(KINDS), "strategy": choice(STRATEGIES), "q": integer,
+}
+_META_FIELDS = {
+    "node_count": nonnegative, "relation_count": nonnegative,
+    "granularity": choice(Granularity), "kind": choice(KINDS), "inverse_augmented": boolean,
+}
 
 
 # -- fetching -------------------------------------------------------------------
@@ -231,11 +307,17 @@ def fetch_dataset(manifest: DatasetManifest, cache_dir) -> Path:
 
 
 def _read_text(source) -> tuple:
-    """(text, path) of a file path, or of a text or binary file object (path None)."""
+    """(text, path) of a file path, or of a text or binary file object (path None).
+
+    A path not readable as UTF-8 text, such as one naming no file, is a DataError.
+    """
     if hasattr(source, "read"):
         data = source.read()
         return (data.decode("utf-8") if isinstance(data, bytes) else data), None
-    return Path(source).read_text(encoding="utf-8"), source
+    try:
+        return Path(source).read_text(encoding="utf-8"), source
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{source}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _split_lines(text: str) -> list:
@@ -270,8 +352,7 @@ def _rows(text: str, path, width: int, delimiter: str, header: bool = False,
         fields = delimiter.join(lines).split(delimiter) if lines else []
     if cuts.count(width - 1) != len(cuts):
         k = next(k for k, n in enumerate(cuts) if n != width - 1)
-        where = f"{path} " if path is not None else ""
-        raise SchemaError(f"{where}line {numbers[k]}: expected {width} columns, got {cuts[k] + 1}")
+        raise SchemaError(f"expected {width} columns, got {cuts[k] + 1}", numbers[k], path)
     return numbers, list(map(str.strip, fields))
 
 
@@ -432,7 +513,7 @@ def _read_int_table(source, width: int, delimiter: str, header: bool) -> np.ndar
             )
         if table.shape[1] == width:
             return table
-    except (ValueError, UserWarning):
+    except (ValueError, UserWarning, OSError):
         pass
     if path is not None:
         text = _read_text(path)[0]
@@ -524,7 +605,7 @@ def read_vocab(path) -> list:
     out_of_order = np.flatnonzero(dense != np.arange(len(dense)))
     if out_of_order.size:
         lineno = numbers[out_of_order[0]]
-        raise DataError(f"{path} line {lineno}: dense ids must be 0..n-1 in order")
+        raise DataError("dense ids must be 0..n-1 in order", lineno, path)
     return fields[0::2]
 
 
@@ -594,16 +675,8 @@ def write_graph_dir(
     directory.mkdir(parents=True, exist_ok=True)
     write_edgelist(graph, directory / "edgelist.csv")
     kind = "thg" if graph.is_heterogeneous else "tkg"
-    write_keyvalue_file(
-        directory / "meta.txt",
-        [
-            ("node_count", graph.node_count),
-            ("relation_count", graph.relation_count),
-            ("granularity", graph.granularity.value),
-            ("kind", kind),
-            ("inverse_augmented", str(graph.inverse_augmented).lower()),
-        ],
-    )
+    write_keyvalue_file(directory / "meta.txt", [
+        (key, kind if key == "kind" else getattr(graph, key)) for key in _META_FIELDS])
     if graph.is_heterogeneous:
         with open(directory / "node_types.csv", "w", encoding="utf-8") as fh:
             fh.write("node,type\n")
@@ -618,7 +691,7 @@ def write_graph_dir(
             [
                 ("rows_read", report.rows_read),
                 ("duplicates_removed", report.duplicates_removed),
-                ("skipped_lines", ",".join(map(str, report.skipped_lines))),
+                ("skipped_lines", report.skipped_lines),
             ],
         )
     if static is not None:
@@ -630,23 +703,17 @@ def write_graph_dir(
 def load_graph_dir(directory):
     """Load a graph directory written by :func:`write_graph_dir`.
 
-    Returns (graph, static_graph_or_None).
+    Its ``meta.txt`` is read by :func:`read_fields`. Every error is a data
+    error naming the file. Returns (graph, static_graph_or_None).
     """
     directory = Path(directory)
-    meta_path = directory / "meta.txt"
-    meta = read_keyvalue_file(meta_path)
-    node_count = _meta_field(meta, "node_count", meta_path, _count, "a non-negative integer")
-    relation_count = _meta_field(meta, "relation_count", meta_path, _count,
-                                 "a non-negative integer")
-    granularity = _meta_field(meta, "granularity", meta_path, Granularity,
-                              f"one of {[g.value for g in Granularity]}")
-    augmented = meta.get("inverse_augmented", "false") == "true"
+    meta = read_fields(directory / "meta.txt", _META_FIELDS, "meta.txt",
+                       ("node_count", "relation_count", "granularity"), ParseError)
+    node_count, granularity = meta["node_count"], meta["granularity"]
 
     node_types = None
     if meta.get("kind") == "thg":
         types_path = directory / "node_types.csv"
-        if not types_path.exists():
-            raise DataError(f"{directory}: THG graph dir lacks node_types.csv")
         nodes, types = _read_int_table(types_path, 2, ",", header=True).T
         outside = nodes[(nodes < 0) | (nodes >= node_count)]
         if outside.size:
@@ -661,10 +728,10 @@ def load_graph_dir(directory):
     graph = load_dense_edgelist(
         directory / "edgelist.csv",
         node_count=node_count,
-        relation_count=relation_count,
+        relation_count=meta["relation_count"],
         node_types=node_types,
         granularity=granularity,
-        inverse_augmented=augmented,
+        inverse_augmented=meta.get("inverse_augmented", False),
     )
     static = None
     static_path = directory / "static_edgelist.csv"
@@ -682,54 +749,26 @@ def load_graph_dir(directory):
     return graph, static
 
 
-def _int64(value: str) -> int:
-    """One field under :func:`_int64_fields`' rule; a bad one is a ValueError."""
-    try:
-        return int(_int64_fields([value], [None], None)[0])
-    except ParseError:
-        raise ValueError(value) from None
-
-
-def _count(value: str) -> int:
-    if (count := _int64(value)) < 0:
-        raise ValueError(value)
-    return count
-
-
-def _meta_field(meta: dict, key: str, path, convert, expected: str):
-    if key not in meta:
-        raise DataError(f"{path} lacks {key}")
-    try:
-        return convert(meta[key])
-    except ValueError:
-        lineno = _read_keyvalue_lines(path)[key][1]
-        raise ParseError(f"{key} {meta[key]!r} is not {expected}", lineno, path) from None
-
-
 def save_splits(directory, train, valid, test, boundaries: SplitBoundaries) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_edgelist(train, directory / "train.csv")
     write_edgelist(valid, directory / "valid.csv")
     write_edgelist(test, directory / "test.csv")
-    write_keyvalue_file(
-        directory / "boundaries.txt",
-        [("train_end", boundaries.train_end), ("valid_end", boundaries.valid_end)],
-    )
+    write_keyvalue_file(directory / "boundaries.txt", vars(boundaries).items())
 
 
 def load_splits(directory, template: TemporalMultiGraph):
     """Load split graphs written by :func:`save_splits`.
 
     ``template`` supplies the vocabulary sizes and metadata (usually the full
-    graph the splits were derived from).
+    graph the splits were derived from). ``boundaries.txt`` is read by
+    :func:`read_fields`, and its errors are data errors naming the file.
     """
     directory = Path(directory)
-    path = directory / "boundaries.txt"
-    kv = read_keyvalue_file(path)
-    boundaries = SplitBoundaries(
-        *(_meta_field(kv, key, path, _int64, "an int64 timestamp")
-          for key in ("train_end", "valid_end")))
+    bounds = {"train_end": integer, "valid_end": integer}
+    boundaries = SplitBoundaries(**read_fields(directory / "boundaries.txt", bounds,
+                                               "boundaries.txt", tuple(bounds), ParseError))
     parts = []
     for name in ("train.csv", "valid.csv", "test.csv"):
         parts.append(

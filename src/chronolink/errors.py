@@ -6,7 +6,17 @@ error types should subclass one of the four base categories below.
 
 
 class ChronolinkError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; the message starts with
+    the path (or flag) and the 1-based line number, when given."""
+
+    def __init__(self, message, line_number=None, path=None):
+        if line_number is not None:
+            message = f"line {line_number}: {message}"
+        if path is not None:
+            message = f"{path} {message}"
+        super().__init__(message)
+        self.line_number = line_number
+        self.path = path
 
 
 class ConfigError(ChronolinkError):
@@ -18,17 +28,7 @@ class DataError(ChronolinkError):
 
 
 class ParseError(DataError):
-    """A row of an edge list could not be parsed. Carries the 1-based line number
-    and, when the row came from a named file, its path."""
-
-    def __init__(self, message, line_number=None, path=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        if path is not None:
-            message = f"{path} {message}"
-        super().__init__(message)
-        self.line_number = line_number
-        self.path = path
+    """A line of an input file could not be parsed."""
 
 
 class SchemaError(DataError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import read_keyvalue_file, write_keyvalue_file
+from .datasets import finite, integer, optional, read_fields, write_keyvalue_file
 from .errors import ConfigError, DataError
 from .evaluation import EvalResult
 from .graph import Granularity, TemporalMultiGraph
@@ -53,45 +53,24 @@ class SynthConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
-        if self.rate < 0:
-            raise ConfigError("rate must be >= 0")
+        if not 0 <= self.rate < math.inf:  # also rejects NaN
+            raise ConfigError(f"rate must be finite and >= 0, got {self.rate}")
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":
-        kv = read_keyvalue_file(path)
-        try:
-            birth = kv.get("birth_window", "none")
-            return cls(
-                node_count=int(kv["node_count"]),
-                relation_count=int(kv["relation_count"]),
-                timestep_count=int(kv["timestep_count"]),
-                node_type_count=int(kv.get("node_type_count", "0")),
-                rate=float(kv.get("rate", "8.0")),
-                p_rep=float(kv.get("p_rep", "0.0")),
-                run_length=float(kv.get("run_length", "0.0")),
-                seed=int(kv.get("seed", "0")),
-                birth_window=None if birth == "none" else int(birth),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"synth config {path} is missing key {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"synth config {path}: {exc}") from exc
+        """Read a config file whose keys are the fields; ``birth_window = none`` is None."""
+        return cls(**read_fields(path, _CONFIG_FIELDS, "a synth config",
+                                 ("node_count", "relation_count", "timestep_count")))
 
     def to_file(self, path) -> None:
-        write_keyvalue_file(
-            path,
-            [
-                ("node_count", self.node_count),
-                ("relation_count", self.relation_count),
-                ("timestep_count", self.timestep_count),
-                ("node_type_count", self.node_type_count),
-                ("rate", self.rate),
-                ("p_rep", self.p_rep),
-                ("run_length", self.run_length),
-                ("seed", self.seed),
-                ("birth_window", "none" if self.birth_window is None else self.birth_window),
-            ],
-        )
+        write_keyvalue_file(path, vars(self).items())
+
+
+_CONFIG_FIELDS = {
+    "node_count": integer, "relation_count": integer, "timestep_count": integer,
+    "node_type_count": integer, "rate": finite, "p_rep": finite, "run_length": finite,
+    "seed": integer, "birth_window": optional(integer),
+}
 
 
 def relation_type_pair(relation: int, node_type_count: int):

@@ -17,6 +17,7 @@ from chronolink import (
     load_graph_dir,
     load_splits,
     merge,
+    write_graph_dir,
 )
 from chronolink.cli import (
     EXIT_CONFIG,
@@ -88,7 +89,7 @@ def test_report_of_a_result_line_without_equals_is_config_error(tmp_path, capsys
     result.write_text(MANIFEST_REFERENCE + "mrr = 0.5\nhits@1 0.25\n")
     assert main(["report", "--results", str(result_dir),
                  "--out-dir", str(tmp_path / "report")]) == EXIT_CONFIG
-    assert f"{result}: malformed line 'hits@1 0.25'" in capsys.readouterr().err
+    assert f"{result} line 3: malformed line 'hits@1 0.25'" in capsys.readouterr().err
 
 
 def test_every_scorer_runs(pipeline):
@@ -577,3 +578,224 @@ def test_vocab_with_non_integer_dense_id_is_data_error(tmp_path, capsys):
     assert main(["split", "--graph", str(graph_dir),
                  "--out-dir", str(tmp_path / "splits")]) == EXIT_DATA
     assert f"{vocab} line 1: dense id 'zero' is not an integer" in capsys.readouterr().err
+
+
+# -- one key = value reader --------------------------------------------------------
+
+_KEYVALUE_FILES = {
+    "schema": "columns = timestamp,subject,relation,object\nheader = true\ndelimiter = ,\n",
+    "manifest": "name = tiny\nurl = \nchecksum = \ngranularity = day\nkind = tkg\n"
+                "strategy = all\nq = 0\n",
+    "synth": SYNTH_CFG,
+}
+
+
+def _keyvalue_command(tmp_path, graph_dir, splits_dir, kind, value):
+    """(argv reading the input ``kind`` set to ``value``, the file or flag named in errors)."""
+    out = ["--out-dir", str(tmp_path / "out")]
+    common = ["--graph", str(graph_dir), "--splits", str(splits_dir), "--split", "valid"]
+    if kind in ("params", "ks"):
+        flag = f"--{kind}"
+        return ["eval", *common, "--scorer", "recurrency", flag, value, *out], flag
+    if kind == "meta":
+        path = graph_dir / "meta.txt"
+        argv = ["split", "--graph", str(graph_dir), *out]
+    elif kind == "boundaries":
+        path = splits_dir / "boundaries.txt"
+        argv = ["stats", "--graph", str(graph_dir), "--splits", str(splits_dir), *out]
+    else:
+        path = tmp_path / f"{kind}.cfg"
+        flag = {"schema": "--schema", "manifest": "--manifest", "synth": "--config"}[kind]
+        raw = _raw_edges(tmp_path, ["0,a,r,b"])
+        argv = {"schema": ["ingest", "--edgelist", str(raw)], "manifest": ["fetch"],
+                "synth": ["synth"]}[kind] + [flag, str(path), *out]
+    path.write_text(value, encoding="utf-8")
+    return argv, path
+
+
+# (input, how the line is applied, the line, exit code, what the message says)
+# "set" replaces the key's line, or appends the line; "again" appends it;
+# "drop" deletes the key's line
+_KEYVALUE_CASES = [
+    ("synth", "set", "sed = 7", EXIT_CONFIG,
+     "key 'sed' is unknown to a synth config, which accepts node_count, relation_count"),
+    ("schema", "set", "delimeter = ;", EXIT_CONFIG,
+     "key 'delimeter' is unknown to an edge-list schema"),
+    ("manifest", "set", "checksums = x", EXIT_CONFIG, "key 'checksums' is unknown to a dataset"),
+    ("meta", "set", "nodes = 3", EXIT_DATA, "key 'nodes' is unknown to meta.txt"),
+    ("boundaries", "set", "test_end = 9", EXIT_DATA, "key 'test_end' is unknown to boundaries"),
+    ("params", "set", "lamda=5", EXIT_CONFIG, "key 'lamda' is unknown to recurrency"),
+    ("synth", "again", "seed = 1", EXIT_CONFIG, "key 'seed' is set again"),
+    ("schema", "again", "header = false", EXIT_CONFIG, "key 'header' is set again"),
+    ("manifest", "again", "q = 0", EXIT_CONFIG, "key 'q' is set again"),
+    ("meta", "again", "kind = tkg", EXIT_DATA, "key 'kind' is set again"),
+    ("boundaries", "again", "valid_end = 30", EXIT_DATA, "key 'valid_end' is set again"),
+    ("params", "again", "window=1,window=2", EXIT_CONFIG, "key 'window' is set again"),
+    ("synth", "drop", "node_count", EXIT_CONFIG, "lacks node_count"),
+    ("manifest", "drop", "name", EXIT_CONFIG, "lacks name"),
+    ("meta", "drop", "granularity", EXIT_DATA, "lacks granularity"),
+    ("boundaries", "drop", "valid_end", EXIT_DATA, "lacks valid_end"),
+    ("synth", "set", "seed = 1_000", EXIT_CONFIG, "seed '1_000' is not an int64 integer"),
+    ("manifest", "set", "q = 1_000", EXIT_CONFIG, "q '1_000' is not an int64 integer"),
+    ("meta", "set", "node_count = 1_000", EXIT_DATA, "node_count '1_000' is not an int64 integer"),
+    ("meta", "set", "node_count = -1", EXIT_DATA, "node_count '-1' is not a non-negative integer"),
+    ("boundaries", "set", "train_end = 1_0", EXIT_DATA, "train_end '1_0' is not an int64 integer"),
+    ("params", "set", "window=1_000", EXIT_CONFIG, "window '1_000' is not an int64 integer"),
+    ("synth", "set", "seed = ٣", EXIT_CONFIG, "seed '٣' is not an int64 integer"),
+    ("meta", "set", "relation_count = ٣", EXIT_DATA, "relation_count '٣' is not an int64 integer"),
+    ("ks", "set", "1,٣", EXIT_CONFIG,
+     "'1,٣' is not a list split at ',' of items each an int64 integer"),
+    ("synth", "set", "rate = nan", EXIT_CONFIG, "rate 'nan' is not a finite decimal number"),
+    ("synth", "set", "p_rep = inf", EXIT_CONFIG, "p_rep 'inf' is not a finite decimal number"),
+    ("params", "set", "lambda=nan", EXIT_CONFIG, "lambda 'nan' is not a finite decimal number"),
+    ("params", "set", "alpha=-inf", EXIT_CONFIG, "alpha '-inf' is not a finite decimal number"),
+    ("schema", "set", "header = yes", EXIT_CONFIG, "header 'yes' is not one of true, false"),
+    ("meta", "set", "inverse_augmented = yes", EXIT_DATA,
+     "inverse_augmented 'yes' is not one of true, false"),
+    ("manifest", "set", "kind = THG", EXIT_CONFIG, "kind 'THG' is not one of tkg, thg"),
+    ("meta", "set", "kind = THG", EXIT_DATA, "kind 'THG' is not one of tkg, thg"),
+]
+
+
+@pytest.mark.parametrize("kind,how,line,code,message", _KEYVALUE_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in _KEYVALUE_CASES])
+def test_keyvalue_inputs_refuse_bad_keys_naming_file_line_and_key(pipeline, capsys, kind, how,
+                                                                   line, code, message):
+    tmp_path, graph_dir, splits_dir = pipeline
+    if kind in ("params", "ks"):
+        argv, where = _keyvalue_command(tmp_path, graph_dir, splits_dir, kind, line)
+        expected = f"{where} {message}"
+    else:
+        existing = {"meta": graph_dir / "meta.txt", "boundaries": splits_dir / "boundaries.txt"}
+        base = existing[kind].read_text() if kind in existing else _KEYVALUE_FILES[kind]
+        lines = base.splitlines()
+        key = line.split("=")[0].strip()
+        at = next((i for i, old in enumerate(lines) if old.split("=")[0].strip() == key), None)
+        if how == "drop":
+            del lines[at]
+        elif how == "set" and at is not None:
+            lines[at] = line
+        else:
+            lines.append(line)
+            at = len(lines) - 1
+        argv, where = _keyvalue_command(tmp_path, graph_dir, splits_dir, kind,
+                                        "\n".join(lines) + "\n")
+        expected = f"{where} {message}" if how == "drop" else f"{where} line {at + 1}: {message}"
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag_of", [
+    lambda g, s, missing: ["replay", "--manifest", missing],
+    lambda g, s, missing: ["report", "--results", missing],
+    lambda g, s, missing: ["synth", "--config", missing],
+    lambda g, s, missing: ["eval", "--graph", missing, "--splits", str(s), "--scorer", "oracle"],
+    lambda g, s, missing: ["eval", "--graph", str(g), "--splits", str(s), "--scorer", "oracle",
+                           "--negatives", missing],
+    lambda g, s, missing: ["stats", "--graph", missing],
+    lambda g, s, missing: ["stats", "--graph", str(g), "--splits", missing],
+    lambda g, s, missing: ["negatives", "--graph", str(g), "--splits", missing,
+                           "--strategy", "all"],
+    lambda g, s, missing: ["ingest", "--edgelist", missing],
+    lambda g, s, missing: ["ingest", "--edgelist", str(g / "edgelist.csv"), "--schema", missing],
+    lambda g, s, missing: ["fetch", "--manifest", missing],
+], ids=["replay", "report", "synth", "eval-graph", "eval-negatives", "stats-graph",
+        "stats-splits", "negatives-splits", "ingest-edgelist", "ingest-schema", "fetch"])
+def test_a_flag_naming_a_missing_path_is_config_error(pipeline, capsys, flag_of):
+    tmp_path, graph_dir, splits_dir = pipeline
+    missing = tmp_path / "nowhere" / "input"
+    argv = flag_of(graph_dir, splits_dir, str(missing))
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{missing} does not exist" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,lacking", [
+    ("report", "result.txt"),
+    ("split", "meta.txt"),
+    ("split", "edgelist.csv"),
+    ("stats", "boundaries.txt"),
+    ("eval", "valid.csv"),
+])
+def test_a_directory_lacking_a_needed_file_is_data_error(pipeline, capsys, command, lacking):
+    tmp_path, graph_dir, splits_dir = pipeline
+    directory = tmp_path / "eval" if command == "report" else (
+        graph_dir if lacking in ("meta.txt", "edgelist.csv") else splits_dir)
+    directory.mkdir(exist_ok=True)
+    (directory / lacking).unlink(missing_ok=True)
+    argv = {
+        "report": ["report", "--results", str(directory)],
+        "split": ["split", "--graph", str(graph_dir)],
+        "stats": ["stats", "--graph", str(graph_dir), "--splits", str(splits_dir)],
+        "eval": ["eval", "--graph", str(graph_dir), "--splits", str(splits_dir),
+                 "--scorer", "oracle"],
+    }[command]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{directory / lacking}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest"])
+def test_an_input_that_is_not_utf8_is_data_error(tmp_path, capsys, command):
+    path = tmp_path / "input"
+    path.write_bytes(b"node_count = 4\xff\n" if command == "synth" else b"t,s,r,o\n0,a\xff,r,b\n")
+    flag = {"synth": "--config", "ingest": "--edgelist"}[command]
+    assert main([command, flag, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
+
+
+def test_thg_graph_dir_lacking_node_types_is_data_error(tmp_path, capsys):
+    graph_dir = _thg_graph_dir(tmp_path)
+    (graph_dir / "node_types.csv").unlink()
+    assert main(["split", "--graph", str(graph_dir),
+                 "--out-dir", str(tmp_path / "splits")]) == EXIT_DATA
+    assert f"{graph_dir / 'node_types.csv'}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("{not json", "JSONDecodeError"),
+    ('{"command": "synth", "outputs": {}}', "KeyError('argv')"),
+    ("[1, 2]", "TypeError"),
+], ids=["not-json", "no-argv", "not-an-object"])
+def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, text, reason):
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text(text)
+    assert main(["replay", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{manifest} is not a run manifest: {reason}" in err
+    assert "Traceback" not in err
+
+
+def test_eval_of_an_inverse_augmented_graph_dir_matches_the_plain_one(pipeline):
+    tmp_path, graph_dir, splits_dir = pipeline
+    graph, _ = load_graph_dir(graph_dir)
+    augmented_dir = tmp_path / "augmented" / graph_dir.name  # the same dataset name
+    write_graph_dir(add_inverse_relations(graph), augmented_dir)
+    assert load_graph_dir(augmented_dir)[0].inverse_augmented
+    outputs = {}
+    for name, directory in (("plain", graph_dir), ("augmented", augmented_dir)):
+        splits = tmp_path / f"splits-{name}"
+        common = ["--graph", str(directory), "--splits", str(splits)]
+        assert main(["split", "--graph", str(directory), "--out-dir", str(splits)]) == EXIT_OK
+        negatives = tmp_path / f"neg-{name}"
+        assert main(["negatives", *common, "--strategy", "type-aware", "--q", "6",
+                     "--seed", "4", "--out-dir", str(negatives)]) == EXIT_OK
+        for scorer in ("edgebank-inf", "recurrency"):
+            for sampled in (False, True):
+                out = tmp_path / f"eval-{name}-{scorer}-{sampled}"
+                extra = ["--negatives", str(negatives / "negatives.bin")] if sampled else []
+                assert main(["eval", *common, "--scorer", scorer, *extra,
+                             "--out-dir", str(out)]) == EXIT_OK
+                for file in ("result.txt", "per_relation.tsv", "per_timestep.tsv", "params.txt"):
+                    outputs.setdefault(name, {})[(scorer, sampled, file)] = (
+                        (out / file).read_bytes())
+        outputs[name]["negatives"] = (negatives / "negatives.bin").read_bytes()
+    assert len(outputs["plain"]) == 17
+    assert outputs["augmented"] == outputs["plain"]

@@ -192,9 +192,9 @@ def test_splits_round_trip(tmp_path):
 
 @pytest.mark.parametrize("text,error,message", [
     ("train_end = x29\nvalid_end = 31\n", ParseError,
-     "line 1: train_end 'x29' is not an int64 timestamp"),
+     "line 1: train_end 'x29' is not an int64 integer"),
     ("train_end = 29\n\nvalid_end = 99999999999999999999\n", ParseError,
-     "line 3: valid_end '99999999999999999999' is not an int64 timestamp"),
+     "line 3: valid_end '99999999999999999999' is not an int64 integer"),
     ("train_end = 29\n", DataError, "lacks valid_end"),
 ], ids=["not-an-integer", "outside-int64", "missing"])
 def test_damaged_split_boundaries_are_data_errors_naming_the_file(tmp_path, text, error, message):

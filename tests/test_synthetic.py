@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,12 @@ def test_config_validation():
         SynthConfig(node_count=2, relation_count=1, timestep_count=1, node_type_count=5)
     with pytest.raises(ConfigError):
         SynthConfig(node_count=2, relation_count=1, timestep_count=1, rate=-1)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_rate(rate):
+    with pytest.raises(ConfigError, match="rate must be finite and >= 0"):
+        SynthConfig(node_count=5, relation_count=1, timestep_count=3, rate=rate)
 
 
 def test_config_file_round_trip(tmp_path):
