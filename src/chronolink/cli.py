@@ -167,13 +167,8 @@ def cmd_fetch(run: _Run):
     cache_dir = Path(args.cache_dir) if args.cache_dir else _default_cache_dir()
     path = fetch_dataset(manifest, cache_dir)
     run.config = {"dataset": manifest.name, "cache_dir": str(cache_dir)}
-    run.add_output(
-        _write_output(
-            run.out_dir,
-            "fetched.txt",
-            f"path = {path}\nchecksum = {manifest.checksum}\n",
-        )
-    )
+    run.add_output(_write_output(run.out_dir, "fetched.txt",
+                                 f"path = {path}\nchecksum = {manifest.checksum}\n"))
     print(path)
 
 
@@ -418,12 +413,15 @@ def cmd_synth(run: _Run):
 
 def cmd_report(run: _Run):
     args = run.args
+    rows = []
+    for result_dir in args.results:
+        run.add_input(result_dir)
+        values = read_keyvalue_file(Path(result_dir) / "result.txt")
+        rows.append((Path(result_dir).name, values))
     keys = ["mrr", "hits@1", "hits@3", "hits@10", "query_count"]
     lines = ["run\t" + "\t".join(keys)]
-    for result_dir in map(Path, args.results):
-        run.add_input(result_dir)
-        values = read_keyvalue_file(result_dir / "result.txt")
-        lines.append(result_dir.name + "\t" + "\t".join(values.get(k, "-") for k in keys))
+    for name, values in rows:
+        lines.append(name + "\t" + "\t".join(values.get(k, "-") for k in keys))
     run.add_output(_write_output(run.out_dir, "summary.tsv", "\n".join(lines) + "\n"))
     print("\n".join(lines))
 

@@ -101,9 +101,10 @@ class DatasetManifest:
 
     @classmethod
     def from_file(cls, path) -> "DatasetManifest":
-        """Read a manifest file whose keys are the fields."""
-        return cls(**read_fields(path, _MANIFEST_FIELDS, "a dataset manifest",
-                                 ("name", "granularity", "kind", "strategy")))
+        """Read a manifest file of the fields; ``url`` and ``checksum`` default to ""."""
+        fields = read_fields(path, _MANIFEST_FIELDS, "a dataset manifest",
+                             ("name", "granularity", "kind", "strategy"))
+        return cls(**{"url": "", "checksum": "", **fields})
 
     def to_file(self, path) -> None:
         write_keyvalue_file(path, vars(self).items())
@@ -150,7 +151,6 @@ def finite(raw: str) -> float:
 def choice(names):
     """A name: a key of the dict ``names`` for its value, or a name or enum value in ``names``."""
     values = names if isinstance(names, dict) else {getattr(n, "value", n): n for n in names}
-
     def named(raw: str):
         if raw not in values:
             raise ValueError(f"one of {', '.join(values)}")
@@ -159,6 +159,12 @@ def choice(names):
 
 
 boolean = choice({"true": True, "false": False})
+
+
+def nonempty_path(raw: str) -> Path:
+    if not raw:
+        raise ValueError("a non-empty path")
+    return Path(raw)
 
 
 def optional(convert):
@@ -177,8 +183,8 @@ def listed(convert, separator: str):
 
 
 def read_fields(path, fields=None, what=None, required=(), error=ConfigError) -> dict:
-    """:func:`keyvalue_fields` over the lines of the file at ``path``."""
-    lines = enumerate(_split_lines(_read_text(path)[0]), start=1)
+    """:func:`keyvalue_fields` over the lines of the file at ``path``; not UTF-8 is an ``error``."""
+    lines = enumerate(_split_lines(_read_text(path, error)[0]), start=1)
     return keyvalue_fields(lines, path, fields, what, required, error)
 
 
@@ -242,7 +248,7 @@ def _spelled(value) -> str:
 _SCHEMA_FIELDS = {
     "columns": listed(str, ","), "header": boolean,
     "delimiter": lambda raw: "\t" if raw == "\\t" else raw,
-    "node_type_path": optional(Path), "static_path": optional(Path),
+    "node_type_path": optional(nonempty_path), "static_path": optional(nonempty_path),
 }
 _MANIFEST_FIELDS = {
     "name": str, "url": str, "checksum": str, "granularity": choice(Granularity),
@@ -306,18 +312,21 @@ def fetch_dataset(manifest: DatasetManifest, cache_dir) -> Path:
 # -- delimited text --------------------------------------------------------------
 
 
-def _read_text(source) -> tuple:
+def _read_text(source, error=DataError) -> tuple:
     """(text, path) of a file path, or of a text or binary file object (path None).
 
-    A path not readable as UTF-8 text, such as one naming no file, is a DataError.
+    An unreadable path is a DataError (the CLI checks first that a flag's path
+    exists), and text that is not UTF-8 an ``error``.
     """
     if hasattr(source, "read"):
         data = source.read()
         return (data.decode("utf-8") if isinstance(data, bytes) else data), None
     try:
         return Path(source).read_text(encoding="utf-8"), source
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{source}: {getattr(exc, 'strerror', None) or exc}") from None
+    except OSError as exc:
+        raise DataError(f"{source}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{source}: {exc}") from None
 
 
 def _split_lines(text: str) -> list:
@@ -686,14 +695,8 @@ def write_graph_dir(
         write_vocab(directory / "relations.vocab", report.relation_vocab)
         if report.node_type_vocab:
             write_vocab(directory / "node_types.vocab", report.node_type_vocab)
-        write_keyvalue_file(
-            directory / "ingest_report.txt",
-            [
-                ("rows_read", report.rows_read),
-                ("duplicates_removed", report.duplicates_removed),
-                ("skipped_lines", report.skipped_lines),
-            ],
-        )
+        counts = ("rows_read", "duplicates_removed", "skipped_lines")
+        write_keyvalue_file(directory / "ingest_report.txt", [(k, vars(report)[k]) for k in counts])
     if static is not None:
         write_edgelist(static, directory / "static_edgelist.csv")
         if static_relation_vocab is not None:

@@ -22,6 +22,7 @@ from chronolink import (
 from chronolink.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_FETCH,
     EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_PROTOCOL,
@@ -29,7 +30,8 @@ from chronolink.cli import (
     MANIFEST_REFERENCE,
     main,
 )
-from chronolink.datasets import read_vocab
+from chronolink.datasets import DatasetManifest, checksum_file, read_vocab
+from chronolink.graph import Granularity
 
 SYNTH_CFG = """\
 node_count = 35
@@ -653,6 +655,9 @@ _KEYVALUE_CASES = [
     ("meta", "set", "inverse_augmented = yes", EXIT_DATA,
      "inverse_augmented 'yes' is not one of true, false"),
     ("manifest", "set", "kind = THG", EXIT_CONFIG, "kind 'THG' is not one of tkg, thg"),
+    ("schema", "set", "static_path = ", EXIT_CONFIG, "static_path '' is not a non-empty path"),
+    ("schema", "set", "node_type_path = ", EXIT_CONFIG,
+     "node_type_path '' is not a non-empty path"),
     ("meta", "set", "kind = THG", EXIT_DATA, "kind 'THG' is not one of tkg, thg"),
 ]
 
@@ -739,15 +744,40 @@ def test_a_directory_lacking_a_needed_file_is_data_error(pipeline, capsys, comma
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["synth", "ingest"])
-def test_an_input_that_is_not_utf8_is_data_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("flag,data,code", [
+    ("--config", b"node_count = 4\xff\n", EXIT_CONFIG),
+    ("--schema", b"header = true\xff\n", EXIT_CONFIG),
+    ("--edgelist", b"t,s,r,o\n0,a\xff,r,b\n", EXIT_DATA),
+], ids=["synth-config", "ingest-schema", "ingest-edgelist"])
+def test_an_input_that_is_not_utf8_is_an_error_of_its_class(tmp_path, capsys, flag, data, code):
     path = tmp_path / "input"
-    path.write_bytes(b"node_count = 4\xff\n" if command == "synth" else b"t,s,r,o\n0,a\xff,r,b\n")
-    flag = {"synth": "--config", "ingest": "--edgelist"}[command]
-    assert main([command, flag, str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    path.write_bytes(data)
+    command = {"--config": ["synth"], "--edgelist": ["ingest"],
+               "--schema": ["ingest", "--edgelist", str(_raw_edges(tmp_path, ["0,a,r,b"]))]}[flag]
+    assert main([*command, flag, str(path), "--out-dir", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert f"{path}: 'utf-8' codec can't decode byte 0xff" in err
     assert "Traceback" not in err
+
+
+def _fetch_manifest(tmp_path, lines):
+    manifest = tmp_path / "dataset.cfg"
+    manifest.write_text("name = tiny\ngranularity = day\nkind = tkg\nstrategy = all\n"
+                        + "".join(line + "\n" for line in lines), encoding="utf-8")
+    return ["fetch", "--manifest", str(manifest), "--cache-dir", str(tmp_path / "cache"),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def test_a_manifest_without_url_or_checksum_lines_fetches_from_the_cache(tmp_path, capsys):
+    assert DatasetManifest.from_file(_fetch_manifest(tmp_path, [])[2]) == DatasetManifest(
+        "tiny", "", "", Granularity.DAY, "tkg", "all")
+    assert main(_fetch_manifest(tmp_path, [])) == EXIT_FETCH
+    assert "dataset tiny is not cached and has no url" in capsys.readouterr().err
+    cached = tmp_path / "cache" / "tiny" / "tiny"
+    cached.parent.mkdir(parents=True)
+    cached.write_bytes(b"0,a,r,b\n")
+    assert main(_fetch_manifest(tmp_path, [f"checksum = {checksum_file(cached)}"])) == EXIT_OK
+    assert str(cached) in capsys.readouterr().out
 
 
 def test_thg_graph_dir_lacking_node_types_is_data_error(tmp_path, capsys):
