@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ProtocolError
 from .graph import TemporalMultiGraph, add_inverse_relations, run_starts
-from .negatives import EvalQuery, NegativeSampleSet, _as_queries, _check_queries
+from .negatives import EvalQuery, NegativeSampleSet, _as_queries, _check_queries, _facts
 
 DEFAULT_KS = (1, 3, 10)
 
@@ -260,6 +260,10 @@ def evaluate_single_step(
     if any(int(k) < 1 for k in ks):
         raise ConfigError(f"Hits@k cutoffs must be >= 1, got {tuple(ks)}")
     kind = kind or infer_kind(full_graph)
+    # the universe is read only at the evaluated timestamps (and for its id
+    # spaces), so its rows outside them are dropped before augmenting
+    if not eval_graph.is_empty:
+        full_graph = full_graph.time_slice(eval_graph.t_min, eval_graph.t_max)
     universe = _augment_if_needed(full_graph, kind)
     feed = _augment_if_needed(eval_graph, kind)
     history = _augment_if_needed(history, kind)
@@ -437,16 +441,6 @@ def _with_truths(negatives: NegativeSampleSet, records, a: int, b: int, truths) 
     starts = np.zeros(b - a + 1, dtype=np.int64)
     starts[1:] = ends + np.arange(1, b - a + 1)
     return ids, starts
-
-
-def _facts(universe: TemporalMultiGraph, lo, hi, truths) -> tuple:
-    """(query, id) of each fact at a query's (s, r, t) other than its truth,
-    ids ascending per query; queries count from 0."""
-    runs = hi - lo
-    query = np.repeat(np.arange(len(runs)), runs)
-    facts = universe.objects[np.arange(len(query)) + np.repeat(lo - (np.cumsum(runs) - runs), runs)]
-    other = facts != truths[query]
-    return query[other], facts[other]
 
 
 def _conflicts(ids, starts, universe: TemporalMultiGraph, lo, hi, truths):

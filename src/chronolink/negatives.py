@@ -10,6 +10,10 @@ contain the true destination and never contain a temporal conflict, i.e. a
 node c for which (source, relation, c, timestamp) is a true fact anywhere in
 the dataset.
 
+Generation is bulk work over the query table in chunks of at most about
+:data:`_CHUNK_CELLS` cells; only the Philox reset and one ``Generator.choice``
+per sampled or padded list are per query (see :func:`_draw`).
+
 Serialized layout (little-endian)::
 
     magic     8s   b"TMGNSET1"
@@ -300,10 +304,33 @@ def _check_queries(universe: TemporalMultiGraph, table: np.ndarray) -> None:
         raise DataError("query source or truth outside the graph's node space")
 
 
+def _facts(universe: TemporalMultiGraph, lo, hi, truths) -> tuple:
+    """(query, id) of each fact at a query's (s, r, t) other than its truth,
+    ids ascending per query; queries count from 0."""
+    runs = hi - lo
+    query = np.repeat(np.arange(len(runs)), runs)
+    facts = universe.objects[_ranges(lo, runs)]
+    other = facts != truths[query]
+    return query[other], facts[other]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[k] .. starts[k] + lengths[k] - 1``, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+
+
 def all_candidates(universe: TemporalMultiGraph, query: EvalQuery) -> np.ndarray:
     """Every node except the truth and the temporal conflicts, ascending."""
     table = _table([query])
     return _draw(universe, table, universe.node_count, 0, _pools("all", universe, table), False)[1]
+
+
+def _tail_pools(graph: TemporalMultiGraph) -> tuple:
+    """(objects, bounds): relation r's sorted distinct objects are
+    ``objects[bounds[r]:bounds[r + 1]]``."""
+    codes = np.sort(graph.relations * graph.node_count + graph.objects)
+    relations, objects = np.divmod(codes[run_starts(codes)], graph.node_count)
+    return objects, relations.searchsorted(np.arange(graph.relation_count + 1))
 
 
 def collect_tail_pools(graph: TemporalMultiGraph) -> dict:
@@ -312,10 +339,9 @@ def collect_tail_pools(graph: TemporalMultiGraph) -> dict:
     Collected over the whole dataset (all splits). On an inverse-augmented
     graph the pool of r + R therefore equals the subjects of r.
     """
-    codes = np.sort(graph.relations * graph.node_count + graph.objects)
-    relations, objects = np.divmod(codes[run_starts(codes)], graph.node_count)
-    firsts = np.flatnonzero(run_starts(relations))
-    return dict(zip(relations[firsts].tolist(), np.split(objects, firsts[1:])))
+    objects, bounds = _tail_pools(graph)
+    bounds = bounds.tolist()
+    return {r: objects[a:b] for r, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a}
 
 
 def _clamp_q(q: int, node_count: int) -> int:
@@ -329,65 +355,118 @@ def _clamp_q(q: int, node_count: int) -> int:
     return q
 
 
-def _draw(universe: TemporalMultiGraph, table, q: int, seed: int, pools, pad: bool) -> tuple:
+# The most cells drawn in one bulk pass, counting q plus twice the exclusions
+# per query (which bounds its list, its left-out positions and its barred
+# set), beyond the first query of the pass. It bounds the pass's temporaries.
+_CHUNK_CELLS = 1 << 15
+
+
+def _draw(universe: TemporalMultiGraph, table, q: int, seed: int, pools: _Pools,
+          pad: bool) -> tuple:
     """(offsets, ids) of a candidate list per query: pool minus exclusions,
     sampled or padded to q.
 
-    ``pools[i]`` is the sorted pool of query i, column i of the query
-    ``table``. A query keeps every pool member that is neither its truth nor
-    a temporal conflict. More than q kept members are sampled down to q;
-    with ``pad``, fewer than q are topped up from the conflict-free nodes
-    outside the pool, so the list has min(q, available) entries. Every
-    query's conflicts come from one bulk lookup of the universe's fact runs.
+    Query i, column i of the query ``table``, draws from pool ``pools.of[i]``.
+    It keeps every pool member that is neither its truth nor a temporal
+    conflict. More than q kept members are sampled down to q; with ``pad``,
+    fewer than q are topped up from the conflict-free nodes outside the pool,
+    so the list has min(q, available) entries.
 
-    Excluded ids are located in the pool by binary search and never copied
-    out: a draw picks positions among the kept members, and
-    ``Generator.choice(kept, ...)`` is ``kept[choice(len(kept), ...)]``, so
-    the Philox stream and its one ``choice`` call per query are unchanged.
+    The queries are drawn in chunks of at most :data:`_CHUNK_CELLS` cells
+    plus one query's, so temporaries stay O(chunk). Within a chunk only the
+    draws are per query: for a sampled list, the Philox reset to key (seed, i)
+    and one ``Generator.choice(kept, q)`` into a row of the chunk's
+    ``(lists, q)`` block; for a padded list, the reset and one
+    ``choice(outside, take)``. The rest is bulk work over the chunk:
+
+    - the exclusions (fact runs and truths) are found in the pools by one
+      binary search of the codes ``pool * node_count + id``;
+    - a draw picks positions among the kept members (``Generator.choice(kept,
+      ...)`` is ``kept[choice(len(kept), ...)]``, so the Philox stream is
+      unchanged); the block's rows are sorted together, a kept list takes
+      every position, and one :func:`_skip` maps them all past the excluded
+      positions;
+    - padding picks positions among the nodes outside each list's barred set
+      (its pool and its exclusions), mapped by :func:`_skip` as well, and the
+      padded lists are sorted together.
+
     The lists are written into one ids column sized for the longest lists
     possible; its pages past the ids written are never touched.
     """
-    node_count = universe.node_count
-    source, relation, timestamp, truths = table[:4]
-    lo, hi = universe.fact_runs(source, relation, timestamp)
+    n, m = universe.node_count, table.shape[1]
+    lo, hi = universe.fact_runs(*table[:3])
+    first = pools.bounds[pools.of]
+    size = pools.bounds[pools.of + 1] - first
+    # every pool member coded pool * n + id, ascending, then one code above them all
+    count = len(pools.bounds) - 1
+    members = np.append(np.repeat(np.arange(count), np.diff(pools.bounds)) * n + pools.ids,
+                        count * n)
     # One Philox bit generator, reset per query to the state Philox(key=(seed, i))
     # starts in: counter-based streams, so generation order cannot change draws.
-    bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bits)
-    fresh = bits.state
+    # the fresh state with lists for arrays, which the state setter reads faster
+    fresh = {name: value.tolist() if isinstance(value, np.ndarray) else value
+             for name, value in bits.state.items()}
+    fresh["state"] = {name: value.tolist() for name, value in fresh["state"].items()}
     key = fresh["state"]["key"]
-    ids = _column(sum(q if pad else min(q, len(pool)) for pool in pools))
-    ends = []
+
+    def choose(i: int, population: int, k: int) -> np.ndarray:
+        key[1] = i
+        bits.state = fresh
+        return rng.choice(population, size=k, replace=False)
+
+    ids = _column(m * q if pad else int(np.minimum(size, q).sum()))
+    lengths = np.zeros(m, dtype=np.int64)
+    cost = np.cumsum(q + 2 * (hi - lo + 1))  # a bound on each query's cells
+    cuts = cost.searchsorted(np.arange(_CHUNK_CELLS, cost.max(initial=0), _CHUNK_CELLS), "right")
+    bounds = np.unique(np.concatenate([[0, m], cuts])).tolist()
     end = 0
-    for i, (truth, pool, a, b) in enumerate(zip(truths.tolist(), pools, lo.tolist(), hi.tolist())):
-        # the temporal conflicts and the truth, each once
-        excluded = universe.objects[a:b]
-        if truth not in excluded:
-            excluded = np.append(excluded, truth)
-        where = pool.searchsorted(excluded)
-        removed = where[pool.take(where, mode="clip") == excluded] if len(pool) else where[:0]
-        removed.sort()
-        kept = len(pool) - len(removed)
-        if kept > q:
-            key[1] = i
-            bits.state = fresh
-            own = pool[_skip(np.sort(rng.choice(kept, size=q, replace=False)), removed)]
-        else:
-            own = np.delete(pool, removed)
-            if pad and kept < q:
-                # the nodes outside the pool and the exclusions are arange(node_count) minus these
-                barred = np.union1d(pool, excluded[(excluded >= 0) & (excluded < node_count)])
-                take = min(q - kept, node_count - len(barred))
-                key[1] = i
-                bits.state = fresh
-                padding = _skip(rng.choice(node_count - len(barred), size=take, replace=False),
-                                barred)
-                own = np.sort(np.concatenate([own, padding]))
+    for a, b in zip(bounds, bounds[1:]):
+        of, start, length, truths = pools.of[a:b], first[a:b], size[a:b], table[3, a:b]
+        rows = np.arange(b - a)
+        # the temporal conflicts and the truth of each query, each once
+        query, facts = _facts(universe, lo[a:b], hi[a:b], truths)
+        query, excluded = np.concatenate([query, rows]), np.concatenate([facts, truths])
+        codes = np.where((excluded >= 0) & (excluded < n), of[query] * n + excluded, -1)
+        at = members.searchsorted(codes)
+        hit = members[at] == codes
+        # each query's pool positions left out, coded query * n + position
+        removed = np.sort(query[hit] * n + at[hit] - start[query[hit]])
+        kept = length - np.bincount(query[hit], minlength=b - a)
+        picks = np.minimum(kept, q)
+        owner = np.repeat(rows, picks)
+        chosen = _ranges(np.zeros(b - a, dtype=np.int64), picks)  # every kept position
+        sampled = kept > q
+        if sampled.any():
+            block = np.empty((np.count_nonzero(sampled), q), dtype=np.int64)
+            for row, (i, k) in enumerate(zip(np.flatnonzero(sampled).tolist(),
+                                             kept[sampled].tolist())):
+                block[row] = choose(a + i, k, q)
+            block.sort(axis=1)
+            chosen[np.repeat(sampled, picks)] = block.ravel()
+        own = pools.ids[start[owner] + _skip(chosen, owner, removed, n)]
+        short = pad & (kept < q)
+        if short.any():
+            # the nodes outside the pool and the exclusions are arange(n) minus these
+            outside = ~hit & (codes >= 0) & short[query]
+            pooled = np.repeat(rows[short], length[short]) * n
+            pooled += pools.ids[_ranges(start[short], length[short])]
+            barred = np.sort(np.concatenate([pooled, query[outside] * n + excluded[outside]]))
+            available = n - np.bincount(barred // n, minlength=b - a)[short]
+            take = np.minimum(q - kept[short], available)
+            drawn = [choose(a + i, k, t) for i, k, t in zip(
+                np.flatnonzero(short).tolist(), available.tolist(), take.tolist()) if t]
+            padded = np.repeat(rows[short], take)
+            drawn = np.sort(padded * n + np.concatenate([_EMPTY, *drawn])) - padded * n
+            padding = _skip(drawn, padded, barred, n)
+            own = np.sort(np.concatenate([owner * n + own, padded * n + padding])) % n
+            picks[short] += take
         ids[end:end + len(own)] = own
         end += len(own)
-        ends.append(end)
-    offsets = np.zeros(len(ends) + 1, dtype=np.int64)
-    offsets[1:] = ends
+        lengths[a:b] = picks
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
     return offsets, ids[:end]
 
 
@@ -407,28 +486,49 @@ def _column(size: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.int64, count=size)
 
 
-def _skip(picked: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    """Map positions among the kept members to positions in the whole sorted array.
+def _skip(picked: np.ndarray, rows: np.ndarray, barred: np.ndarray, width: int) -> np.ndarray:
+    """Map positions among each row's kept members to positions in the whole row.
 
-    ``removed`` holds the sorted, distinct positions left out. Kept position k
-    lies past every removed position p with p - (removed before p) <= k.
+    Row r's left-out positions are the sorted codes ``r * width + p`` of
+    ``barred``, distinct and below ``width``. ``picked[j]`` is a kept
+    position of row ``rows[j]``, and the codes ``rows * width + picked``
+    ascend. Kept position k of row r lies past every left-out p of r with
+    p - (left-out positions of r before p) <= k, so each such threshold
+    shifts the picks of r from the first one at or above it to the row's end.
     """
-    return picked + np.searchsorted(removed - np.arange(len(removed)), picked, side="right")
+    picks = rows * width + picked
+    heads = barred // width * width
+    thresholds = barred - (np.arange(len(barred)) - barred.searchsorted(heads))
+    shifts = (np.bincount(picks.searchsorted(thresholds), minlength=len(picks) + 1)
+              - np.bincount(picks.searchsorted(heads + width), minlength=len(picks) + 1))
+    return picked + np.cumsum(shifts[:-1])
 
 
-def _pools(strategy: str, universe: TemporalMultiGraph, table: np.ndarray) -> list:
-    """The sorted pool of each query, a column of ``table``, under a strategy."""
+class _Pools(NamedTuple):
+    """Sorted candidate pools, concatenated once: pool p is
+    ``ids[bounds[p]:bounds[p + 1]]``, and query i draws from pool ``of[i]``."""
+
+    ids: np.ndarray
+    bounds: np.ndarray
+    of: np.ndarray
+
+
+def _pools(strategy: str, universe: TemporalMultiGraph, table: np.ndarray) -> _Pools:
+    """The pools of a strategy and the pool of each query, a column of ``table``."""
     if strategy == "type-aware":
-        tail_pools = collect_tail_pools(universe)
-        return [tail_pools.get(r, _EMPTY) for r in table[1].tolist()]
+        return _Pools(*_tail_pools(universe), table[1])
     if strategy == "node-type":
         types = universe.node_types
         if types is None:
             raise DataError("node-type sampling requires node types")
-        by_type = {t: np.flatnonzero(types == t) for t in np.unique(types).tolist()}
-        return [by_type[t] for t in types[table[3]].tolist()]
+        _, kinds = np.unique(types, return_inverse=True)
+        bounds = np.zeros(kinds.max(initial=-1) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(kinds), out=bounds[1:])
+        return _Pools(np.argsort(kinds, kind="stable"), bounds, kinds[table[3]])
     if strategy in ("all", "random"):
-        return [np.arange(universe.node_count, dtype=np.int64)] * table.shape[1]
+        n = universe.node_count
+        return _Pools(np.arange(n, dtype=np.int64), np.array([0, n]),
+                      np.zeros(table.shape[1], dtype=np.int64))
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
@@ -457,7 +557,12 @@ def generate_negative_set(
     emits min(q, available) candidates per query. Node-type lists are never
     padded across types, so at ``q = node_count - 1`` each holds every
     same-type node. "all" keeps every pool member and records q and seed 0.
+    q and seed must be integers (not bools), else a ConfigError; the seed is
+    taken modulo 2**64, as it is drawn with and recorded.
     """
+    for name, value in (("q", q), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     table = _table(queries)
     _check_queries(graph_all, table)
     pools = _pools(strategy, graph_all, table)
@@ -466,7 +571,8 @@ def generate_negative_set(
         q = seed = 0
         columns = _draw(graph_all, table, graph_all.node_count, 0, pools, False)
     else:
-        q = _clamp_q(q, graph_all.node_count)
+        q = _clamp_q(int(q), graph_all.node_count)
+        seed = int(seed) & 0xFFFFFFFFFFFFFFFF  # the Philox key word the draws use
         columns = _draw(graph_all, table, q, seed, pools, strategy == "type-aware")
     return NegativeSampleSet.from_columns(strategy, q, seed, table, *columns, provenance)
 

@@ -615,3 +615,50 @@ def test_mrr_bounds_and_hits_monotone():
     assert 0.0 <= r.mrr <= 1.0
     assert r.hits[1] <= r.hits[3] <= r.hits[10]
     assert r.hits[1] <= r.mrr
+
+
+@pytest.mark.parametrize("make", [EdgeBankScorer, RecurrencyScorer])
+@pytest.mark.parametrize("materialized", [True, False], ids=["sampled", "1-vs-all"])
+def test_facts_outside_the_evaluated_range_change_nothing(make, materialized):
+    """The engine slices the filter universe to the evaluated timestamps
+    before augmenting it; facts outside them cannot change a result."""
+    g, train, valid, test = _tkg(seed=10)
+    rng = np.random.default_rng(10)
+    # extra facts before and after the test range, many at test sources
+    times = np.concatenate([rng.integers(g.t_min - 5, test.t_min, 40),
+                            rng.integers(test.t_max + 1, test.t_max + 6, 40)])
+    extra = from_quadruples(
+        list(zip(rng.choice(test.subjects, 80).tolist(), rng.integers(0, 3, 80).tolist(),
+                 rng.integers(0, 30, 80).tolist(), times.tolist())),
+        node_count=g.node_count, relation_count=g.relation_count)
+    wider = merge(g, extra)
+    universe = add_inverse_relations(g)
+    queries = expand_queries(test, "tkg")
+    if materialized:
+        negatives = generate_negative_set("type-aware", universe, queries, q=6, seed=10)
+    else:
+        negatives = generate_all(universe, queries, materialize=False)
+    history = merge(train, valid)
+    augmented = []
+
+    def recording(graph):
+        augmented.append(graph)
+        return add_inverse_relations(graph)
+
+    results = []
+    for full in (g, wider, test):
+        augmented.clear()
+        with mock.patch.object(evaluation, "add_inverse_relations", recording):
+            results.append(evaluate_single_step(make(), history, test, negatives, full))
+        # the universe is augmented first, from the test range's rows only
+        assert augmented[0] == full.time_slice(test.t_min, test.t_max)
+    assert results[0] == results[1] == results[2]
+    assert results[0].query_count == len(queries)
+
+
+def test_an_empty_split_evaluates_to_no_queries():
+    g, train, valid, test = _tkg(seed=11)
+    empty = g.time_slice(g.t_max + 1, g.t_max + 2)
+    negatives = generate_all(add_inverse_relations(g), [], materialize=False)
+    result = evaluate_single_step(EdgeBankScorer(), merge(train, valid), empty, negatives, g)
+    assert result.query_count == 0 and result.per_timestep == ()

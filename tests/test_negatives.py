@@ -790,8 +790,10 @@ def _reference_rng(seed, query_index):
 def _reference_draw(universe, table, q, seed, pools, pad):
     """The sampler as a per-query set difference: a fresh Philox per query."""
     everything = np.arange(universe.node_count, dtype=np.int64)
+    bounds = pools.bounds.tolist()
     lists = []
-    for i, (query, pool) in enumerate(zip(negatives._as_queries(table), pools)):
+    for i, (query, p) in enumerate(zip(negatives._as_queries(table), pools.of.tolist())):
+        pool = pools.ids[bounds[p]:bounds[p + 1]]
         excluded = universe.objects_at(query.source, query.relation, query.timestamp)
         if query.true_destination not in excluded:
             excluded = np.append(excluded, query.true_destination)
@@ -835,9 +837,7 @@ _SAMPLERS = {
 }
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=_sampler_cases())
-def test_pool_index_sampler_equals_setdiff_reference(case):
+def _assert_sampler_equals_reference(case):
     universe, queries, q, seed = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # q clamped to node_count - 1
@@ -859,3 +859,96 @@ def test_pool_index_sampler_equals_reference_on_a_synthetic_split():
             want = generate_negative_set("type-aware", universe, queries, q, 11).candidates
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert len(got) == len(want) == len(queries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_sampler_cases())
+def test_pool_index_sampler_equals_setdiff_reference(case):
+    _assert_sampler_equals_reference(case)
+
+
+# chunk bounds so small that a chunk holds one or a few lists
+_SMALL_CHUNKS = [1, 2, 7]
+
+
+@pytest.mark.parametrize("cells", _SMALL_CHUNKS)
+@settings(max_examples=120, deadline=None)
+@given(case=_sampler_cases())
+def test_sampler_equals_setdiff_reference_across_small_chunks(cells, case):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", cells):
+        _assert_sampler_equals_reference(case)
+
+
+@pytest.mark.parametrize("cells", _SMALL_CHUNKS)
+def test_sampler_equals_reference_on_a_synthetic_split_across_small_chunks(cells):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", cells):
+        test_pool_index_sampler_equals_reference_on_a_synthetic_split()
+
+
+def test_one_chunk_mixes_sampled_kept_padded_and_empty_pool_lists():
+    # relation 0's pool is 0..7, relation 1's 8..10, relation 2's 11, relation 3 has none
+    quads = [(0, 0, o, 0) for o in range(8)] + [(1, 1, o, 0) for o in (8, 9, 10)] + [(2, 2, 11, 0)]
+    universe = from_quadruples(quads, node_count=12, relation_count=4)
+    queries = [
+        EvalQuery(5, 0, 1, 0),   # 7 kept > q: sampled
+        EvalQuery(5, 1, 1, 0),   # 3 kept == q: every kept member
+        EvalQuery(5, 2, 1, 11),  # 0 kept < q: padded from outside the pool
+        EvalQuery(5, 3, 1, 4),   # empty pool: all padding
+        EvalQuery(0, 0, 0, 0),   # every pool member a conflict or the truth: padded
+        EvalQuery(1, 1, 0, 8),   # likewise: the truth is among the conflicts
+        EvalQuery(2, 2, 0, 11),  # one pool member, the truth: padded
+    ]
+    ns = generate_negative_set("type-aware", universe, queries, q=3, seed=2)
+    with mock.patch.object(negatives, "_draw", _reference_draw):
+        want = generate_negative_set("type-aware", universe, queries, q=3, seed=2)
+    assert np.array_equal(ns.offsets, want.offsets) and np.array_equal(ns.ids, want.ids)
+    assert list(map(len, ns.candidates)) == [3] * 7
+    assert ns.candidates[1].tolist() == [8, 9, 10]
+    assert set(ns.candidates[0].tolist()) <= set(range(1, 8))
+    assert set(ns.candidates[4].tolist()) <= {8, 9, 10, 11}
+    assert not set(ns.candidates[5].tolist()) & {8, 9, 10}
+
+
+def test_generation_holds_no_list_sized_temporary():
+    g = generate(SynthConfig(node_count=1000, relation_count=4, timestep_count=40, rate=300,
+                             p_rep=0.5, seed=1))
+    universe = add_inverse_relations(g)
+    queries = expand_queries(g, "tkg")[:20_000]
+    universe.fact_runs([0], [0], [0])  # the universe's cached run codes are not generation's
+    tracemalloc.start()
+    try:
+        ns = generate_negative_set("type-aware", universe, queries, q=100, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ns.ids) > 0.9 * 100 * len(queries)
+    # the ids column lives in its own untraced map; an (m, q) temporary would not
+    assert peak < 8 * 100 * len(queries) / 2
+
+
+@pytest.mark.parametrize("seed,recorded", [(2**70, 0), (-5, 2**64 - 5), (2**64 + 7, 7)])
+def test_the_recorded_seed_is_the_one_drawn_with(tmp_path, seed, recorded):
+    g, universe, queries = _tkg_setup(seed=1)
+    ns = generate_negative_set("random", universe, queries, q=4, seed=seed)
+    assert ns.seed == recorded
+    assert ns == generate_negative_set("random", universe, queries, q=4, seed=recorded)
+    _, back = _roundtrip(ns, tmp_path)
+    assert back == ns
+
+
+@pytest.mark.parametrize("field,value", [
+    ("q", 2.5), ("q", True), ("q", "10"), ("q", None), ("seed", 1.5), ("seed", False),
+    ("seed", "3"),
+])
+def test_non_integer_q_or_seed_is_config_error(g4, field, value):
+    args = {"q": 2, "seed": 0, field: value}
+    universe = add_inverse_relations(g4)
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        generate_negative_set("random", universe, expand_queries(g4, "tkg"), **args)
+
+
+def test_numpy_integer_q_and_seed_are_accepted(g4):
+    universe = add_inverse_relations(g4)
+    queries = expand_queries(g4, "tkg")
+    ns = generate_negative_set("random", universe, queries, q=np.int64(2), seed=np.uint8(3))
+    assert ns == generate_negative_set("random", universe, queries, q=2, seed=3)
