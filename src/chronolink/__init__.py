@@ -68,11 +68,13 @@ from .graph import (
 from .negatives import (
     EvalQuery,
     NegativeSampleSet,
+    NegativeSetFile,
     Provenance,
     all_candidates,
     collect_tail_pools,
     generate_all,
     generate_negative_set,
+    open_negative_set,
     read_negative_set,
     write_negative_set,
 )

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ProtocolError
 from .evaluation import Scorer, evaluate_single_step
 from .graph import TemporalMultiGraph, run_starts
-from .negatives import EvalQuery, NegativeSampleSet
+from .negatives import EvalQuery, NegativeSampleSet, NegativeSetFile
 
 RECURRENCY_FORMULA = "strict-exp2-decay+relaxed-relfreq/v1"
 
@@ -422,7 +422,7 @@ class _GridScorer(RecurrencyScorer):
 def grid_search_recurrency(
     train: TemporalMultiGraph,
     valid: TemporalMultiGraph,
-    negatives: NegativeSampleSet,
+    negatives: NegativeSampleSet | NegativeSetFile,
     full_graph: TemporalMultiGraph,
     lam_grid=DEFAULT_LAMBDA_GRID,
     alpha_grid=DEFAULT_ALPHA_GRID,

@@ -75,7 +75,8 @@ from .negatives import (
     Provenance,
     generate_all,
     generate_negative_set,
-    read_negative_set,
+    open_negative_set,
+    read_negative_set,  # noqa: F401  (perfbench's tracer patches cli.read_negative_set)
     write_negative_set,
 )
 from .stats import dataset_report, edges_over_time
@@ -359,9 +360,11 @@ def cmd_eval(run: _Run):
     if trained:
         valid = eval_graph if args.split == "valid" else _universe(valid, kind)
 
+    # a negative-set file is checked now and decoded as the replay reaches
+    # its records
     if args.negatives:
         run.add_input(args.negatives)
-        negatives = read_negative_set(args.negatives)
+        negatives = open_negative_set(args.negatives)
     else:
         negatives = generate_all(universe, expand_queries(eval_graph, kind), materialize=False)
 
@@ -370,7 +373,7 @@ def cmd_eval(run: _Run):
     if trained:
         if args.valid_negatives:
             run.add_input(args.valid_negatives)
-            grid_negatives = read_negative_set(args.valid_negatives)
+            grid_negatives = open_negative_set(args.valid_negatives)
         else:
             grid_negatives = generate_all(universe, expand_queries(valid, kind), materialize=False)
 

@@ -15,10 +15,13 @@ timestamp) other than its truth) are scored and then masked, which is exact
 only because a score may not depend on the other candidates (the
 :class:`Scorer` contract). The lists are of two kinds:
 
-- A materialized list is the set's candidates for the query: one slice of
-  the set's ``ids`` column, cut at its ``offsets``, with the truth appended.
-  A set whose records are not in canonical order is joined to the queries
-  once, and its chunks gather their lists by record.
+- A materialized list is the set's candidates for the query, with the
+  truth appended, read in query order through one cursor (:class:`_Lists`).
+  A set in memory gives one slice of its ``ids`` column per chunk, cut at
+  its ``offsets``; a set whose records are not in canonical order is joined
+  to the queries once, and its chunks gather their lists by record. An
+  opened file (:func:`negatives.open_negative_set`) is decoded one pass at
+  a time as the chunks reach it, so its ids column never exists whole.
 - An unmaterialized 1-vs-all query is a weighted list. The supports of all
   of a timestamp's queries are named first (:meth:`Scorer.support`; every
   node if the scorer names none). A query's cells are then its support, its
@@ -28,7 +31,8 @@ only because a score may not depend on the other candidates (the
   support holds it, are masked.
 
 A timestamp's queries are cut into chunks of at most ``_CHUNK_CELLS`` cells
-(a longer list is a chunk of its own). Each query's scores go into one
+(a longer list is a chunk of its own; an opened file's lists are cut at its
+decode passes instead). Each query's scores go into one
 buffer for the chunk, and one pass compares every segment with its truth's
 score and sums the cells above and tied per segment. A score may be NaN only
 at a masked cell.
@@ -43,13 +47,23 @@ from __future__ import annotations
 
 import abc
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ProtocolError
 from .graph import TemporalMultiGraph, add_inverse_relations, run_starts
-from .negatives import EvalQuery, NegativeSampleSet, _as_queries, _check_queries, _facts
+from .negatives import (
+    EvalQuery,
+    NegativeSampleSet,
+    NegativeSetFile,
+    _as_queries,
+    _check_queries,
+    _facts,
+    _Queries,
+    _ranges,
+)
 
 DEFAULT_KS = (1, 3, 10)
 
@@ -171,8 +185,12 @@ def infer_kind(graph: TemporalMultiGraph) -> str:
     return "thg" if graph.is_heterogeneous else "tkg"
 
 
-def expand_queries(test: TemporalMultiGraph, kind: str) -> list:
+def expand_queries(test: TemporalMultiGraph, kind: str) -> Sequence:
     """Turn test quadruples into ranking queries, in canonical order.
+
+    The queries are a read-only sequence of :class:`EvalQuery` over the int64
+    query table, which the generators take as it is; a query object is
+    built only when it is read.
 
     THG datasets get one tail query per quadruple. TKG datasets are queried
     in both directions: each quadruple (s, r, o, t) yields the tail query and
@@ -184,7 +202,7 @@ def expand_queries(test: TemporalMultiGraph, kind: str) -> list:
     Queries are sorted by (timestamp, source, relation, truth), which is the
     order negative-set files follow.
     """
-    return _as_queries(_query_table(_augment_if_needed(test, kind), kind))
+    return _Queries(_query_table(_augment_if_needed(test, kind), kind))
 
 
 def _query_table(test: TemporalMultiGraph, kind: str) -> np.ndarray:
@@ -238,7 +256,7 @@ def evaluate_single_step(
     scorer: Scorer,
     history: TemporalMultiGraph,
     eval_graph: TemporalMultiGraph,
-    negatives: NegativeSampleSet,
+    negatives: NegativeSampleSet | NegativeSetFile,
     full_graph: TemporalMultiGraph,
     ks=DEFAULT_KS,
     kind: str | None = None,
@@ -251,6 +269,9 @@ def evaluate_single_step(
     the conflict/filter universe (the whole dataset). For TKG inputs all
     three graphs are inverse-augmented internally when not already, so
     negatives must have been generated against the augmented universe.
+    ``negatives`` is a set in memory or an opened file, whose records are
+    decoded as the replay reaches them; query ids and candidate ids outside
+    the universe's id spaces are a DataError.
 
     Candidates are ranked along the last axis of the scores. A scorer that
     returns one score per candidate gives one :class:`EvalResult`; one that
@@ -270,23 +291,20 @@ def evaluate_single_step(
 
     table = _query_table(feed, kind)
     count = table.shape[1]
-    dense = negatives.candidates is None
+    dense = isinstance(negatives, NegativeSampleSet) and negatives.candidates is None
     if not dense and len(negatives) != count:
         raise ProtocolError(f"negative set covers {len(negatives)} queries, expected {count}")
-    # a set in canonical order holds query k at record k; else a missing one raises
-    records = None if np.array_equal(negatives.table, table) else negatives.records_of(table)
+    if dense and not np.array_equal(negatives.table, table):
+        negatives.records_of(table)  # a query without a record raises
+    _check_queries(universe, table)
     source, relation, timestamp, truth = table[:4]
-    if dense:
-        _check_queries(universe, table)
-    else:  # each list's cells: its candidates, then the truth
-        lengths = np.diff(negatives.offsets)
-        cells = (lengths if records is None else lengths[records]) + 1
     # each query's same-timestamp facts: universe.objects[lo:hi]
     lo, hi = universe.fact_runs(source, relation, timestamp)
 
     scorer.fit(history, static_context)
 
     ranks = _Ranks(scorer, count, universe.node_count)
+    lists = None if dense else _Lists(negatives, table, universe.node_count)
     cuts = [0, *(np.flatnonzero(np.diff(timestamp)) + 1).tolist(), count]
     for i, j in zip(cuts[:-1], cuts[1:]) if count else ():
         queries = _as_queries(table[:, i:j])  # this timestamp's, from query i on
@@ -294,17 +312,18 @@ def evaluate_single_step(
             supports = ranks.supports(queries)
             # at most each support, its free node and its truth
             most = np.fromiter(map(len, supports), np.int64, len(supports)) + 2
-        for a, b in _chunks(most if dense else cells[i:j]):
-            rows = slice(i + a, i + b)
-            if dense:
+            for a, b in _chunks(most):
+                rows = slice(i + a, i + b)
                 ids, starts, excluded, free = _one_vs_all(
                     supports[a:b], queries[a:b], universe, lo[rows], hi[rows], truth[rows])
-            else:
-                ids, starts = _with_truths(negatives, records, i + a, i + b, truth[rows])
-                excluded = _conflicts(ids, starts, universe, lo[rows], hi[rows], truth[rows])
-                free = None
-            ranks.lists(i + a, queries[a:b], ids, starts, excluded, free)
+                ranks.lists(i + a, queries[a:b], ids, starts, excluded, free)
+        else:
+            for a, b, ids, starts in lists.chunks(i, j, truth):
+                excluded = _conflicts(ids, starts, universe, lo[a:b], hi[a:b], truth[a:b])
+                ranks.lists(a, queries[a - i : b - i], ids, starts, excluded, None)
         scorer.observe(feed.time_slice(timestamp[i], timestamp[i]))
+    if lists is not None:
+        lists.finish()
 
     better, tied = ranks.better, ranks.tied
     if better is None:  # no query to rank
@@ -421,25 +440,83 @@ def _chunks(cells: np.ndarray):
     yield a, len(cells)
 
 
-def _with_truths(negatives: NegativeSampleSet, records, a: int, b: int, truths) -> tuple:
-    """The candidate lists of queries a..b, each followed by its truth, in one
-    read-only array; the chunk's query k has ``ids[starts[k]:starts[k + 1]]``.
+class _Lists:
+    """A materialized set's candidate lists in query order, one chunk at a time.
 
-    ``records`` maps queries to records (None: query k is record k, and the
-    chunk's lists are one slice of the set's ids)."""
-    offsets = negatives.offsets
-    if records is None:
-        ends = offsets[a + 1 : b + 1] - offsets[a]
-        lists = negatives.ids[offsets[a] : offsets[b]]
-    else:
-        first, after = offsets[records[a:b]], offsets[records[a:b] + 1]
-        ends = np.cumsum(after - first)
-        # the chunk's cell p of query k is id after[k] - ends[k] + p of the set
-        lists = negatives.ids[np.arange(ends[-1]) + np.repeat(after - ends, after - first)]
-    ids = np.insert(lists, ends, truths)
+    A set in memory is cut into chunks of at most :data:`_CHUNK_CELLS`
+    cells (:func:`_chunks`); a set in another order is joined to the queries
+    once, and its chunks gather their lists by record. An opened file's
+    records are taken from one decode pass at a time, so a chunk ends at the
+    pass's end or the timestamp's, and only the rest of the last pass is
+    held between chunks. A pass whose records are not the next queries
+    (this tool writes no such file) makes the file be decoded whole and
+    joined to the queries, from that query on. Ids outside
+    ``[0, node_count)`` are a DataError.
+    """
+
+    def __init__(self, negatives, table: np.ndarray, node_count: int):
+        self.table, self.node_count = table, node_count
+        self.file = self.reader = None
+        if isinstance(negatives, NegativeSampleSet):
+            self._hold(negatives)
+        else:
+            self.file, self.reader = negatives, negatives.reader()
+
+    def _hold(self, negatives: NegativeSampleSet) -> None:
+        self.set, self.reader = negatives, None
+        # a set in canonical order holds query k at record k; else a missing one raises
+        same = np.array_equal(negatives.table, self.table)
+        self.records = None if same else negatives.records_of(self.table)
+        lengths = np.diff(negatives.offsets)
+        self.cells = (lengths if same else lengths[self.records]) + 1
+        self._check(negatives.ids)
+
+    def _check(self, ids: np.ndarray) -> None:
+        low, high = (ids.min(), ids.max()) if len(ids) else (0, 0)
+        if low < 0 or high >= self.node_count:
+            raise DataError(f"negative candidate id {low if low < 0 else high} outside the "
+                            f"graph's node space [0, {self.node_count})")
+
+    def chunks(self, i: int, j: int, truths: np.ndarray):
+        """``(a, b, ids, starts)`` for queries i..j cut into runs a..b: their
+        lists, each followed by its truth, in one read-only int64 array; query
+        a + k has ``ids[starts[k]:starts[k + 1]]``."""
+        a = i
+        while a < j and self.reader is not None:
+            table, lengths, lists = self.reader.take(j - a)
+            b = a + len(lengths)
+            if not np.array_equal(table, self.table[:, a:b]):
+                self._hold(self.file.read())
+                break
+            self._check(lists)
+            yield a, b, *_with_truths(lists, lengths, truths[a:b])
+            a = b
+        for x, y in _chunks(self.cells[a:j]) if a < j else ():
+            rows = slice(a + x, a + y)
+            offsets = self.set.offsets
+            if self.records is None:
+                first, after = offsets[rows], offsets[a + x + 1 : a + y + 1]
+                lists = self.set.ids[first[0] : after[-1]]
+            else:
+                first, after = offsets[self.records[rows]], offsets[self.records[rows] + 1]
+                lists = self.set.ids[_ranges(first, after - first)]
+            yield a + x, a + y, *_with_truths(lists, after - first, truths[rows])
+
+    def finish(self) -> None:
+        """Check, for an opened file, that no byte follows the last record."""
+        if self.reader is not None:
+            self.reader.finish()
+
+
+def _with_truths(lists: np.ndarray, lengths: np.ndarray, truths: np.ndarray) -> tuple:
+    """``(ids, starts)``: consecutive lists of the given lengths, each followed
+    by its truth, in one read-only int64 array; list k is
+    ``ids[starts[k]:starts[k + 1] - 1]``."""
+    ends = np.cumsum(lengths)
+    ids = np.insert(lists.astype(np.int64, copy=False), ends, truths)
     ids.setflags(write=False)
-    starts = np.zeros(b - a + 1, dtype=np.int64)
-    starts[1:] = ends + np.arange(1, b - a + 1)
+    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+    starts[1:] = ends + np.arange(1, len(lengths) + 1)
     return ids, starts
 
 
@@ -454,8 +531,7 @@ def _conflicts(ids, starts, universe: TemporalMultiGraph, lo, hi, truths):
         return None
     n = universe.node_count
     codes = query * n + facts
-    cell = np.repeat(np.arange(len(truths)), np.diff(starts))
-    cell = np.where((ids >= 0) & (ids < n), cell * n + ids, -1)  # an id outside is no fact
+    cell = np.repeat(np.arange(len(truths)), np.diff(starts)) * n + ids
     return codes.take(np.searchsorted(codes, cell), mode="clip") == cell
 
 

@@ -35,11 +35,16 @@ Serialized layout (little-endian)::
 The records form one unsigned-LEB128 varint stream, coded with numpy in
 fixed-size blocks. A magic or version mismatch raises FormatError; any other
 malformed or out-of-range content raises CorruptionError.
+
+:func:`open_negative_set` checks a file and leaves its records on disk; the
+engine decodes them one pass of :data:`_BLOCK_BYTES` bytes at a time as it
+reaches them. :func:`read_negative_set` opens a file and takes every record.
 """
 
 from __future__ import annotations
 
 import mmap
+import os
 import struct
 import warnings
 import zlib
@@ -64,6 +69,7 @@ _DIRECTION_CODE = {name: i for i, name in enumerate(_DIRECTIONS)}
 _RECORD_FIELDS = 6  # source, relation, zigzag timestamp, truth, direction, count
 _BLOCK_RECORDS = 256  # records per vectorised encode pass
 _BLOCK_BYTES = 1 << 15  # record bytes per vectorised decode pass, cut at a varint end
+_READ_BYTES = 1 << 16  # bytes per read while a file is checked
 _SHIFTS = np.arange(0, 70, 7, dtype=np.uint64)  # bit offset of each varint byte
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -97,8 +103,11 @@ class NegativeSampleSet:
       timestamp, truth and head flag (0 tail, 1 head), one column per
       record; the same rows as the engine's query table.
     - ``offsets``: int64, shape ``(n + 1,)``, from 0 up to ``len(ids)``.
-    - ``ids``: int64; record k's sorted candidates are
-      ``ids[offsets[k]:offsets[k + 1]]``.
+    - ``ids``: int32 or int64; record k's sorted candidates are
+      ``ids[offsets[k]:offsets[k + 1]]``. A generated set holds int32 ids
+      whenever ``node_count <= 2**31``, a set read from a file whenever
+      every id is below 2**31, and the constructor int64; files do not
+      depend on it.
 
     The columns are read-only. ``queries`` and ``candidates`` are read-only
     sequence views over them: ``queries[k]`` is record k's
@@ -134,7 +143,7 @@ class NegativeSampleSet:
     def from_columns(cls, strategy: str, q: int, seed: int, table: np.ndarray,
                      offsets: np.ndarray | None, ids: np.ndarray | None,
                      provenance: Provenance = Provenance()) -> NegativeSampleSet:
-        """A set over the given int64 columns, kept as they are and made read-only."""
+        """A set over the given columns, kept as they are and made read-only."""
         sample_set = cls.__new__(cls)
         sample_set._adopt(strategy, q, seed, table, offsets, ids, provenance)
         return sample_set
@@ -147,7 +156,7 @@ class NegativeSampleSet:
         if table.dtype != np.int64 or table.ndim != 2 or len(table) != 5:
             raise DataError("the query table must be int64 with five rows")
         if offsets is not None and not (
-                ids.dtype == offsets.dtype == np.int64 and ids.ndim == 1
+                ids.dtype in (np.int32, np.int64) and offsets.dtype == np.int64 and ids.ndim == 1
                 and offsets.shape == (table.shape[1] + 1,) and offsets[0] == 0
                 and offsets[-1] == len(ids) and (offsets[1:] >= offsets[:-1]).all()):
             raise DataError("offsets must rise from 0 to len(ids), one step per query")
@@ -256,7 +265,10 @@ class _Candidates(Sequence):
 
 
 def _table(queries) -> np.ndarray:
-    """The int64 (source, relation, timestamp, truth, head) rows of EvalQuery records."""
+    """The int64 (source, relation, timestamp, truth, head) rows of EvalQuery
+    records; a :class:`_Queries` view gives its own table."""
+    if isinstance(queries, _Queries):
+        return queries._table
     try:
         rows = [(*query[:4], _DIRECTION_CODE[query.direction]) for query in queries]
     except KeyError:
@@ -416,7 +428,7 @@ def _draw(universe: TemporalMultiGraph, table, q: int, seed: int, pools: _Pools,
         bits.state = fresh
         return rng.choice(population, size=k, replace=False)
 
-    ids = _column(m * q if pad else int(np.minimum(size, q).sum()))
+    ids = _column(m * q if pad else int(np.minimum(size, q).sum()), _id_dtype(n - 1))
     lengths = np.zeros(m, dtype=np.int64)
     cost = np.cumsum(q + 2 * (hi - lo + 1))  # a bound on each query's cells
     cuts = cost.searchsorted(np.arange(_CHUNK_CELLS, cost.max(initial=0), _CHUNK_CELLS), "right")
@@ -470,8 +482,13 @@ def _draw(universe: TemporalMultiGraph, table, q: int, seed: int, pools: _Pools,
     return offsets, ids[:end]
 
 
-def _column(size: int) -> np.ndarray:
-    """An int64 ids column of ``size`` entries in its own anonymous memory map.
+def _id_dtype(largest: int):
+    """int32 for ids up to ``largest`` when it is below 2**31, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
+
+
+def _column(size: int, dtype) -> np.ndarray:
+    """An ids column of ``size`` entries in its own anonymous memory map.
 
     When a large malloc'd block is freed, glibc raises its mmap threshold to
     that block's size (up to 32 MiB) and its trim threshold to twice that, so
@@ -480,10 +497,10 @@ def _column(size: int) -> np.ndarray:
     column is freed.
     """
     try:
-        buffer = mmap.mmap(-1, max(8 * size, 1))
+        buffer = mmap.mmap(-1, max(np.dtype(dtype).itemsize * size, 1))
     except OSError:
         raise MemoryError(f"cannot map a column of {size} ids") from None
-    return np.frombuffer(buffer, dtype=np.int64, count=size)
+    return np.frombuffer(buffer, dtype=dtype, count=size)
 
 
 def _skip(picked: np.ndarray, rows: np.ndarray, barred: np.ndarray, width: int) -> np.ndarray:
@@ -613,8 +630,10 @@ def _encode_block(table: np.ndarray, offsets: np.ndarray, ids: np.ndarray) -> by
     """The varint stream of a run of records: six fields each, then the id gaps.
 
     ``table`` holds the run's query columns, ``offsets`` its ``len + 1``
-    offsets into the set's ids and ``ids`` its records' candidates.
+    offsets into the set's ids and ``ids`` its records' candidates, coded as
+    int64 whatever their dtype.
     """
+    ids = np.asarray(ids, dtype=np.int64)
     if ((table[4] != 0) & (table[4] != 1)).any():
         raise DataError(f"query directions must be one of {_DIRECTIONS}")
     if (table[[0, 1, 3]] < 0).any() or (ids < 0).any():
@@ -653,16 +672,16 @@ def _varints(chunk: np.ndarray) -> tuple:
     return values, ends
 
 
-def _decode_block(chunk, wanted: int, remaining: int, out: np.ndarray) -> tuple:
-    """(bytes taken, fields) of up to ``wanted`` whole records from the front
-    of a uint8 chunk; their candidate ids are written to the front of ``out``.
+def _decode_block(chunk, wanted: int, remaining: int, ids_left: int) -> tuple:
+    """(bytes taken, fields, ids) of up to ``wanted`` whole records from the
+    front of a uint8 chunk.
 
     ``fields`` is an int64 ``(records, 6)`` array of the records' source,
-    relation, timestamp, truth, head and candidate count (0 bytes taken: no
-    record fits). ``remaining`` counts the record bytes from the chunk's
-    start to the end of the file. ``out`` is the rest of the ids column, sized
-    for the records the header still promises; ids that do not fit it mean
-    the file is too short to hold those records.
+    relation, timestamp, truth, head and candidate count, and ``ids`` their
+    candidates, int64 (0 bytes taken: no record fits). ``remaining`` counts
+    the record bytes from the chunk's start to the end of the file, and
+    ``ids_left`` the ids the file holds from there on; more ids than that
+    mean the file is too short to hold the records its header promises.
     """
     values, ends = _varints(chunk)
     size, rows, i = len(values), [], 0
@@ -678,13 +697,13 @@ def _decode_block(chunk, wanted: int, remaining: int, out: np.ndarray) -> tuple:
         rows.append(i)
         i += _RECORD_FIELDS + count
     if not rows:
-        return 0, None
+        return 0, None, None
     heads = (np.array(rows)[:, None] + np.arange(_RECORD_FIELDS)).ravel()
     fields = values[heads].reshape(-1, _RECORD_FIELDS)
     is_id = np.ones(i, dtype=bool)
     is_id[heads] = False
     gaps = values[:i][is_id]
-    if len(gaps) > len(out):
+    if len(gaps) > ids_left:
         raise CorruptionError("truncated negative-set file")
     counts = fields[:, 5].astype(np.int64)
     firsts = (np.cumsum(counts) - counts)[counts > 0]
@@ -701,13 +720,12 @@ def _decode_block(chunk, wanted: int, remaining: int, out: np.ndarray) -> tuple:
     # cancels, and the first sum past 2**63 reads as a negative int64
     if len(firsts) > 1:
         gaps[firsts[1:]] -= np.add.reduceat(gaps, firsts)[:-1]
-    ids = out[: len(gaps)]
-    np.cumsum(gaps, out=ids.view(np.uint64))
+    ids = np.cumsum(gaps).view(np.int64)
     if ids.min(initial=0) < 0:
         raise CorruptionError("record field or candidate id outside the int64 range")
     zigzag = fields[:, 2]
     fields[:, 2] = (zigzag >> 1) ^ (0 - (zigzag & 1))
-    return int(ends[i - 1]) + 1, fields.view(np.int64)
+    return int(ends[i - 1]) + 1, fields.view(np.int64), ids
 
 
 def write_negative_set(sample_set: NegativeSampleSet, path) -> None:
@@ -736,67 +754,176 @@ def write_negative_set(sample_set: NegativeSampleSet, path) -> None:
         fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
-def read_negative_set(path) -> NegativeSampleSet:
-    """Decode a negative-set file into its columns, one block of records at a time.
+def _open(path):
+    """The file at ``path`` opened for binary reading; an unreadable path is a
+    DataError naming it."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
 
-    The ids column is allocated once, sized by the varints the file holds; the
-    header's record count is first checked against them, as every record
-    takes at least six.
+
+def open_negative_set(path) -> NegativeSetFile:
+    """Open a negative-set file, check it whole, and leave its records on disk.
+
+    The file is read in blocks of :data:`_READ_BYTES`, never held whole. The
+    magic and version are checked first (FormatError), then the checksum, the
+    header and the header's record count against the varints the file holds,
+    as every record takes at least six (CorruptionError). Anything else wrong
+    with a record is found when it is decoded. An unreadable path is a
+    DataError naming it.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(_MAGIC) + 2:
-        raise CorruptionError("negative-set file shorter than its header")
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise FormatError("not a negative-set file (bad magic)")
-    (version,) = struct.unpack_from("<H", data, len(_MAGIC))
-    if version != _VERSION:
-        raise FormatError(f"unsupported negative-set version {version}")
-    if len(data) < len(_MAGIC) + 4 + 24 + 4:
-        raise CorruptionError("truncated negative-set file")
-    limit = len(data) - 4
-    if zlib.crc32(memoryview(data)[:limit]) != struct.unpack_from("<I", data, limit)[0]:
-        raise CorruptionError("negative-set file failed its checksum")
-
-    strategy_code, _reserved, q, seed, count = struct.unpack_from("<BBQQQ", data, len(_MAGIC) + 2)
-    if strategy_code >= len(STRATEGIES):
-        raise FormatError(f"unknown strategy code {strategy_code}")
-    offset = len(_MAGIC) + 4 + 24
-    texts = []
-    for _ in range(3):
-        length = int.from_bytes(data[offset : offset + 2], "little")
-        offset += 2 + length
-        if offset > limit:
+    with _open(path) as fh:
+        limit = os.fstat(fh.fileno()).st_size - 4
+        head = fh.read(len(_MAGIC) + 2)
+        if len(head) < len(_MAGIC) + 2:
+            raise CorruptionError("negative-set file shorter than its header")
+        if head[: len(_MAGIC)] != _MAGIC:
+            raise FormatError("not a negative-set file (bad magic)")
+        (version,) = struct.unpack_from("<H", head, len(_MAGIC))
+        if version != _VERSION:
+            raise FormatError(f"unsupported negative-set version {version}")
+        if limit < len(_MAGIC) + 4 + 24:
             raise CorruptionError("truncated negative-set file")
-        try:
-            texts.append(data[offset - length : offset].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise CorruptionError("provenance string is not utf-8") from None
-    body = np.frombuffer(data, dtype=np.uint8, count=limit - offset, offset=offset)
-    varints = sum(int(np.count_nonzero(body[a : a + _BLOCK_BYTES] < 0x80))
-                  for a in range(0, len(body), _BLOCK_BYTES))
+        fh.seek(0)
+        crc, varints, left = 0, 0, limit
+        while left:
+            block = fh.read(min(left, _READ_BYTES))
+            if not block:
+                raise CorruptionError("truncated negative-set file")
+            crc = zlib.crc32(block, crc)
+            varints += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) < 0x80))
+            left -= len(block)
+        if crc != struct.unpack("<I", fh.read(4))[0]:
+            raise CorruptionError("negative-set file failed its checksum")
+
+        fh.seek(len(_MAGIC) + 2)
+        fixed = fh.read(26)
+        strategy_code, _reserved, q, seed, count = struct.unpack("<BBQQQ", fixed)
+        if strategy_code >= len(STRATEGIES):
+            raise FormatError(f"unknown strategy code {strategy_code}")
+        header, texts = [head, fixed], []
+        for _ in range(3):
+            size = fh.read(2)
+            length = int.from_bytes(size, "little")
+            if sum(map(len, header)) + 2 + length > limit:
+                raise CorruptionError("truncated negative-set file")
+            text = fh.read(length)
+            header += [size, text]
+            try:
+                texts.append(text.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise CorruptionError("provenance string is not utf-8") from None
+    body = sum(map(len, header))
+    varints -= sum(int(np.count_nonzero(np.frombuffer(part, dtype=np.uint8) < 0x80))
+                   for part in header)
     if count > varints // _RECORD_FIELDS:
         raise CorruptionError(f"record count {count} exceeds what the file holds")
-    ids = _column(varints - _RECORD_FIELDS * count)
-    blocks, records, filled, size = [], 0, 0, _BLOCK_BYTES
-    while records < count:
-        stop = min(offset + size, limit)
-        chunk = np.frombuffer(data, dtype=np.uint8, count=stop - offset, offset=offset)
-        taken, fields = _decode_block(chunk, count - records, limit - offset, ids[filled:])
-        if not taken:
-            if stop == limit:
+    return NegativeSetFile(path, STRATEGIES[strategy_code], q, seed, Provenance(*texts),
+                           count, body, limit, varints - _RECORD_FIELDS * count)
+
+
+class NegativeSetFile:
+    """A checked negative-set file whose records are decoded only when read.
+
+    ``strategy``, ``q``, ``seed`` and ``provenance`` come from its header, and
+    ``len()`` is its record count. Each :meth:`reader` reads the file from its
+    first record, so one opened file can be evaluated more than once;
+    :meth:`read` decodes every record into a :class:`NegativeSampleSet`.
+    """
+
+    def __init__(self, path, strategy, q, seed, provenance, count, body, limit, ids):
+        self.path, self.strategy, self.q, self.seed = path, strategy, q, seed
+        self.provenance = provenance
+        # records from byte ``body`` up to ``limit``, holding ``ids`` candidates
+        self._count, self._body, self._limit, self._ids = count, body, limit, ids
+
+    def __len__(self) -> int:
+        return self._count
+
+    def reader(self) -> _Reader:
+        """A reader at the file's first record."""
+        return _Reader(self)
+
+    def read(self) -> NegativeSampleSet:
+        """Every record, decoded into columns: one ids column of the size the
+        file holds, int32 until an id reaches 2**31."""
+        reader = self.reader()
+        ids = _column(self._ids, np.int32)
+        tables, lengths, filled = [np.empty((5, 0), dtype=np.int64)], [_EMPTY], 0
+        while reader.records < self._count:
+            table, counts, block = reader.take(self._count - reader.records)
+            if ids.dtype == np.int32 and block.max(initial=0) >= 2**31:
+                wide = _column(len(ids), np.int64)
+                wide[:filled] = ids[:filled]
+                ids = wide
+            ids[filled : filled + len(block)] = block
+            filled += len(block)
+            tables.append(table)
+            lengths.append(counts)
+        reader.finish()
+        offsets = np.zeros(self._count + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(lengths), out=offsets[1:])
+        return NegativeSampleSet.from_columns(self.strategy, self.q, self.seed,
+                                              np.concatenate(tables, axis=1), offsets, ids,
+                                              self.provenance)
+
+
+class _Reader:
+    """Decodes an opened file's records in order, one pass at a time.
+
+    A pass reads :data:`_BLOCK_BYTES` bytes from the file, and grows, and
+    stays grown, while one record outgrows it. The reader holds the records
+    of its last pass that were not taken yet, and no byte buffer. Malformed
+    records raise CorruptionError when a pass reaches them.
+    """
+
+    def __init__(self, opened: NegativeSetFile):
+        self.file, self.offset, self.records = opened, opened._body, 0
+        self.ids_left, self.size = opened._ids, _BLOCK_BYTES
+        self.held = None  # (fields, ids) of the last pass's records not taken yet
+
+    def take(self, wanted: int) -> tuple:
+        """``(table, counts, ids)`` of the next records, at most ``wanted`` of
+        them and at most the rest of one pass (at least one): their ``(5, k)``
+        query columns, their candidate counts and their candidates, int64."""
+        if self.held is None:
+            self.held = self._decode()
+        fields, ids = self.held
+        taken, cut = fields[:wanted], int(fields[:wanted, 5].sum())
+        self.held = (fields[wanted:], ids[cut:]) if len(fields) > wanted else None
+        self.records += len(taken)
+        return taken[:, :5].T, taken[:, 5], ids[:cut]
+
+    def _decode(self) -> tuple:
+        """(fields, ids) of the records of the next pass."""
+        opened = self.file
+        while True:
+            want = min(self.size, opened._limit - self.offset)
+            with _open(opened.path) as fh:
+                fh.seek(self.offset)
+                data = fh.read(want)
+            if len(data) < want:
                 raise CorruptionError("truncated negative-set file")
-            size *= 2  # one record outgrows the block
-            continue
-        blocks.append(fields)
-        records += len(fields)
-        filled += int(fields[:, 5].sum())
-        offset += taken
-    if offset != limit:
-        raise CorruptionError("trailing bytes after the last negative record")
-    fields = np.concatenate([np.empty((0, _RECORD_FIELDS), dtype=np.int64), *blocks])
-    offsets = np.zeros(len(fields) + 1, dtype=np.int64)
-    np.cumsum(fields[:, 5], out=offsets[1:])
-    return NegativeSampleSet.from_columns(STRATEGIES[strategy_code], q, seed,
-                                          np.ascontiguousarray(fields[:, :5].T), offsets, ids,
-                                          Provenance(*texts))
+            taken, fields, ids = _decode_block(np.frombuffer(data, dtype=np.uint8),
+                                               opened._count - self.records,
+                                               opened._limit - self.offset, self.ids_left)
+            if taken:
+                break
+            if want == opened._limit - self.offset:
+                raise CorruptionError("truncated negative-set file")
+            self.size *= 2  # one record outgrows the pass
+        self.offset += taken
+        self.ids_left -= len(ids)
+        return fields, ids
+
+    def finish(self) -> None:
+        """Check that no byte follows the last record."""
+        if self.offset != self.file._limit:
+            raise CorruptionError("trailing bytes after the last negative record")
+
+
+def read_negative_set(path) -> NegativeSampleSet:
+    """Decode a whole negative-set file into a :class:`NegativeSampleSet`: open
+    it (:func:`open_negative_set`, which checks it) and take every record."""
+    return open_negative_set(path).read()

@@ -1,10 +1,13 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chronolink import (
@@ -17,7 +20,10 @@ from chronolink import (
     load_graph_dir,
     load_splits,
     merge,
+    negatives,
+    read_negative_set,
     write_graph_dir,
+    write_negative_set,
 )
 from chronolink.cli import (
     EXIT_CONFIG,
@@ -829,3 +835,81 @@ def test_eval_of_an_inverse_augmented_graph_dir_matches_the_plain_one(pipeline):
         outputs[name]["negatives"] = (negatives / "negatives.bin").read_bytes()
     assert len(outputs["plain"]) == 17
     assert outputs["augmented"] == outputs["plain"]
+
+
+# -- negative-set files in eval ---------------------------------------------------------
+
+
+def _sampled(pipeline, strategy="type-aware", q="6"):
+    """The pipeline's graph and splits, with test negatives written to neg/."""
+    tmp_path, graph_dir, splits_dir = pipeline
+    common = ["--graph", str(graph_dir), "--splits", str(splits_dir)]
+    assert main(["negatives", *common, "--strategy", strategy, "--q", q, "--seed", "3",
+                 "--out-dir", str(tmp_path / "neg")]) == EXIT_OK
+    return tmp_path, common, tmp_path / "neg" / "negatives.bin"
+
+
+_RESULT_FILES = ("result.txt", "per_relation.tsv", "per_timestep.tsv", "params.txt")
+
+
+@pytest.mark.parametrize("scorer", ["edgebank-inf", "recurrency", "recurrency-trained"])
+def test_streamed_results_equal_those_of_a_full_decode(pipeline, monkeypatch, scorer):
+    tmp_path, common, path = _sampled(pipeline)
+    assert main(["negatives", *common, "--split", "valid", "--strategy", "random", "--q", "5",
+                 "--seed", "3", "--out-dir", str(tmp_path / "neg-valid")]) == EXIT_OK
+    argv = ["eval", *common, "--scorer", scorer, "--negatives", str(path),
+            "--valid-negatives", str(tmp_path / "neg-valid" / "negatives.bin")]
+    assert main([*argv, "--out-dir", str(tmp_path / "streamed")]) == EXIT_OK
+    monkeypatch.setattr(cli, "open_negative_set", read_negative_set)
+    assert main([*argv, "--out-dir", str(tmp_path / "decoded")]) == EXIT_OK
+    for name in _RESULT_FILES:
+        assert (tmp_path / "streamed" / name).read_bytes() == (
+            tmp_path / "decoded" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--negatives", "--valid-negatives"])
+def test_a_directory_as_a_negative_set_is_data_error(pipeline, capsys, flag):
+    tmp_path, common, path = _sampled(pipeline)
+    assert main(["eval", *common, "--scorer", "recurrency-trained", flag, str(path.parent),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {path.parent}: Is a directory" in err
+    assert "Traceback" not in err
+
+
+def test_candidate_ids_outside_the_node_space_exit_data(pipeline, capsys):
+    # a set made for a larger graph: record 0's ids moved past the 35 nodes
+    tmp_path, common, path = _sampled(pipeline)
+    ns = read_negative_set(path)
+    ids = np.array(ns.ids, dtype=np.int64)
+    ids[: ns.offsets[1]] += 35
+    write_negative_set(negatives.NegativeSampleSet.from_columns(
+        ns.strategy, ns.q, ns.seed, ns.table, ns.offsets, ids, ns.provenance), path)
+    assert main(["eval", *common, "--scorer", "edgebank-inf", "--negatives", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"candidate id {int(ids[: ns.offsets[1]].max())} outside the graph's node space " \
+           "[0, 35)" in err
+    assert not (tmp_path / "out" / "result.txt").exists()
+
+
+def test_a_corrupt_record_mid_stream_exits_integrity_without_results(pipeline, monkeypatch,
+                                                                      capsys):
+    # the second-to-last record's direction byte set to 2, with a valid CRC: the
+    # file opens, and the replay meets the record after scoring earlier timestamps
+    tmp_path, common, path = _sampled(pipeline)
+    ns = read_negative_set(path)
+    data = bytearray(path.read_bytes()[:-4])
+    sizes = [len(negatives._encode_block(ns.table[:, k:k + 1], ns.offsets[k:k + 2],
+                                         ns.ids[ns.offsets[k]:ns.offsets[k + 1]]))
+             for k in range(len(ns))]
+    start = len(data) - sum(sizes[-2:])
+    record = np.frombuffer(bytes(data[start:start + sizes[-2]]), dtype=np.uint8)
+    data[start + int(negatives._varints(record)[1][3]) + 1] = 2  # the byte after the truth
+    path.write_bytes(bytes(data) + struct.pack("<I", zlib.crc32(bytes(data))))
+    monkeypatch.setattr(negatives, "_BLOCK_BYTES", 64)
+    out = tmp_path / "out"
+    assert main(["eval", *common, "--scorer", "recurrency", "--negatives", str(path),
+                 "--out-dir", str(out)]) == EXIT_INTEGRITY
+    assert "unknown direction code" in capsys.readouterr().err
+    assert not any((out / name).exists() for name in _RESULT_FILES)

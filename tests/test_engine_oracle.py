@@ -9,11 +9,16 @@ generated sets, every case ranks lists as a file from outside may hold them:
 with the truth itself and the conflicts among the candidates. The engine
 counts materialized lists and 1-vs-all queries in chunks of at most
 ``evaluation._CHUNK_CELLS`` cells; the chunked tests shrink that bound so a
-timestamp spans many chunks.
+timestamp spans many chunks. Every materialized set is also written to a
+file and evaluated as opened, its records decoded as the replay reaches
+them; the streamed tests shrink ``negatives._BLOCK_BYTES`` as well, so
+decode passes and timestamps cut each other.
 """
 
 import itertools
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,8 +43,10 @@ from chronolink import (
     generate,
     generate_all,
     generate_negative_set,
+    open_negative_set,
+    write_negative_set,
 )
-from chronolink import evaluation
+from chronolink import evaluation, negatives
 from chronolink.baselines import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, DEFAULT_WINDOW_GRID
 from conftest import HashScorer
 
@@ -162,14 +169,37 @@ def _assert_engine_equals_oracle(case, scorer):
                                           kind=kind) for p in GRID)
         return want if queries else want[0]  # without a query no block fixes the row count
 
-    def engine(sample_set):
+    def run(sample_set):
         scorer = make() if make is not None else _Grid(GRID)  # all 27 points in one block
         return evaluate_single_step(scorer, history, test, sample_set, full, kind=kind)
+
+    def engine(sample_set):
+        result = run(sample_set)
+        if sample_set.candidates is not None:  # the same lists, streamed from a file
+            with _written(sample_set) as path:
+                assert run(open_negative_set(path)) == result, (label, "file")
+        return result
 
     # the oracle builds its own 1-vs-all lists from the last, unmaterialized set;
     # for "all", ranking every node equals ranking the lists, filtered or not
     assert [engine(s) for s in sets] == [oracle(sets[-1])] * len(sets), (label, case["strategy"])
     assert engine(outside) == oracle(outside), (label, "outside")
+
+
+class _written:
+    """A sample set written to a file in a fresh directory, removed on exit."""
+
+    def __init__(self, sample_set):
+        self.sample_set = sample_set
+
+    def __enter__(self) -> Path:
+        self.directory = tempfile.TemporaryDirectory()
+        path = Path(self.directory.name) / "negatives.bin"
+        write_negative_set(self.sample_set, path)
+        return path
+
+    def __exit__(self, *exc):
+        self.directory.cleanup()
 
 
 @settings(max_examples=120, deadline=None)
@@ -193,6 +223,19 @@ def test_engine_equals_brute_force_oracle(case, scorer):
 @example(case=_UNFILTERED, scorer=("constant", ConstantScorer))
 def test_chunked_counting_equals_brute_force_oracle(chunk, case, scorer):
     with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+        _assert_engine_equals_oracle(case, scorer)
+
+
+# a few bytes a pass: a timestamp's records span several passes; 64 bytes:
+# one pass holds several timestamps
+@pytest.mark.parametrize("chunk,block", [(7, 1), (evaluation._CHUNK_CELLS, 5), (3, 64)])
+@settings(max_examples=60, deadline=None)
+@given(case=_cases(), scorer=_SCORERS)
+@example(case=_MIXED, scorer=("hash 2", lambda: HashScorer(2)))
+@example(case=_GAPPED, scorer=("grid", None))
+def test_streamed_lists_equal_brute_force_oracle(chunk, block, case, scorer):
+    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk), \
+            mock.patch.object(negatives, "_BLOCK_BYTES", block):
         _assert_engine_equals_oracle(case, scorer)
 
 

@@ -1,4 +1,7 @@
 import re
+import struct
+import tracemalloc
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from chronolink import (
     ConfigError,
     ConstantScorer,
+    CorruptionError,
     DataError,
     EdgeBankScorer,
     EvalQuery,
@@ -28,9 +32,12 @@ from chronolink import (
     generate_all,
     generate_negative_set,
     merge,
+    open_negative_set,
+    read_negative_set,
     time_aware_filter,
+    write_negative_set,
 )
-from chronolink import evaluation
+from chronolink import evaluation, negatives
 from conftest import HashScorer
 
 
@@ -662,3 +669,162 @@ def test_an_empty_split_evaluates_to_no_queries():
     negatives = generate_all(add_inverse_relations(g), [], materialize=False)
     result = evaluate_single_step(EdgeBankScorer(), merge(train, valid), empty, negatives, g)
     assert result.query_count == 0 and result.per_timestep == ()
+
+
+# -- negative sets streamed from a file ------------------------------------------------
+
+
+def _streamed_setup(tmp_path, seed=3):
+    g, train, valid, test = _tkg(seed=seed)
+    universe = add_inverse_relations(g)
+    ns = generate_negative_set("type-aware", universe, expand_queries(test, "tkg"), q=6, seed=2)
+    path = tmp_path / "negatives.bin"
+    write_negative_set(ns, path)
+    return g, merge(train, valid), test, ns, path
+
+
+@pytest.mark.parametrize("block", [5, 64])
+def test_decode_passes_and_timestamps_cut_each_other(tmp_path, block):
+    g, history, test, ns, path = _streamed_setup(tmp_path)
+    passes, chunks = [], []  # the timestamps of each decode pass and of each chunk
+    decode, take = negatives._decode_block, negatives._Reader.take
+
+    def decoded(*args):
+        taken, fields, ids = decode(*args)
+        if taken:
+            passes.append(set(fields[:, 2].tolist()))
+        return taken, fields, ids
+
+    def taken(self, wanted):
+        table, counts, ids = take(self, wanted)
+        chunks.append(set(table[2].tolist()))
+        return table, counts, ids
+
+    with mock.patch.object(negatives, "_BLOCK_BYTES", block), \
+            mock.patch.object(negatives, "_decode_block", decoded), \
+            mock.patch.object(negatives._Reader, "take", taken):
+        got = evaluate_single_step(RecurrencyScorer(), history, test, open_negative_set(path), g)
+    assert got == evaluate_single_step(RecurrencyScorer(), history, test, ns, g)
+    assert all(len(stamps) == 1 for stamps in chunks)  # a chunk never crosses a timestamp
+    if block == 5:  # a timestamp's records take several passes
+        stamps = [t for timestamps in passes for t in timestamps]
+        assert max(map(stamps.count, stamps)) > 1
+    else:  # a pass holds records of several timestamps
+        assert max(map(len, passes)) > 1
+
+
+@pytest.mark.parametrize("reorder", ["shuffled", "last-timestamp-reversed"])
+def test_a_file_in_another_order_gives_the_canonical_result(tmp_path, reorder):
+    g, history, test, ns, _ = _streamed_setup(tmp_path)
+    records = np.arange(len(ns))
+    if reorder == "shuffled":
+        records = np.random.default_rng(0).permutation(len(ns))
+    else:  # the passes before it hold the canonical records, so the join starts mid-stream
+        last = ns.table[2] == ns.table[2].max()
+        records[last] = records[last][::-1]
+    path = tmp_path / "reordered.bin"
+    write_negative_set(_reordered(ns, records), path)
+    with mock.patch.object(negatives, "_BLOCK_BYTES", 64):
+        for make in (EdgeBankScorer, RecurrencyScorer):
+            got = evaluate_single_step(make(), history, test, open_negative_set(path), g)
+            assert got == evaluate_single_step(make(), history, test, ns, g)
+
+
+def test_an_opened_file_evaluated_twice_gives_equal_results(tmp_path):
+    g, history, test, ns, path = _streamed_setup(tmp_path)
+    opened = open_negative_set(path)
+    first, second = (evaluate_single_step(RecurrencyScorer(), history, test, opened, g)
+                     for _ in range(2))
+    assert first == second == evaluate_single_step(RecurrencyScorer(), history, test, ns, g)
+
+
+@pytest.mark.parametrize("where,shift", [("memory", "node_count"), ("memory", -40),
+                                         ("file", "node_count")])
+def test_candidate_ids_outside_the_node_space_are_data_errors(tmp_path, where, shift):
+    # a set made for a larger graph: every id of record 0 moved out of the node space
+    g, history, test, ns, _ = _streamed_setup(tmp_path)
+    ids = np.array(ns.ids, dtype=np.int64)
+    ids[: ns.offsets[1]] += g.node_count if shift == "node_count" else shift
+    shifted = NegativeSampleSet.from_columns(ns.strategy, ns.q, ns.seed, ns.table, ns.offsets,
+                                             ids)
+    if where == "file":
+        write_negative_set(shifted, tmp_path / "shifted.bin")
+        shifted = open_negative_set(tmp_path / "shifted.bin")
+    with pytest.raises(DataError, match=rf"candidate id -?\d+ outside the graph's node space "
+                                        rf"\[0, {g.node_count}\)"):
+        evaluate_single_step(EdgeBankScorer(), history, test, shifted, g)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _record_starts(ns, path) -> list:
+    """The byte offset of each record of a file this tool wrote, and of its end."""
+    body = len(path.read_bytes()) - 4
+    sizes = [len(negatives._encode_block(ns.table[:, k:k + 1], ns.offsets[k:k + 2],
+                                         ns.ids[ns.offsets[k]:ns.offsets[k + 1]]))
+             for k in range(len(ns))]
+    ends = np.cumsum(sizes) + body - sum(sizes)
+    return [int(body - sum(sizes)), *ends.tolist()]
+
+
+class _Counting(EdgeBankScorer):
+    """EdgeBank that counts the timestamps it observed."""
+
+    observed = 0
+
+    def observe(self, quads):
+        type(self).observed += 1
+        super().observe(quads)
+
+
+@pytest.mark.parametrize("damage", ["direction", "trailing"])
+def test_a_corrupt_record_mid_stream_is_corruption_error(tmp_path, damage):
+    # CRC-valid damage near the end of the file: the opener passes it, and the
+    # replay meets it after scoring earlier timestamps
+    g, history, test, ns, path = _streamed_setup(tmp_path)
+    data = bytearray(path.read_bytes()[:-4])
+    starts = _record_starts(ns, path)
+    if damage == "direction":
+        k = len(ns) - 2
+        record = np.frombuffer(bytes(data[starts[k]:starts[k + 1]]), dtype=np.uint8)
+        data[starts[k] + int(negatives._varints(record)[1][3]) + 1] = 2  # after the truth
+        match = "unknown direction code"
+    else:  # the last record twice
+        data += data[starts[-2]:starts[-1]]
+        match = "trailing bytes"
+    path.write_bytes(_with_crc(bytes(data)))
+    opened = open_negative_set(path)
+    _Counting.observed = 0
+    with mock.patch.object(negatives, "_BLOCK_BYTES", 64), \
+            pytest.raises(CorruptionError, match=match):
+        evaluate_single_step(_Counting(), history, test, opened, g)
+    assert _Counting.observed > 1
+
+
+def test_an_opened_file_is_ranked_without_its_ids_column(tmp_path):
+    g = generate(SynthConfig(node_count=2000, relation_count=4, timestep_count=20, rate=300,
+                             p_rep=0.5, seed=1))
+    train, valid, test, _ = chronological_split(g)
+    universe = add_inverse_relations(g)
+    ns = generate_negative_set("random", universe, expand_queries(test, "tkg"), q=1900, seed=1)
+    path = tmp_path / "negatives.bin"
+    write_negative_set(ns, path)
+    column = read_negative_set(path).ids.nbytes
+    history = merge(train, valid)
+    want = evaluate_single_step(EdgeBankScorer(), history, test, ns, g)
+    opened = open_negative_set(path)
+    tracemalloc.start()
+    try:
+        with mock.patch.object(negatives.NegativeSetFile, "read", side_effect=AssertionError):
+            got = evaluate_single_step(EdgeBankScorer(), history, test, opened, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert len(ns.ids) > 4_000_000
+    # a full decode maps its column outside tracemalloc's view, so it is
+    # refused above; the engine's own buffers are traced, and hold a chunk
+    # and a decode pass at a time
+    assert peak < column / 2

@@ -29,6 +29,7 @@ from chronolink import (
     generate,
     generate_all,
     generate_negative_set,
+    open_negative_set,
     read_negative_set,
     write_negative_set,
 )
@@ -338,8 +339,9 @@ def test_golden_negative_file_bytes(tmp_path, case):
                   for query, c in zip(ns.queries, ns.candidates)]
         assert any(padded)
     if case == "node-type-full":
-        assert {name: hashlib.sha256(getattr(ns, name).tobytes()).hexdigest()
-                for name in NODE_TYPE_FULL_COLUMNS} == NODE_TYPE_FULL_COLUMNS
+        # the digests are of the int64 values, whatever dtype the set holds
+        assert {name: hashlib.sha256(np.asarray(getattr(ns, name), np.int64).tobytes())
+                .hexdigest() for name in NODE_TYPE_FULL_COLUMNS} == NODE_TYPE_FULL_COLUMNS
     path = tmp_path / "golden.bin"
     write_negative_set(ns, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
@@ -664,6 +666,81 @@ def test_large_ids_round_trip(tmp_path):
     assert back == ns
 
 
+def test_ids_are_int32_when_they_fit_and_files_do_not_depend_on_it(tmp_path):
+    g, universe, queries = _tkg_setup(seed=6)
+    narrow = generate_negative_set("type-aware", universe, queries, q=5, seed=3)
+    assert narrow.ids.dtype == np.int32
+    wide = NegativeSampleSet.from_columns(narrow.strategy, narrow.q, narrow.seed, narrow.table,
+                                          narrow.offsets, narrow.ids.astype(np.int64))
+    assert narrow == wide and wide == narrow
+    for name, ns in (("narrow", narrow), ("wide", wide)):
+        write_negative_set(ns, tmp_path / name)
+    assert (tmp_path / "narrow").read_bytes() == (tmp_path / "wide").read_bytes()
+    back = read_negative_set(tmp_path / "wide")
+    assert back.ids.dtype == np.int32 and back == wide
+
+
+@pytest.mark.parametrize("nodes,dtype", [(2**31, np.int32), (2**31 + 5, np.int64)])
+def test_generated_ids_widen_past_two_to_the_31_nodes(nodes, dtype):
+    g = from_quadruples([(0, 0, 1, 0), (2, 0, 3, 1), (5, 0, nodes - 1, 1)], node_count=nodes,
+                        relation_count=1)
+    ns = generate_negative_set("type-aware", g, expand_queries(g.time_slice(1, 1), "thg"),
+                               q=3, seed=1)
+    assert ns.ids.dtype == dtype
+    assert ns.ids.max() == nodes - 1  # the padding reaches the last node
+
+
+def test_a_read_column_widens_at_the_first_id_past_int32(tmp_path):
+    # small ids first, so the int32 column is filled over several passes
+    # before the id 2**31 widens it
+    queries = [EvalQuery(k, 0, k, 0) for k in range(30)]
+    lists = [np.arange(1, 9, dtype=np.int64) * (k + 1) for k in range(29)]
+    ns = NegativeSampleSet("random", 8, 0, queries, lists + [np.array([5, 2**31])])
+    write_negative_set(ns, tmp_path / "ns.bin")
+    with mock.patch.object(negatives, "_BLOCK_BYTES", 16):
+        back = read_negative_set(tmp_path / "ns.bin")
+    assert back.ids.dtype == np.int64 and back == ns
+
+
+def test_opening_checks_the_whole_file_and_decodes_no_record(tmp_path, monkeypatch):
+    g, universe, queries = _tkg_setup(seed=6)
+    ns = generate_negative_set("random", universe, queries, q=5, seed=3,
+                               provenance=Provenance("synthetic", "test"))
+    path = tmp_path / "ns.bin"
+    write_negative_set(ns, path)
+    monkeypatch.setattr(negatives, "_decode_block", None)
+    opened = open_negative_set(path)
+    assert (len(opened), opened.strategy, opened.q, opened.seed, opened.provenance) == (
+        len(ns), ns.strategy, ns.q, ns.seed, ns.provenance)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1  # a record byte: the checksum finds it on opening
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptionError, match="checksum"):
+        open_negative_set(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_an_unreadable_path_is_data_error_naming_it(tmp_path, kind):
+    path = tmp_path / "negatives"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(DataError, match=f"^{path}: "):
+        open_negative_set(path)
+
+
+def test_generators_take_the_query_table_as_it_is(monkeypatch):
+    g, universe, queries = _tkg_setup(seed=6)
+    want = generate_negative_set("type-aware", universe, list(queries), q=5, seed=3)
+    # neither expanding the queries nor generating from them builds a query object
+    monkeypatch.setattr(negatives, "_as_queries", None)
+    monkeypatch.setattr(negatives, "EvalQuery", None)
+    _, _, test, _ = chronological_split(generate(SynthConfig(
+        node_count=30, relation_count=3, timestep_count=30, rate=5, p_rep=0.4, seed=6)))
+    table = expand_queries(test, "tkg")
+    assert generate_negative_set("type-aware", universe, table, q=5, seed=3) == want
+    assert generate_all(universe, table, materialize=False).table is table._table
+
+
 def test_zigzag_timestamps_round_trip(tmp_path):
     # negative timestamps survive serialization
     g = from_quadruples([(0, 0, 1, -5), (1, 0, 0, -3)], node_count=2, relation_count=1)
@@ -819,7 +896,7 @@ def _sampler_cases(draw):
     types = draw(st.lists(st.integers(0, 2), min_size=nodes, max_size=nodes))
     g = from_quadruples(quads, node_count=nodes, relation_count=2, node_types=types)
     universe = add_inverse_relations(g)
-    queries = expand_queries(g, "tkg")
+    queries = list(expand_queries(g, "tkg"))
     # truths anywhere, so some lie outside their relation's tail pool
     queries += [EvalQuery(*args) for args in draw(st.lists(
         st.tuples(st.integers(0, nodes - 1), st.integers(0, 3), st.integers(0, 4),
