@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import resource
@@ -118,10 +119,13 @@ class _Run:
         self.config = {}
         self.seed = getattr(args, "seed", None)
 
-    def add_input(self, path) -> None:
+    def add_input(self, path, file: bool = False) -> None:
+        """Checksum a file, or every file under a directory unless ``file``."""
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"{path} does not exist")
+        if file and path.is_dir():
+            raise DataError(f"{path}: {os.strerror(errno.EISDIR)}")
         if path.is_dir():
             for child in sorted(path.rglob("*")):
                 if child.is_file():
@@ -363,7 +367,7 @@ def cmd_eval(run: _Run):
     # a negative-set file is checked now and decoded as the replay reaches
     # its records
     if args.negatives:
-        run.add_input(args.negatives)
+        run.add_input(args.negatives, file=True)
         negatives = open_negative_set(args.negatives)
     else:
         negatives = generate_all(universe, expand_queries(eval_graph, kind), materialize=False)
@@ -372,7 +376,7 @@ def cmd_eval(run: _Run):
     grid_negatives = None
     if trained:
         if args.valid_negatives:
-            run.add_input(args.valid_negatives)
+            run.add_input(args.valid_negatives, file=True)
             grid_negatives = open_negative_set(args.valid_negatives)
         else:
             grid_negatives = generate_all(universe, expand_queries(valid, kind), materialize=False)

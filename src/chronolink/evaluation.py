@@ -7,21 +7,22 @@ filter); only then is that timestamp's ground truth revealed to the scorer.
 Queries inside one timestamp therefore never see each other's answers, and
 no score may depend on facts at or after the query time.
 
-The queries are one int64 table in canonical order, and every query's
-same-timestamp facts are looked up once, in bulk, as a run of the universe's
-sorted rows. One counter ranks every query over a list of cells that ends
-with its truth. Conflicts (facts at the query's (source, relation,
-timestamp) other than its truth) are scored and then masked, which is exact
-only because a score may not depend on the other candidates (the
-:class:`Scorer` contract). The lists are of two kinds:
+The queries are one int64 table in canonical order, (timestamp, source,
+relation, truth, head), which is the order of the graph's rows and of every
+negative set's records. Every query's same-timestamp facts are looked up
+once, in bulk, as a run of the universe's sorted rows. One counter ranks
+every query over a list of cells that ends with its truth. Conflicts (facts
+at the query's (source, relation, timestamp) other than its truth) are
+scored and then masked, which is exact only because a score may not depend
+on the other candidates (the :class:`Scorer` contract). The lists are of two
+kinds:
 
 - A materialized list is the set's candidates for the query, with the
   truth appended, read in query order through one cursor (:class:`_Lists`).
-  A set in memory gives one slice of its ``ids`` column per chunk, cut at
-  its ``offsets``; a set whose records are not in canonical order is joined
-  to the queries once, and its chunks gather their lists by record. An
-  opened file (:func:`negatives.open_negative_set`) is decoded one pass at
-  a time as the chunks reach it, so its ids column never exists whole.
+  A set in memory must hold record k for query k; it gives one slice of its
+  ``ids`` column per chunk, cut at its ``offsets``. An opened file
+  (:func:`negatives.open_negative_set`) is decoded one pass at a time as the
+  chunks reach it, so its ids column never exists whole.
 - An unmaterialized 1-vs-all query is a weighted list. The supports of all
   of a timestamp's queries are named first (:meth:`Scorer.support`; every
   node if the scorer names none). A query's cells are then its support, its
@@ -30,12 +31,13 @@ only because a score may not depend on the other candidates (the
   for every node it stands for; the conflicts, and the truth where the
   support holds it, are masked.
 
-A timestamp's queries are cut into chunks of at most ``_CHUNK_CELLS`` cells
-(a longer list is a chunk of its own; an opened file's lists are cut at its
-decode passes instead). Each query's scores go into one
-buffer for the chunk, and one pass compares every segment with its truth's
-score and sums the cells above and tied per segment. A score may be NaN only
-at a masked cell.
+A timestamp's queries are cut into chunks of at most
+``negatives._CHUNK_CELLS`` cells beyond their first query's, by the cutter
+that cuts the generator's passes (an opened file's lists are cut at its
+decode passes instead). Each query's scores go into one buffer for the
+chunk, and one pass compares every segment with its truth's score and sums
+the cells above and tied per segment. A score may be NaN only at a masked
+cell.
 
 Tied scores receive the average of their best and worst possible rank, so
 ranks live on a half-integer grid; a query counts for Hits@k iff its rank is
@@ -61,8 +63,8 @@ from .negatives import (
     _as_queries,
     _check_queries,
     _facts,
+    _cuts,
     _Queries,
-    _ranges,
 )
 
 DEFAULT_KS = (1, 3, 10)
@@ -199,24 +201,23 @@ def expand_queries(test: TemporalMultiGraph, kind: str) -> Sequence:
     quadruple of the augmented graph is one query, with the direction
     recovered from the relation id.
 
-    Queries are sorted by (timestamp, source, relation, truth), which is the
-    order negative-set files follow.
+    The queries keep the graph's row order, (timestamp, source, relation,
+    object), which is the canonical order every negative set holds.
     """
     return _Queries(_query_table(_augment_if_needed(test, kind), kind))
 
 
 def _query_table(test: TemporalMultiGraph, kind: str) -> np.ndarray:
     """The queries of a THG graph or an inverse-augmented TKG graph as int64 rows
-    (source, relation, timestamp, truth, head), in canonical order: one column
-    per query."""
+    (source, relation, timestamp, truth, head), one column per query, in the
+    graph's row order; as the head flag follows from the relation, that is
+    the canonical order."""
     if kind not in ("tkg", "thg"):
         raise DataError(f"kind must be tkg or thg, got {kind!r}")
     r = test.relations
     head = r >= test.relation_count // 2 if kind == "tkg" else np.zeros(len(test), dtype=bool)
-    table = np.array([test.subjects, r, test.timestamps, test.objects, head],
-                     dtype=np.int64).reshape(5, -1)
-    # a graph holds each quadruple once, so no two queries share a sort key
-    return table[:, np.lexsort(table[[3, 1, 0, 2]])]  # by t, s, r, then truth
+    return np.array([test.subjects, r, test.timestamps, test.objects, head],
+                    dtype=np.int64).reshape(5, -1)
 
 
 def time_aware_filter(
@@ -269,9 +270,10 @@ def evaluate_single_step(
     the conflict/filter universe (the whole dataset). For TKG inputs all
     three graphs are inverse-augmented internally when not already, so
     negatives must have been generated against the augmented universe.
-    ``negatives`` is a set in memory or an opened file, whose records are
-    decoded as the replay reaches them; query ids and candidate ids outside
-    the universe's id spaces are a DataError.
+    ``negatives`` is a set in memory, which must hold one record per query
+    (a query without one is a ProtocolError naming it), or an opened file,
+    whose records are decoded as the replay reaches them; query ids and
+    candidate ids outside the universe's id spaces are a DataError.
 
     Candidates are ranked along the last axis of the scores. A scorer that
     returns one score per candidate gives one :class:`EvalResult`; one that
@@ -292,10 +294,10 @@ def evaluate_single_step(
     table = _query_table(feed, kind)
     count = table.shape[1]
     dense = isinstance(negatives, NegativeSampleSet) and negatives.candidates is None
-    if not dense and len(negatives) != count:
+    if isinstance(negatives, NegativeSampleSet):
+        _require_records(negatives, table)
+    elif len(negatives) != count:
         raise ProtocolError(f"negative set covers {len(negatives)} queries, expected {count}")
-    if dense and not np.array_equal(negatives.table, table):
-        negatives.records_of(table)  # a query without a record raises
     _check_queries(universe, table)
     source, relation, timestamp, truth = table[:4]
     # each query's same-timestamp facts: universe.objects[lo:hi]
@@ -311,8 +313,8 @@ def evaluate_single_step(
         if dense:  # every support is named before any query is scored
             supports = ranks.supports(queries)
             # at most each support, its free node and its truth
-            most = np.fromiter(map(len, supports), np.int64, len(supports)) + 2
-            for a, b in _chunks(most):
+            bounds = _cuts(np.fromiter(map(len, supports), np.int64, len(supports)) + 2).tolist()
+            for a, b in zip(bounds, bounds[1:]):
                 rows = slice(i + a, i + b)
                 ids, starts, excluded, free = _one_vs_all(
                     supports[a:b], queries[a:b], universe, lo[rows], hi[rows], truth[rows])
@@ -336,11 +338,18 @@ def evaluate_single_step(
     return results if better.ndim == 2 else results[0]
 
 
-# The most candidate cells (a list's candidates or a support and free node,
-# plus its truth) scored into one buffer and counted at once; a longer list is
-# a chunk of its own. This bounds the buffer and its temporaries, e.g. for
-# 1-vs-all lists.
-_CHUNK_CELLS = 1 << 15
+def _require_records(negatives: NegativeSampleSet, table: np.ndarray) -> None:
+    """A set in memory must hold the queries of ``table`` as its records, so
+    record k is query k: both are in canonical order. Else the first query
+    without a record is a ProtocolError naming it, or, if every query has
+    one, the surplus records are."""
+    if np.array_equal(negatives.table, table):
+        return
+    held = set(zip(*negatives.table.tolist()))
+    for k, query in enumerate(zip(*table.tolist())):
+        if query not in held:
+            raise ProtocolError(f"no negative record for query {_Queries(table)[k]}")
+    raise ProtocolError(f"negative set covers {len(negatives)} queries, expected {table.shape[1]}")
 
 
 class _Ranks:
@@ -428,84 +437,68 @@ class _Ranks:
         return self._buffer[..., :cells]
 
 
-def _chunks(cells: np.ndarray):
-    """Queries 0..len(cells) cut into runs (a, b) of at most
-    :data:`_CHUNK_CELLS` cells; a longer list is a run of its own."""
-    a, used = 0, 0
-    for k, size in enumerate(cells.tolist()):
-        if used and used + size > _CHUNK_CELLS:
-            yield a, k
-            a, used = k, 0
-        used += size
-    yield a, len(cells)
-
-
 class _Lists:
     """A materialized set's candidate lists in query order, one chunk at a time.
 
-    A set in memory is cut into chunks of at most :data:`_CHUNK_CELLS`
-    cells (:func:`_chunks`); a set in another order is joined to the queries
-    once, and its chunks gather their lists by record. An opened file's
-    records are taken from one decode pass at a time, so a chunk ends at the
-    pass's end or the timestamp's, and only the rest of the last pass is
-    held between chunks. A pass whose records are not the next queries
-    (this tool writes no such file) makes the file be decoded whole and
-    joined to the queries, from that query on. Ids outside
-    ``[0, node_count)`` are a DataError.
+    One cursor takes the records. A set in memory, whose record k is query
+    k, is cut into chunks by :func:`negatives._cuts` (:class:`_Slices`). An
+    opened file's records are taken from one decode pass at a time, so a
+    chunk ends at the pass's end or the timestamp's, and only the rest of the
+    last pass is held between chunks. A pass whose records are not the next
+    queries (this tool writes no such file) makes the file be read whole into
+    a set, which is in canonical order, and sliced from that query on. Ids
+    outside ``[0, node_count)`` are a DataError.
     """
 
     def __init__(self, negatives, table: np.ndarray, node_count: int):
-        self.table, self.node_count = table, node_count
-        self.file = self.reader = None
-        if isinstance(negatives, NegativeSampleSet):
-            self._hold(negatives)
-        else:
-            self.file, self.reader = negatives, negatives.reader()
-
-    def _hold(self, negatives: NegativeSampleSet) -> None:
-        self.set, self.reader = negatives, None
-        # a set in canonical order holds query k at record k; else a missing one raises
-        same = np.array_equal(negatives.table, self.table)
-        self.records = None if same else negatives.records_of(self.table)
-        lengths = np.diff(negatives.offsets)
-        self.cells = (lengths if same else lengths[self.records]) + 1
-        self._check(negatives.ids)
-
-    def _check(self, ids: np.ndarray) -> None:
-        low, high = (ids.min(), ids.max()) if len(ids) else (0, 0)
-        if low < 0 or high >= self.node_count:
-            raise DataError(f"negative candidate id {low if low < 0 else high} outside the "
-                            f"graph's node space [0, {self.node_count})")
+        self.table, self.node_count, self.file = table, node_count, negatives
+        memory = isinstance(negatives, NegativeSampleSet)
+        self.reader = _Slices(negatives, 0) if memory else negatives.reader()
 
     def chunks(self, i: int, j: int, truths: np.ndarray):
         """``(a, b, ids, starts)`` for queries i..j cut into runs a..b: their
         lists, each followed by its truth, in one read-only int64 array; query
         a + k has ``ids[starts[k]:starts[k + 1]]``."""
         a = i
-        while a < j and self.reader is not None:
+        while a < j:
             table, lengths, lists = self.reader.take(j - a)
             b = a + len(lengths)
-            if not np.array_equal(table, self.table[:, a:b]):
-                self._hold(self.file.read())
-                break
-            self._check(lists)
+            if not np.array_equal(table, self.table[:, a:b]):  # only a file's pass can differ
+                whole = self.file.read()
+                _require_records(whole, self.table)
+                self.reader = _Slices(whole, a)
+                continue
+            low, high = (lists.min(), lists.max()) if len(lists) else (0, 0)
+            if low < 0 or high >= self.node_count:
+                raise DataError(f"negative candidate id {low if low < 0 else high} outside "
+                                f"the graph's node space [0, {self.node_count})")
             yield a, b, *_with_truths(lists, lengths, truths[a:b])
             a = b
-        for x, y in _chunks(self.cells[a:j]) if a < j else ():
-            rows = slice(a + x, a + y)
-            offsets = self.set.offsets
-            if self.records is None:
-                first, after = offsets[rows], offsets[a + x + 1 : a + y + 1]
-                lists = self.set.ids[first[0] : after[-1]]
-            else:
-                first, after = offsets[self.records[rows]], offsets[self.records[rows] + 1]
-                lists = self.set.ids[_ranges(first, after - first)]
-            yield a + x, a + y, *_with_truths(lists, after - first, truths[rows])
 
     def finish(self) -> None:
         """Check, for an opened file, that no byte follows the last record."""
-        if self.reader is not None:
-            self.reader.finish()
+        self.reader.finish()
+
+
+class _Slices:
+    """A set in memory read like an opened file (:class:`negatives._Reader`),
+    from record ``at`` on, in chunks cut by :func:`negatives._cuts` over each
+    list and its truth."""
+
+    def __init__(self, negatives: NegativeSampleSet, at: int):
+        self.set, self.at = negatives, at
+        self.cuts = _cuts(np.diff(negatives.offsets) + 1)
+
+    def take(self, wanted: int) -> tuple:
+        """``(table, counts, ids)`` of the next records, at most ``wanted`` of
+        them and at most the rest of one chunk."""
+        a = self.at
+        self.at = b = min(a + wanted, int(self.cuts[self.cuts.searchsorted(a, "right")]))
+        offsets = self.set.offsets[a : b + 1]
+        return self.set.table[:, a:b], np.diff(offsets), self.set.ids[offsets[0] : offsets[-1]]
+
+    def finish(self) -> None:
+        """Nothing to check: a set in memory has no bytes after its last record."""
 
 
 def _with_truths(lists: np.ndarray, lengths: np.ndarray, truths: np.ndarray) -> tuple:

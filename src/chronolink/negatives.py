@@ -10,9 +10,9 @@ contain the true destination and never contain a temporal conflict, i.e. a
 node c for which (source, relation, c, timestamp) is a true fact anywhere in
 the dataset.
 
-Generation is bulk work over the query table in chunks of at most about
-:data:`_CHUNK_CELLS` cells; only the Philox reset and one ``Generator.choice``
-per sampled or padded list are per query (see :func:`_draw`).
+Generation is bulk work over the query table in passes cut by :func:`_cuts`;
+only the Philox reset and one ``Generator.choice`` per sampled or padded list
+are per query (see :func:`_draw`).
 
 Serialized layout (little-endian)::
 
@@ -26,10 +26,11 @@ Serialized layout (little-endian)::
     dataset   u16 length + utf-8 bytes      (provenance)
     split     u16 length + utf-8 bytes
     generator u16 length + utf-8 bytes
-    records   per query six varints: source, relation, zigzag timestamp,
-              truth, direction (a u8, 0 tail / 1 head, so also its own
-              1-byte varint) and candidate count; then the sorted candidate
-              ids delta-encoded as varints (first id, then gaps)
+    records   in canonical order (timestamp, source, relation, truth,
+              direction), per query six varints: source, relation, zigzag
+              timestamp, truth, direction (a u8, 0 tail / 1 head, so also
+              its own 1-byte varint) and candidate count; then the sorted
+              candidate ids delta-encoded as varints (first id, then gaps)
     crc       u32 crc32 of everything above
 
 The records form one unsigned-LEB128 varint stream, coded with numpy in
@@ -39,6 +40,8 @@ malformed or out-of-range content raises CorruptionError.
 :func:`open_negative_set` checks a file and leaves its records on disk; the
 engine decodes them one pass of :data:`_BLOCK_BYTES` bytes at a time as it
 reaches them. :func:`read_negative_set` opens a file and takes every record.
+A file from elsewhere whose records are in another order is read whole and
+put in canonical order, as every set is (see :class:`NegativeSampleSet`).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, CorruptionError, DataError, FormatError, ProtocolError
+from .errors import ConfigError, CorruptionError, DataError, FormatError
 from .graph import TemporalMultiGraph, run_starts
 
 GENERATOR_VERSION = "chronolink-negatives-1"
@@ -101,7 +104,8 @@ class NegativeSampleSet:
 
     - ``table``: int64, shape ``(5, n)``: each record's source, relation,
       timestamp, truth and head flag (0 tail, 1 head), one column per
-      record; the same rows as the engine's query table.
+      record; the same rows as the engine's query table, and in its
+      canonical order: by timestamp, source, relation, truth, then head.
     - ``offsets``: int64, shape ``(n + 1,)``, from 0 up to ``len(ids)``.
     - ``ids``: int32 or int64; record k's sorted candidates are
       ``ids[offsets[k]:offsets[k + 1]]``. A generated set holds int32 ids
@@ -115,14 +119,18 @@ class NegativeSampleSet:
     into ``ids``; ``queries`` compares equal to a list or tuple of the same
     queries. For the "all" strategy the lists may be left
     unmaterialized (``offsets``, ``ids`` and ``candidates`` are None, every
-    node implied); :meth:`candidates_for` reconstructs one on demand, and
-    the engine ranks every node without building the lists, which keeps
-    1-vs-all evaluation memory-lean.
+    node implied, :func:`all_candidates` per query); the engine ranks every
+    node without building the lists, which keeps 1-vs-all evaluation
+    memory-lean.
 
     The constructor takes per-record sequences and copies them into
     columns; a record that int64 columns cannot hold (a field outside
     int64, an unknown direction, non-integer ids) is a DataError.
-    :meth:`from_columns` adopts ready columns without copying.
+    :meth:`from_columns` adopts ready columns. Either way, records in
+    canonical order (every set this package generates or reads from its own
+    files) are found so in one O(n) pass and kept as they are, without a
+    copy; records in another order are put in it once, by a stable sort, so
+    equal records keep their order.
     """
 
     def __init__(
@@ -143,7 +151,8 @@ class NegativeSampleSet:
     def from_columns(cls, strategy: str, q: int, seed: int, table: np.ndarray,
                      offsets: np.ndarray | None, ids: np.ndarray | None,
                      provenance: Provenance = Provenance()) -> NegativeSampleSet:
-        """A set over the given columns, kept as they are and made read-only."""
+        """A set over the given columns, made read-only: kept as they are when
+        the records are in canonical order, else put in it."""
         sample_set = cls.__new__(cls)
         sample_set._adopt(strategy, q, seed, table, offsets, ids, provenance)
         return sample_set
@@ -160,6 +169,14 @@ class NegativeSampleSet:
                 and offsets.shape == (table.shape[1] + 1,) and offsets[0] == 0
                 and offsets[-1] == len(ids) and (offsets[1:] >= offsets[:-1]).all()):
             raise DataError("offsets must rise from 0 to len(ids), one step per query")
+        if not _canonical(table):
+            order = np.lexsort(table[[4, 3, 1, 0, 2]])  # stable: by t, s, r, truth, head
+            table = table[:, order]
+            if offsets is not None:
+                lengths = np.diff(offsets)[order]
+                moved = _column(len(ids), ids.dtype)
+                np.take(ids, _ranges(offsets[order], lengths), out=moved)
+                ids, offsets = moved, np.concatenate([[0], np.cumsum(lengths)])
         for column in (table, offsets, ids):
             if column is not None:
                 column.setflags(write=False)
@@ -167,7 +184,6 @@ class NegativeSampleSet:
         self.q = int(q)
         self.seed = int(seed)
         self.table, self.offsets, self.ids = table, offsets, ids
-        self._sorted = None  # (order, keys) of the records in canonical order
         self.queries = _Queries(table)
         self.candidates = None if offsets is None else _Candidates(offsets, ids)
         self.provenance = provenance
@@ -186,36 +202,6 @@ class NegativeSampleSet:
         if self.candidates is None or other.candidates is None:
             return self.candidates is other.candidates
         return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.ids, other.ids)
-
-    def records_of(self, table: np.ndarray) -> np.ndarray:
-        """The index of each query's record, for queries given as the five
-        rows of :attr:`table`; a query without a record is a ProtocolError.
-
-        The records are sorted once per set by (timestamp, source, relation,
-        truth, head), the canonical query order, and each query is then found
-        by binary search.
-        """
-        if self._sorted is None:
-            order = np.lexsort(self.table[[4, 3, 1, 0, 2]])
-            self._sorted = order, _keys(self.table[:, order])
-        order, mine = self._sorted
-        wanted = _keys(table)
-        at = mine.searchsorted(wanted)
-        found = at < len(mine)
-        found[found] = mine[at[found]] == wanted[found]
-        if not found.all():
-            k = int(np.argmin(found))
-            raise ProtocolError(f"no negative record for query {_as_queries(table[:, k:k + 1])[0]}")
-        return order[at]
-
-    def candidates_for(self, query: EvalQuery, universe: TemporalMultiGraph | None = None):
-        """Candidate array for one query; never silently skips a missing record."""
-        (i,) = self.records_of(_table([query]))
-        if self.candidates is not None:
-            return self.candidates[i]
-        if universe is None:
-            raise ProtocolError("unmaterialized all-strategy set needs the full graph")
-        return all_candidates(universe, query)
 
 
 class _Queries(Sequence):
@@ -295,11 +281,14 @@ def _flatten(candidates) -> tuple:
     return offsets, np.concatenate([_EMPTY, *arrays], dtype=np.int64, casting="unsafe")
 
 
-def _keys(table: np.ndarray) -> np.ndarray:
-    """One structured value per query, ordered as (timestamp, source, relation,
-    truth, head) compare."""
-    rows = np.ascontiguousarray(table[[2, 0, 1, 3, 4]].T)
-    return rows.view([(name, np.int64) for name in "tsroh"]).ravel()
+def _canonical(table: np.ndarray) -> bool:
+    """Whether the columns of a query table are in canonical order, ascending
+    by (timestamp, source, relation, truth, head); equal columns may repeat."""
+    ordered = np.ones(max(table.shape[1] - 1, 0), dtype=bool)
+    for row in (4, 3, 1, 0, 2):  # from the last key to the first
+        before, after = table[row, :-1], table[row, 1:]
+        ordered = (before < after) | (before == after) & ordered
+    return bool(ordered.all())
 
 
 def _check_queries(universe: TemporalMultiGraph, table: np.ndarray) -> None:
@@ -367,10 +356,21 @@ def _clamp_q(q: int, node_count: int) -> int:
     return q
 
 
-# The most cells drawn in one bulk pass, counting q plus twice the exclusions
-# per query (which bounds its list, its left-out positions and its barred
-# set), beyond the first query of the pass. It bounds the pass's temporaries.
+# The most cells of one bulk pass beyond its first query's: the cells a draw
+# may touch (q plus twice the exclusions per query, which bounds its list, its
+# left-out positions and its barred set) or the cells the engine scores into
+# one buffer. It bounds the pass's temporaries, e.g. for 1-vs-all lists.
 _CHUNK_CELLS = 1 << 15
+
+
+def _cuts(cells: np.ndarray) -> np.ndarray:
+    """Bounds ``0 = c[0] < c[1] < ... = len(cells)`` that cut queries holding
+    ``cells`` cells each into passes of at most :data:`_CHUNK_CELLS` cells
+    beyond the first query's: a pass ends at the query whose running total
+    first exceeds a multiple of the bound."""
+    total = np.cumsum(cells)
+    multiples = np.arange(_CHUNK_CELLS, total.max(initial=0), _CHUNK_CELLS)
+    return np.unique(np.concatenate([[0, len(cells)], total.searchsorted(multiples, "right")]))
 
 
 def _draw(universe: TemporalMultiGraph, table, q: int, seed: int, pools: _Pools,
@@ -384,12 +384,12 @@ def _draw(universe: TemporalMultiGraph, table, q: int, seed: int, pools: _Pools,
     fewer than q are topped up from the conflict-free nodes outside the pool,
     so the list has min(q, available) entries.
 
-    The queries are drawn in chunks of at most :data:`_CHUNK_CELLS` cells
-    plus one query's, so temporaries stay O(chunk). Within a chunk only the
-    draws are per query: for a sampled list, the Philox reset to key (seed, i)
-    and one ``Generator.choice(kept, q)`` into a row of the chunk's
-    ``(lists, q)`` block; for a padded list, the reset and one
-    ``choice(outside, take)``. The rest is bulk work over the chunk:
+    The queries are drawn in chunks cut by :func:`_cuts`, so temporaries
+    stay O(chunk). Within a chunk only the draws are per query: for a
+    sampled list, the Philox reset to key (seed, i) and one
+    ``Generator.choice(kept, q)`` into a row of the chunk's ``(lists, q)``
+    block; for a padded list, the reset and one ``choice(outside, take)``.
+    The rest is bulk work over the chunk:
 
     - the exclusions (fact runs and truths) are found in the pools by one
       binary search of the codes ``pool * node_count + id``;
@@ -430,9 +430,7 @@ def _draw(universe: TemporalMultiGraph, table, q: int, seed: int, pools: _Pools,
 
     ids = _column(m * q if pad else int(np.minimum(size, q).sum()), _id_dtype(n - 1))
     lengths = np.zeros(m, dtype=np.int64)
-    cost = np.cumsum(q + 2 * (hi - lo + 1))  # a bound on each query's cells
-    cuts = cost.searchsorted(np.arange(_CHUNK_CELLS, cost.max(initial=0), _CHUNK_CELLS), "right")
-    bounds = np.unique(np.concatenate([[0, m], cuts])).tolist()
+    bounds = _cuts(q + 2 * (hi - lo + 1)).tolist()  # by a bound on each query's cells
     end = 0
     for a, b in zip(bounds, bounds[1:]):
         of, start, length, truths = pools.of[a:b], first[a:b], size[a:b], table[3, a:b]

@@ -1,9 +1,11 @@
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chronolink import Scorer, from_quadruples
+from chronolink import Scorer, from_quadruples, negatives, write_negative_set
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -42,3 +44,18 @@ class HashScorer(Scorer):
             + self.salt
         ) % 104729
         return mixed.astype(np.float64) / 104729.0
+
+
+def write_records(sample_set, records, path) -> None:
+    """A negative-set file holding the set's records ``records`` in that order,
+    as a tool that does not sort its records would write it; the writer here
+    always writes canonical order."""
+    write_negative_set(sample_set, path)
+    offsets, ids = sample_set.offsets, sample_set.ids
+    blocks = [negatives._encode_block(sample_set.table[:, k:k + 1], offsets[k:k + 2],
+                                      ids[offsets[k]:offsets[k + 1]])
+              for k in range(len(sample_set))]
+    header = bytearray(path.read_bytes()[:-4 - sum(map(len, blocks))])
+    struct.pack_into("<Q", header, 28, len(records))  # the header's record count
+    body = bytes(header) + b"".join(blocks[k] for k in records)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))

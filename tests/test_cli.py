@@ -750,6 +750,23 @@ def test_a_directory_lacking_a_needed_file_is_data_error(pipeline, capsys, comma
     assert "Traceback" not in err
 
 
+def test_report_of_a_run_directory_without_its_result_is_data_error(pipeline, capsys):
+    # a finished run first, then one whose run directory lacks result.txt
+    tmp_path, graph_dir, splits_dir = pipeline
+    common = ["--graph", str(graph_dir), "--splits", str(splits_dir)]
+    done, broken = tmp_path / "done", tmp_path / "broken"
+    for run in (done, broken):
+        assert main(["eval", *common, "--scorer", "oracle", "--out-dir", str(run)]) == EXIT_OK
+    (broken / "result.txt").unlink()
+    out = tmp_path / "report"
+    assert main(["report", "--results", str(done), str(broken),
+                 "--out-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {broken / 'result.txt'}: " in err
+    assert "Traceback" not in err
+    assert not (out / "summary.tsv").exists()
+
+
 @pytest.mark.parametrize("flag,data,code", [
     ("--config", b"node_count = 4\xff\n", EXIT_CONFIG),
     ("--schema", b"header = true\xff\n", EXIT_CONFIG),
@@ -868,13 +885,18 @@ def test_streamed_results_equal_those_of_a_full_decode(pipeline, monkeypatch, sc
 
 
 @pytest.mark.parametrize("flag", ["--negatives", "--valid-negatives"])
-def test_a_directory_as_a_negative_set_is_data_error(pipeline, capsys, flag):
+def test_a_directory_as_a_negative_set_is_data_error(pipeline, capsys, monkeypatch, flag):
     tmp_path, common, path = _sampled(pipeline)
+    read = []
+    checksum = cli.checksum_file
+    monkeypatch.setattr(cli, "checksum_file", lambda file: read.append(file) or checksum(file))
     assert main(["eval", *common, "--scorer", "recurrency-trained", flag, str(path.parent),
                  "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"data error: {path.parent}: Is a directory" in err
     assert "Traceback" not in err
+    # the graph and splits are checksummed, nothing under the refused directory
+    assert read and not [file for file in read if path.parent in Path(file).parents]
 
 
 def test_candidate_ids_outside_the_node_space_exit_data(pipeline, capsys):

@@ -8,11 +8,12 @@ are common; a failure shrinks to a handful of quadruples. Besides the
 generated sets, every case ranks lists as a file from outside may hold them:
 with the truth itself and the conflicts among the candidates. The engine
 counts materialized lists and 1-vs-all queries in chunks of at most
-``evaluation._CHUNK_CELLS`` cells; the chunked tests shrink that bound so a
-timestamp spans many chunks. Every materialized set is also written to a
-file and evaluated as opened, its records decoded as the replay reaches
-them; the streamed tests shrink ``negatives._BLOCK_BYTES`` as well, so
-decode passes and timestamps cut each other.
+``negatives._CHUNK_CELLS`` cells beyond their first list's; the chunked
+tests shrink that bound so a timestamp spans many chunks. Every
+materialized set is also written to a file and evaluated as opened, its
+records decoded as the replay reaches them; the streamed tests shrink
+``negatives._BLOCK_BYTES`` as well, so decode passes and timestamps cut
+each other.
 """
 
 import itertools
@@ -222,19 +223,19 @@ def test_engine_equals_brute_force_oracle(case, scorer):
 @example(case=_MIXED, scorer=("extremes", _Extremes))
 @example(case=_UNFILTERED, scorer=("constant", ConstantScorer))
 def test_chunked_counting_equals_brute_force_oracle(chunk, case, scorer):
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk):
         _assert_engine_equals_oracle(case, scorer)
 
 
 # a few bytes a pass: a timestamp's records span several passes; 64 bytes:
 # one pass holds several timestamps
-@pytest.mark.parametrize("chunk,block", [(7, 1), (evaluation._CHUNK_CELLS, 5), (3, 64)])
+@pytest.mark.parametrize("chunk,block", [(7, 1), (negatives._CHUNK_CELLS, 5), (3, 64)])
 @settings(max_examples=60, deadline=None)
 @given(case=_cases(), scorer=_SCORERS)
 @example(case=_MIXED, scorer=("hash 2", lambda: HashScorer(2)))
 @example(case=_GAPPED, scorer=("grid", None))
 def test_streamed_lists_equal_brute_force_oracle(chunk, block, case, scorer):
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk), \
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk), \
             mock.patch.object(negatives, "_BLOCK_BYTES", block):
         _assert_engine_equals_oracle(case, scorer)
 
@@ -270,21 +271,21 @@ def _mixed_run(scorer):
     return evaluate_single_step(scorer, g.time_slice(0, 2), test, negatives, g, kind="tkg")
 
 
-@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [1, 7, negatives._CHUNK_CELLS])
 def test_nan_only_at_conflicts_is_never_ranked_in_chunks(chunk):
     facts = set(add_inverse_relations(_MIXED["graph"]))
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk):
         assert _mixed_run(_NanAt(facts, "conflicts")) == _mixed_run(HashScorer(3))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [1, 7, negatives._CHUNK_CELLS])
 @pytest.mark.parametrize("where", ["truth", "free"])
 @pytest.mark.parametrize("target", [0, 3, -1])
 def test_nan_at_a_ranked_score_names_its_query_in_chunks(chunk, where, target):
     g = _MIXED["graph"]
     query = expand_queries(g.time_slice(3, 3), "tkg")[target]
     scorer = _NanAt(set(add_inverse_relations(g)), where, query)
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk):
         with pytest.raises(ProtocolError, match=f"NaN scores for {re.escape(str(query))}$"):
             _mixed_run(scorer)
 
@@ -370,7 +371,7 @@ def _one_vs_all(case, make):
     return got, brute_force_evaluate(make(), history, test, negatives, g, kind=kind)
 
 
-def _lists(case, make, chunk=evaluation._CHUNK_CELLS):
+def _lists(case, make, chunk=negatives._CHUNK_CELLS):
     """The lists the engine scored for the case's 1-vs-all queries, after
     checking its result against the oracle's."""
     made = []
@@ -379,7 +380,7 @@ def _lists(case, make, chunk=evaluation._CHUNK_CELLS):
         made.append(make())
         return made[-1]
 
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk):
         got, want = _one_vs_all(case, keep)
     assert got == want
     return made[0].scored
@@ -408,12 +409,12 @@ def test_sparse_ranking_equals_brute_force_oracle(case, default, kind, nan):
 @example(case=_MIXED, default=0.5, kind="none-or-hash", nan=True)
 @example(case=_MIXED, default=-np.inf, kind="alternate", nan=False)
 def test_chunked_sparse_ranking_equals_brute_force_oracle(chunk, case, default, kind, nan):
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk):
         got, want = _one_vs_all(case, lambda: _Supported(default, kind, _facts(case), nan))
     assert got == want
 
 
-@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [1, 7, negatives._CHUNK_CELLS])
 def test_one_timestamp_mixes_every_node_with_supports(chunk):
     # timestamp 3 of the mixed graph has queries from even and odd sources
     scored = _lists(_MIXED, lambda: _Supported(0.5, "none-or-hash", _facts(_MIXED), True), chunk)
@@ -422,7 +423,7 @@ def test_one_timestamp_mixes_every_node_with_supports(chunk):
     assert lengths[1] < lengths[0]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [1, 7, negatives._CHUNK_CELLS])
 def test_free_node_follows_a_gapless_run_of_named_nodes(chunk):
     # facts at timestamp 2: (0, 0, 1), (0, 0, 3) and (4, 0, 6), and their inverses
     case = _case([(0, 0, 5, 0), (4, 0, 2, 1), (0, 0, 1, 2), (0, 0, 3, 2), (4, 0, 6, 2)], 10, 1,
@@ -450,7 +451,7 @@ def test_truth_inside_and_outside_the_support_in_one_chunk():
     assert inside == {True, False}
 
 
-@pytest.mark.parametrize("chunk", [1, 7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [1, 7, negatives._CHUNK_CELLS])
 @pytest.mark.parametrize("target", [0, 3, -1])
 def test_nan_at_the_free_node_names_its_query(chunk, target):
     query = expand_queries(_MIXED["graph"].time_slice(3, 3), "tkg")[target]
@@ -464,7 +465,7 @@ def test_nan_at_the_free_node_names_its_query(chunk, target):
                 scores[free & ~self._conflicts(q, candidates)] = np.nan
             return scores
 
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk):
         with pytest.raises(ProtocolError, match=f"NaN scores for {re.escape(str(query))}$"):
             _one_vs_all(_MIXED, lambda: NanFree(0.5, "empty", facts))
 
@@ -489,7 +490,7 @@ def test_grid_block_over_unmaterialized_one_vs_all_equals_each_row_alone():
 
 @pytest.mark.parametrize("chunk", [1, 100])
 def test_chunked_grid_block_over_unmaterialized_one_vs_all_equals_each_row_alone(chunk):
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk):
         got, want = _grid_over_one_vs_all()
     assert got == want
 

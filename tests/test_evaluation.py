@@ -38,7 +38,7 @@ from chronolink import (
     write_negative_set,
 )
 from chronolink import evaluation, negatives
-from conftest import HashScorer
+from conftest import HashScorer, write_records
 
 
 def _tkg(seed=0, **overrides):
@@ -252,8 +252,23 @@ def test_missing_negative_record_raises():
     universe = add_inverse_relations(g)
     queries = expand_queries(test, "tkg")
     negatives = generate_negative_set("random", universe, queries[:-1], q=5, seed=0)
-    with pytest.raises(ProtocolError):
+    missing = re.escape(str(queries[-1]))
+    with pytest.raises(ProtocolError, match=f"no negative record for query {missing}$"):
         evaluate_single_step(OracleScorer(), merge(train, valid), test, negatives, g)
+
+
+@pytest.mark.parametrize("materialize", [True, False], ids=["sampled", "1-vs-all"])
+def test_a_set_with_more_records_than_queries_is_protocol_error(materialize):
+    # a set for the whole test split, evaluated on its first timestamp only
+    g, train, valid, test = _tkg(seed=2)
+    queries = expand_queries(test, "tkg")
+    negatives = generate_all(add_inverse_relations(g), queries, materialize=materialize)
+    first = test.time_slice(test.t_min, test.t_min)
+    expected = len(expand_queries(first, "tkg"))
+    assert expected < len(queries)
+    with pytest.raises(ProtocolError,
+                       match=f"negative set covers {len(queries)} queries, expected {expected}$"):
+        evaluate_single_step(EdgeBankScorer(), merge(train, valid), first, negatives, g)
 
 
 def _reordered(negatives, records):
@@ -263,17 +278,19 @@ def _reordered(negatives, records):
                              [negatives.candidates[k] for k in records])
 
 
-@pytest.mark.parametrize("chunk", [7, evaluation._CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [7, negatives._CHUNK_CELLS])
 @pytest.mark.parametrize("make", [EdgeBankScorer, RecurrencyScorer])
 def test_shuffled_records_give_the_canonical_result(chunk, make):
     g, train, valid, test = _tkg(seed=3)
     universe = add_inverse_relations(g)
-    negatives = generate_negative_set("type-aware", universe, expand_queries(test, "tkg"), q=6, seed=2)
-    shuffled = _reordered(negatives, np.random.default_rng(0).permutation(len(negatives)))
-    assert shuffled.queries[0] != negatives.queries[0]
-    with mock.patch.object(evaluation, "_CHUNK_CELLS", chunk):
-        got, want = (evaluate_single_step(make(), merge(train, valid), test, ns, g)
-                     for ns in (shuffled, negatives))
+    ns = generate_negative_set("type-aware", universe, expand_queries(test, "tkg"), q=6, seed=2)
+    records = np.random.default_rng(0).permutation(len(ns))
+    assert not np.array_equal(records, np.arange(len(ns)))
+    shuffled = _reordered(ns, records)
+    assert shuffled == ns  # put back in canonical order
+    with mock.patch.object(negatives, "_CHUNK_CELLS", chunk):
+        got, want = (evaluate_single_step(make(), merge(train, valid), test, negative_set, g)
+                     for negative_set in (shuffled, ns))
     assert got == want
 
 
@@ -723,7 +740,9 @@ def test_a_file_in_another_order_gives_the_canonical_result(tmp_path, reorder):
         last = ns.table[2] == ns.table[2].max()
         records[last] = records[last][::-1]
     path = tmp_path / "reordered.bin"
-    write_negative_set(_reordered(ns, records), path)
+    write_records(ns, records, path)
+    assert path.read_bytes() != (tmp_path / "negatives.bin").read_bytes()
+    assert open_negative_set(path).read() == ns
     with mock.patch.object(negatives, "_BLOCK_BYTES", 64):
         for make in (EdgeBankScorer, RecurrencyScorer):
             got = evaluate_single_step(make(), history, test, open_negative_set(path), g)

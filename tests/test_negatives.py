@@ -34,8 +34,7 @@ from chronolink import (
     write_negative_set,
 )
 from chronolink import negatives
-from chronolink.errors import ProtocolError
-from conftest import G4_QUADS
+from conftest import G4_QUADS, write_records
 
 
 def _tkg_setup(seed=0, **overrides):
@@ -612,37 +611,56 @@ def test_mutations_with_valid_crc_fail_cleanly(tmp_path):
             pass
 
 
-def test_missing_record_is_protocol_error():
+@pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+@pytest.mark.parametrize("built", ["constructor", "from_columns", "file"])
+def test_records_in_another_order_make_the_canonical_set(tmp_path, built, duplicated):
     g, universe, queries = _tkg_setup(seed=2)
-    ns = generate_negative_set("random", universe, queries[:-1], q=3, seed=0)
-    with pytest.raises(ProtocolError, match="no negative record"):
-        ns.candidates_for(queries[-1])
+    ns = generate_negative_set("random", universe, queries, q=3, seed=0,
+                               provenance=Provenance("synthetic", "test"))
+    records = np.random.default_rng(0).permutation(len(ns))
+    if duplicated:  # record 7 a second time, at the front
+        records = np.concatenate([[7], records])
+    # the set's records are in canonical order, so sorted record numbers are too
+    canonical = np.sort(records)
+    want = NegativeSampleSet.from_columns(
+        ns.strategy, ns.q, ns.seed, ns.table[:, canonical],
+        *negatives._flatten([ns.candidates[k] for k in canonical]), ns.provenance)
+    if built == "constructor":
+        got = NegativeSampleSet(ns.strategy, ns.q, ns.seed, [queries[k] for k in records],
+                                [ns.candidates[k] for k in records], ns.provenance)
+    elif built == "from_columns":
+        got = NegativeSampleSet.from_columns(
+            ns.strategy, ns.q, ns.seed, ns.table[:, records],
+            *negatives._flatten([ns.candidates[k] for k in records]), ns.provenance)
+    else:
+        write_records(ns, records, tmp_path / "foreign.bin")
+        got = read_negative_set(tmp_path / "foreign.bin")
+    assert got == want
+    assert got.queries == [queries[k] for k in canonical]
+    assert [c.tolist() for c in got.candidates] == [ns.candidates[k].tolist() for k in canonical]
+    write_negative_set(got, tmp_path / "got.bin")
+    write_negative_set(want, tmp_path / "want.bin")
+    assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
 
-def test_lookups_sort_the_records_once_per_set(monkeypatch):
+def test_columns_in_canonical_order_are_adopted_without_a_copy(monkeypatch):
     g, universe, queries = _tkg_setup(seed=2)
-    ns = generate_negative_set("random", universe, queries, q=3, seed=0)
-    shuffled = np.random.default_rng(0).permutation(len(ns))
-    ns = NegativeSampleSet.from_columns(
-        "random", 3, 0, ns.table[:, shuffled], *negatives._flatten(
-            [ns.candidates[k] for k in shuffled]))
-    sorts = []
-    lexsort = np.lexsort
-    monkeypatch.setattr(negatives.np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
-    for k, query in enumerate(ns.queries):
-        assert ns.candidates_for(query) is not None
-        assert ns.candidates_for(query).tolist() == ns.candidates[k].tolist()
-    assert len(sorts) == 1
+    ns = generate_negative_set("type-aware", universe, queries, q=3, seed=0)
+    monkeypatch.setattr(negatives.np, "lexsort", None)  # nothing is sorted
+    again = NegativeSampleSet.from_columns(ns.strategy, ns.q, ns.seed, ns.table, ns.offsets,
+                                           ns.ids)
+    assert again.table is ns.table and again.offsets is ns.offsets and again.ids is ns.ids
+    lazy = generate_all(universe, queries, materialize=False)
+    assert lazy.table is queries._table
 
 
-def test_unmaterialized_all_needs_graph():
+def test_an_unmaterialized_all_set_implies_the_materialized_lists():
     g, universe, queries = _tkg_setup(seed=2)
-    ns = generate_all(universe, queries, materialize=False)
-    with pytest.raises(ProtocolError):
-        ns.candidates_for(queries[0])
-    lazy = ns.candidates_for(queries[0], universe)
-    eager = generate_all(universe, queries).candidates[0]
-    assert lazy.tolist() == eager.tolist()
+    lazy = generate_all(universe, queries, materialize=False)
+    eager = generate_all(universe, queries)
+    assert lazy.candidates is None and lazy.queries == eager.queries
+    assert [all_candidates(universe, query).tolist() for query in lazy.queries] == [
+        c.tolist() for c in eager.candidates]
 
 
 def test_unknown_strategy_rejected(g4):
@@ -980,10 +998,11 @@ def test_one_chunk_mixes_sampled_kept_padded_and_empty_pool_lists():
         want = generate_negative_set("type-aware", universe, queries, q=3, seed=2)
     assert np.array_equal(ns.offsets, want.offsets) and np.array_equal(ns.ids, want.ids)
     assert list(map(len, ns.candidates)) == [3] * 7
-    assert ns.candidates[1].tolist() == [8, 9, 10]
-    assert set(ns.candidates[0].tolist()) <= set(range(1, 8))
-    assert set(ns.candidates[4].tolist()) <= {8, 9, 10, 11}
-    assert not set(ns.candidates[5].tolist()) & {8, 9, 10}
+    lists = {query: ids.tolist() for query, ids in zip(ns.queries, ns.candidates)}
+    assert lists[queries[1]] == [8, 9, 10]
+    assert set(lists[queries[0]]) <= set(range(1, 8))
+    assert set(lists[queries[4]]) <= {8, 9, 10, 11}
+    assert not set(lists[queries[5]]) & {8, 9, 10}
 
 
 def test_generation_holds_no_list_sized_temporary():
