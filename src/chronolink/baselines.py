@@ -49,11 +49,6 @@ DEFAULT_WINDOW_GRID = (0, 100, 500)
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# Candidate count from which EdgeBankMemory.lookup uses its scratch row: the
-# measured crossover with one binary search per candidate, for runs of ~5
-# destinations on a 1,000-node graph.
-_SCATTER_FROM = 256
-
 
 # -- EdgeBank --------------------------------------------------------------------
 
@@ -66,11 +61,9 @@ class EdgeBankMemory:
     are a contiguous run found by binary search. The code widths are those
     of the first graph observed into the empty table.
 
-    Long candidate lists are looked up through a scratch row with one slot
-    per destination id seen plus two guard slots, so one memory serves one
-    :meth:`lookup` at a time. The run of every key looked up is kept until
-    the next :meth:`observe`, so naming a timestamp's supports and then
-    scoring its queries searches the table once per key.
+    The run of every key looked up is kept until the next :meth:`observe`,
+    so naming a timestamp's supports and then scoring its queries searches
+    the table once per key.
     """
 
     def __init__(self, key_mode: str = "pair"):
@@ -81,7 +74,6 @@ class EdgeBankMemory:
         self.relation_count = 0
         self._codes = _EMPTY
         self._times = _EMPTY
-        self._scratch = np.zeros(0, dtype=bool)  # all False between lookups
         self._runs = {}  # (subject, relation) -> its run, since the last observe
 
     def _keys(self, subjects, relations):
@@ -98,9 +90,6 @@ class EdgeBankMemory:
             self.node_count, self.relation_count = n, r
         if n > self.node_count or r > self.relation_count:
             raise DataError(f"{n} nodes and {r} relations exceed the memory's widths")
-        width = int(graph.objects.max()) + 3 if len(graph) else 0  # slot d + 1 per destination d
-        if width > len(self._scratch):
-            self._scratch = np.zeros(width, dtype=bool)
         codes = self._keys(graph.subjects, graph.relations) * self.node_count + graph.objects
         order = np.argsort(codes)
         codes = codes[order]
@@ -110,10 +99,12 @@ class EdgeBankMemory:
         times = np.maximum.reduceat(graph.timestamps[order], starts) if len(starts) else _EMPTY
         at = np.searchsorted(self._codes, codes)
         present = np.searchsorted(self._codes, codes, side="right") > at
+        self._times = self._times.copy()  # a held destinations() snapshot keeps its times
         self._times[at[present]] = times[present]
         new = ~present
         self._codes, self._times = _insert_sorted(
             at[new], (self._codes, self._times), (codes[new], times[new]))
+        self._times.setflags(write=False)
         self._runs.clear()
 
     def _located(self, subject: int, relation: int) -> tuple:
@@ -132,39 +123,26 @@ class EdgeBankMemory:
         return lo, hi, base
 
     def destinations(self, subject: int, relation: int) -> tuple:
-        """(sorted destinations, last-seen time of each) of the key's run."""
+        """(sorted destinations, last-seen time of each) of the key's run: a
+        snapshot that no later :meth:`observe` changes and that cannot be
+        written into the table through."""
         lo, hi, base = self._located(subject, relation)
         return self._codes[lo:hi] - base, self._times[lo:hi]
 
     def lookup(self, subject: int, relation: int, candidates) -> tuple:
         """(seen mask, last-seen time) per candidate; times count only where seen.
 
-        Fewer than :data:`_SCATTER_FROM` candidates are binary-searched in the
-        key's run one by one. More, such as a 1-vs-all row, are answered by
-        scattering the run into the scratch row, gathering the candidates and
-        clearing the run again, and only the seen candidates are searched for
-        their times: O(run + candidates) instead of O(candidates * log(run)).
+        Each candidate is binary-searched in the key's run.
         """
         candidates = np.asarray(candidates, dtype=np.int64)
         lo, hi, base = self._located(subject, relation)
         if lo == hi:
             return np.zeros(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=np.int64)
         codes, times = self._codes[lo:hi], self._times[lo:hi]
-        if len(candidates) < _SCATTER_FROM:
-            targets = candidates + base
-            at = codes.searchsorted(targets)
-            seen = codes.take(at, mode="clip") == targets
-            return seen, times.take(at, mode="clip")
-        run = codes - (base - 1)  # the key's sorted destinations, plus 1
-        self._scratch[run] = True
-        # the first and last slots stay False, and clipping sends every id
-        # outside the row to one of them
-        seen = self._scratch.take(candidates + 1, mode="clip")
-        self._scratch[run] = False
-        last = np.zeros(len(candidates), dtype=np.int64)
-        hits = np.flatnonzero(seen)
-        last[hits] = times[run.searchsorted(candidates[hits] + 1)]
-        return seen, last
+        targets = candidates + base
+        at = codes.searchsorted(targets)
+        seen = codes.take(at, mode="clip") == targets
+        return seen, times.take(at, mode="clip")
 
 
 def _insert_sorted(at, columns, values) -> tuple:

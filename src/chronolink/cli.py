@@ -255,6 +255,7 @@ def cmd_stats(run: _Run):
         run.add_input(args.splits)
     train, _valid, test, _bounds = _load_train_test(args, graph)
     report = dataset_report(graph, train, test, top_k=args.top_k)
+    bins = edges_over_time(graph, args.bins)
     run.add_output(_write_output(run.out_dir, "stats.txt", report.to_text()))
     hist_lines = ["relation\tshare"]
     for relation, share in report.relation_histogram:
@@ -263,7 +264,6 @@ def cmd_stats(run: _Run):
     run.add_output(
         _write_output(run.out_dir, "relation_histogram.tsv", "\n".join(hist_lines) + "\n")
     )
-    bins = edges_over_time(graph, args.bins)
     lines = ["bin\tmean\tmin\tmax"]
     for i, (mean, lo, hi) in enumerate(bins):
         lines.append(f"{i}\t{format(mean, '.17g')}\t{lo}\t{hi}")

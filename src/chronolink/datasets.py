@@ -645,7 +645,7 @@ def chronological_split(
     """
     if graph.is_empty:
         raise SplitError("cannot split an empty graph")
-    if train_frac <= 0 or valid_frac <= 0 or train_frac + valid_frac >= 1:
+    if not (train_frac > 0 and valid_frac > 0 and train_frac + valid_frac < 1):  # also NaN
         raise ConfigError("fractions must be positive and sum to less than 1")
     distinct, counts = np.unique(graph.timestamps, return_counts=True)
     if len(distinct) < 3:

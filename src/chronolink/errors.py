@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all chronolink modules.
 
-The CLI maps these onto distinct exit codes (see cli.EXIT_CODES), so new
-error types should subclass one of the four base categories below.
+``cli.main`` maps each of the five base categories below (ConfigError,
+DataError, ProtocolError, IntegrityError and FetchError) onto its own exit
+code, ``cli.EXIT_CONFIG`` to ``cli.EXIT_FETCH``, so new error types should
+subclass one of them.
 """
 
 

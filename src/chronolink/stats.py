@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import TemporalMultiGraph, run_starts
 
 NODES_PER_TS_METHOD = "distinct-endpoint-union"
@@ -187,6 +187,8 @@ def relation_histogram(graph: TemporalMultiGraph, top_k: int):
     Returns (((relation-id, share), ...), others_share), sorted by share
     descending with ties broken by relation id ascending.
     """
+    if top_k < 0:
+        raise ConfigError(f"top_k must be >= 0, got {top_k}")
     if graph.is_empty:
         return (), 0.0
     rels, counts = np.unique(graph.relations, return_counts=True)
@@ -204,10 +206,10 @@ def edges_over_time(graph: TemporalMultiGraph, bins: int = 20):
     edges contribute zero counts. The default of twenty bins matches the
     reporting convention used throughout the toolkit.
     """
+    if bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {bins}")
     if graph.is_empty:
         raise DataError("edge histogram is undefined on an empty graph")
-    if bins < 1:
-        raise DataError("bins must be >= 1")
     span = graph.span()
     bins = min(bins, span)
     t0 = graph.t_min

@@ -371,18 +371,27 @@ def test_one_vs_all_eval_augments_the_universe_once(pipeline, monkeypatch, score
 
 
 @pytest.mark.parametrize("extra", [
-    ["--scorer", "recurrency", "--ks", "1,x"],
-    ["--scorer", "recurrency", "--params", "window=abc"],
-    ["--scorer", "recurrency", "--params", "lambda=nan"],
-    ["--scorer", "edgebank-tw", "--params", "window=abc"],
-    ["--scorer", "recurrency-trained", "--params", "lambda_grid=0.1/x"],
-    ["--scorer", "recurrency-trained", "--params", "window_grid=0/2.5"],
+    ["eval", "--scorer", "recurrency", "--ks", "1,x"],
+    ["eval", "--scorer", "recurrency", "--params", "window=abc"],
+    ["eval", "--scorer", "recurrency", "--params", "lambda=nan"],
+    ["eval", "--scorer", "edgebank-tw", "--params", "window=abc"],
+    ["eval", "--scorer", "recurrency-trained", "--params", "lambda_grid=0.1/x"],
+    ["eval", "--scorer", "recurrency-trained", "--params", "window_grid=0/2.5"],
+    ["split", "--train-frac", "nan"],
+    ["stats", "--top-k", "-1"],
+    ["stats", "--bins", "0"],
 ])
 def test_malformed_eval_values_are_config_errors(pipeline, capsys, extra):
+    # eval's flag values, and those of the other commands
     tmp_path, graph_dir, splits_dir = pipeline
-    assert main(["eval", "--graph", str(graph_dir), "--splits", str(splits_dir),
-                 "--split", "valid", *extra, "--out-dir", str(tmp_path / "ev")]) == EXIT_CONFIG
+    command, *flags = extra
+    inputs = {"eval": ["--splits", str(splits_dir), "--split", "valid"],
+              "split": [], "stats": ["--splits", str(splits_dir)]}[command]
+    out = tmp_path / "out"
+    assert main([command, "--graph", str(graph_dir), *inputs, *flags,
+                 "--out-dir", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not any(out.rglob("*"))  # nothing written
 
 
 @pytest.mark.parametrize("scorer,extra,accepted", [

@@ -379,6 +379,9 @@ def test_split_fraction_validation(g4):
         chronological_split(g4, 0.9, 0.2)
     with pytest.raises(ConfigError):
         chronological_split(g4, 0.0, 0.15)
+    for fractions in ((float("nan"), 0.15), (0.7, float("nan")), (float("nan"), float("nan"))):
+        with pytest.raises(ConfigError):
+            chronological_split(g4, *fractions)
 
 
 @pytest.mark.parametrize("seed", range(8))
