@@ -364,22 +364,17 @@ def cmd_eval(run: _Run):
     if trained:
         valid = eval_graph if args.split == "valid" else _universe(valid, kind)
 
-    # a negative-set file is checked now and decoded as the replay reaches
-    # its records
-    if args.negatives:
-        run.add_input(args.negatives, file=True)
-        negatives = open_negative_set(args.negatives)
-    else:
-        negatives = generate_all(universe, expand_queries(eval_graph, kind), materialize=False)
+    def negatives_of(path, split):
+        """The negative-set file at ``path``, checked now and decoded as the
+        replay reaches its records, or else the split's 1-vs-all set."""
+        if not path:
+            return generate_all(universe, expand_queries(split, kind), materialize=False)
+        run.add_input(path, file=True)
+        return open_negative_set(path)
 
+    negatives = negatives_of(args.negatives, eval_graph)
     # validation negatives for the trained recurrence variant
-    grid_negatives = None
-    if trained:
-        if args.valid_negatives:
-            run.add_input(args.valid_negatives, file=True)
-            grid_negatives = open_negative_set(args.valid_negatives)
-        else:
-            grid_negatives = generate_all(universe, expand_queries(valid, kind), materialize=False)
+    grid_negatives = negatives_of(args.valid_negatives, valid) if trained else None
 
     scorer = _build_scorer(args.scorer, params, boundaries, train, valid, grid_negatives,
                            universe, kind)

@@ -18,9 +18,9 @@ on the other candidates (the :class:`Scorer` contract). The lists are of two
 kinds:
 
 - A materialized list is the set's candidates for the query, with the
-  truth appended, read in query order through one cursor (:class:`_Lists`).
-  A set in memory must hold record k for query k; it gives one slice of its
-  ``ids`` column per chunk, cut at its ``offsets``. An opened file
+  truth appended, read in query order through one cursor (:class:`_Lists`)
+  over the set's passes of whole records; record k must be query k. A set
+  in memory passes slices of its ``ids`` column. An opened file
   (:func:`negatives.open_negative_set`) is decoded one pass at a time as the
   chunks reach it, so its ids column never exists whole.
 - An unmaterialized 1-vs-all query is a weighted list. The supports of all
@@ -33,8 +33,8 @@ kinds:
 
 A timestamp's queries are cut into chunks of at most
 ``negatives._CHUNK_CELLS`` cells beyond their first query's, by the cutter
-that cuts the generator's passes (an opened file's lists are cut at its
-decode passes instead). Each query's scores go into one buffer for the
+that cuts the generator's passes (materialized lists are cut at the set's
+passes instead). Each query's scores go into one buffer for the
 chunk, and one pass compares every segment with its truth's score and sums
 the cells above and tied per segment. A score may be NaN only at a masked
 cell.
@@ -270,9 +270,9 @@ def evaluate_single_step(
     the conflict/filter universe (the whole dataset). For TKG inputs all
     three graphs are inverse-augmented internally when not already, so
     negatives must have been generated against the augmented universe.
-    ``negatives`` is a set in memory, which must hold one record per query
-    (a query without one is a ProtocolError naming it), or an opened file,
-    whose records are decoded as the replay reaches them; query ids and
+    ``negatives`` is a set in memory or an opened file, whose records are
+    decoded as the replay reaches them; either must hold one record per
+    query (a query without one is a ProtocolError naming it). Query ids and
     candidate ids outside the universe's id spaces are a DataError.
 
     Candidates are ranked along the last axis of the scores. A scorer that
@@ -339,10 +339,9 @@ def evaluate_single_step(
 
 
 def _require_records(negatives: NegativeSampleSet, table: np.ndarray) -> None:
-    """A set in memory must hold the queries of ``table`` as its records, so
-    record k is query k: both are in canonical order. Else the first query
-    without a record is a ProtocolError naming it, or, if every query has
-    one, the surplus records are."""
+    """A set in memory must hold the queries of ``table`` as its records, in
+    the same canonical order; else the first query without a record, or the
+    surplus records, are a ProtocolError."""
     if np.array_equal(negatives.table, table):
         return
     held = set(zip(*negatives.table.tolist()))
@@ -440,20 +439,18 @@ class _Ranks:
 class _Lists:
     """A materialized set's candidate lists in query order, one chunk at a time.
 
-    One cursor takes the records. A set in memory, whose record k is query
-    k, is cut into chunks by :func:`negatives._cuts` (:class:`_Slices`). An
-    opened file's records are taken from one decode pass at a time, so a
-    chunk ends at the pass's end or the timestamp's, and only the rest of the
-    last pass is held between chunks. A pass whose records are not the next
-    queries (this tool writes no such file) makes the file be read whole into
-    a set, which is in canonical order, and sliced from that query on. Ids
-    outside ``[0, node_count)`` are a DataError.
+    The records come from the set's ``passes()``, of which only the rest of
+    the last is held between chunks, so a chunk ends at a pass's end or a
+    timestamp's. Records and queries are both in canonical order, so a pass
+    whose records are not the next queries is a ProtocolError naming the
+    first that differs, without reading ahead. Ids outside
+    ``[0, node_count)`` are a DataError.
     """
 
     def __init__(self, negatives, table: np.ndarray, node_count: int):
-        self.table, self.node_count, self.file = table, node_count, negatives
-        memory = isinstance(negatives, NegativeSampleSet)
-        self.reader = _Slices(negatives, 0) if memory else negatives.reader()
+        self.table, self.node_count = table, node_count
+        self.passes = negatives.passes()
+        self.held = None  # (table, counts, ids) of the last pass's records not taken yet
 
     def chunks(self, i: int, j: int, truths: np.ndarray):
         """``(a, b, ids, starts)`` for queries i..j cut into runs a..b: their
@@ -461,44 +458,40 @@ class _Lists:
         a + k has ``ids[starts[k]:starts[k + 1]]``."""
         a = i
         while a < j:
-            table, lengths, lists = self.reader.take(j - a)
-            b = a + len(lengths)
-            if not np.array_equal(table, self.table[:, a:b]):  # only a file's pass can differ
-                whole = self.file.read()
-                _require_records(whole, self.table)
-                self.reader = _Slices(whole, a)
-                continue
+            if self.held is None:
+                self.held = next(self.passes)
+                self._match(a, self.held[0])
+            table, counts, ids = self.held
+            k = min(j - a, len(counts))
+            cut = int(counts[:k].sum())
+            self.held = (table[:, k:], counts[k:], ids[cut:]) if k < len(counts) else None
+            lists, b = ids[:cut], a + k
             low, high = (lists.min(), lists.max()) if len(lists) else (0, 0)
             if low < 0 or high >= self.node_count:
                 raise DataError(f"negative candidate id {low if low < 0 else high} outside "
                                 f"the graph's node space [0, {self.node_count})")
-            yield a, b, *_with_truths(lists, lengths, truths[a:b])
+            yield a, b, *_with_truths(lists, counts[:k], truths[a:b])
             a = b
 
-    def finish(self) -> None:
-        """Check, for an opened file, that no byte follows the last record."""
-        self.reader.finish()
-
-
-class _Slices:
-    """A set in memory read like an opened file (:class:`negatives._Reader`),
-    from record ``at`` on, in chunks cut by :func:`negatives._cuts` over each
-    list and its truth."""
-
-    def __init__(self, negatives: NegativeSampleSet, at: int):
-        self.set, self.at = negatives, at
-        self.cuts = _cuts(np.diff(negatives.offsets) + 1)
-
-    def take(self, wanted: int) -> tuple:
-        """``(table, counts, ids)`` of the next records, at most ``wanted`` of
-        them and at most the rest of one chunk."""
-        a = self.at
-        self.at = b = min(a + wanted, int(self.cuts[self.cuts.searchsorted(a, "right")]))
-        offsets = self.set.offsets[a : b + 1]
-        return self.set.table[:, a:b], np.diff(offsets), self.set.ids[offsets[0] : offsets[-1]]
+    def _match(self, a: int, records: np.ndarray) -> None:
+        """Records must be the queries from query a on. Else the first that
+        differs sorts after its query, which then has no record, or before
+        it, so it repeats the record ahead of it or is no query of the split."""
+        queries = self.table[:, a : a + records.shape[1]]
+        if np.array_equal(records, queries):
+            return
+        k = int(np.flatnonzero((records != queries).any(axis=0))[0])
+        keys = [2, 0, 1, 3, 4]  # timestamp, source, relation, truth, head
+        if records[keys, k].tolist() > queries[keys, k].tolist():
+            raise ProtocolError(f"no negative record for query {_Queries(queries)[k]}")
+        repeated = a + k and np.array_equal(records[:, k], self.table[:, a + k - 1])
+        wrong = "repeats the one before it" if repeated else "is no query of the split"
+        raise ProtocolError(f"negative record {a + k} {wrong}: {_Queries(records)[k]}")
 
     def finish(self) -> None:
-        """Nothing to check: a set in memory has no bytes after its last record."""
+        """Run the passes out: a file checks that no byte follows its last record."""
+        for _ in self.passes:
+            pass
 
 
 def _with_truths(lists: np.ndarray, lengths: np.ndarray, truths: np.ndarray) -> tuple:

@@ -39,9 +39,10 @@ malformed or out-of-range content raises CorruptionError.
 
 :func:`open_negative_set` checks a file and leaves its records on disk; the
 engine decodes them one pass of :data:`_BLOCK_BYTES` bytes at a time as it
-reaches them. :func:`read_negative_set` opens a file and takes every record.
-A file from elsewhere whose records are in another order is read whole and
-put in canonical order, as every set is (see :class:`NegativeSampleSet`).
+reaches them (:meth:`NegativeSetFile.passes`). :func:`read_negative_set`
+opens a file and takes every record. A record out of canonical order is
+malformed content like any other: a CorruptionError naming it, found by the
+pass that decodes it.
 """
 
 from __future__ import annotations
@@ -127,10 +128,10 @@ class NegativeSampleSet:
     columns; a record that int64 columns cannot hold (a field outside
     int64, an unknown direction, non-integer ids) is a DataError.
     :meth:`from_columns` adopts ready columns. Either way, records in
-    canonical order (every set this package generates or reads from its own
-    files) are found so in one O(n) pass and kept as they are, without a
-    copy; records in another order are put in it once, by a stable sort, so
-    equal records keep their order.
+    canonical order (every set this package generates or reads from a file)
+    are found so in one O(n) pass and kept as they are, without a copy;
+    records in another order are put in it once, by a stable sort, so equal
+    records keep their order.
     """
 
     def __init__(
@@ -169,7 +170,7 @@ class NegativeSampleSet:
                 and offsets.shape == (table.shape[1] + 1,) and offsets[0] == 0
                 and offsets[-1] == len(ids) and (offsets[1:] >= offsets[:-1]).all()):
             raise DataError("offsets must rise from 0 to len(ids), one step per query")
-        if not _canonical(table):
+        if _canonical(table) is not None:
             order = np.lexsort(table[[4, 3, 1, 0, 2]])  # stable: by t, s, r, truth, head
             table = table[:, order]
             if offsets is not None:
@@ -202,6 +203,16 @@ class NegativeSampleSet:
         if self.candidates is None or other.candidates is None:
             return self.candidates is other.candidates
         return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.ids, other.ids)
+
+    def passes(self):
+        """As :meth:`NegativeSetFile.passes`, views cut by :func:`_cuts` over
+        each list and its truth; an unmaterialized set is a DataError."""
+        if self.candidates is None:
+            raise DataError("an unmaterialized all-strategy set has no lists to pass")
+        bounds = _cuts(np.diff(self.offsets) + 1).tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            offsets = self.offsets[a : b + 1]
+            yield self.table[:, a:b], np.diff(offsets), self.ids[offsets[0] : offsets[-1]]
 
 
 class _Queries(Sequence):
@@ -281,14 +292,15 @@ def _flatten(candidates) -> tuple:
     return offsets, np.concatenate([_EMPTY, *arrays], dtype=np.int64, casting="unsafe")
 
 
-def _canonical(table: np.ndarray) -> bool:
-    """Whether the columns of a query table are in canonical order, ascending
-    by (timestamp, source, relation, truth, head); equal columns may repeat."""
+def _canonical(table: np.ndarray) -> int | None:
+    """None if the columns of a query table are in canonical order, ascending
+    by (timestamp, source, relation, truth, head), where equal columns may
+    repeat; else the first column that sorts before the one ahead of it."""
     ordered = np.ones(max(table.shape[1] - 1, 0), dtype=bool)
     for row in (4, 3, 1, 0, 2):  # from the last key to the first
         before, after = table[row, :-1], table[row, 1:]
         ordered = (before < after) | (before == after) & ordered
-    return bool(ordered.all())
+    return None if ordered.all() else int(ordered.argmin()) + 1
 
 
 def _check_queries(universe: TemporalMultiGraph, table: np.ndarray) -> None:
@@ -825,9 +837,9 @@ class NegativeSetFile:
     """A checked negative-set file whose records are decoded only when read.
 
     ``strategy``, ``q``, ``seed`` and ``provenance`` come from its header, and
-    ``len()`` is its record count. Each :meth:`reader` reads the file from its
-    first record, so one opened file can be evaluated more than once;
-    :meth:`read` decodes every record into a :class:`NegativeSampleSet`.
+    ``len()`` is its record count. Each call of :meth:`passes` reads the file
+    from its first record, so one opened file can be evaluated more than
+    once; :meth:`read` decodes every record into a :class:`NegativeSampleSet`.
     """
 
     def __init__(self, path, strategy, q, seed, provenance, count, body, limit, ids):
@@ -839,18 +851,47 @@ class NegativeSetFile:
     def __len__(self) -> int:
         return self._count
 
-    def reader(self) -> _Reader:
-        """A reader at the file's first record."""
-        return _Reader(self)
+    def passes(self):
+        """Yield ``(table, counts, ids)`` of consecutive whole records, one
+        decode pass at a time: their ``(5, k)`` query columns, candidate counts
+        and candidates, int64. A pass reads :data:`_BLOCK_BYTES` bytes, and
+        grows, and stays grown, while one record outgrows it; no byte is held
+        between passes. A malformed record, or one out of canonical order, is
+        a CorruptionError when its pass reaches it, and bytes after the last
+        record are one when the passes run out."""
+        offset, records, ids_left, size = self._body, 0, self._ids, _BLOCK_BYTES
+        last = np.empty((5, 0), dtype=np.int64)  # the record before the pass
+        while records < self._count:
+            want = min(size, self._limit - offset)
+            with _open(self.path) as fh:
+                fh.seek(offset)
+                data = fh.read(want)
+            taken, fields, ids = _decode_block(np.frombuffer(data, dtype=np.uint8),
+                                               self._count - records, self._limit - offset,
+                                               ids_left)
+            if len(data) < want or not taken and want == self._limit - offset:
+                raise CorruptionError("truncated negative-set file")
+            if not taken:
+                size *= 2  # one record outgrows the pass
+                continue
+            table = fields[:, :5].T
+            disorder = _canonical(np.concatenate([last, table], axis=1))
+            if disorder is not None:
+                k = disorder - last.shape[1]
+                raise CorruptionError(f"negative record {records + k} is out of canonical "
+                                      f"order: {_Queries(table)[k]}")
+            offset, records, ids_left = offset + taken, records + len(fields), ids_left - len(ids)
+            last = table[:, -1:]
+            yield table, fields[:, 5], ids
+        if offset != self._limit:
+            raise CorruptionError("trailing bytes after the last negative record")
 
     def read(self) -> NegativeSampleSet:
         """Every record, decoded into columns: one ids column of the size the
         file holds, int32 until an id reaches 2**31."""
-        reader = self.reader()
         ids = _column(self._ids, np.int32)
         tables, lengths, filled = [np.empty((5, 0), dtype=np.int64)], [_EMPTY], 0
-        while reader.records < self._count:
-            table, counts, block = reader.take(self._count - reader.records)
+        for table, counts, block in self.passes():
             if ids.dtype == np.int32 and block.max(initial=0) >= 2**31:
                 wide = _column(len(ids), np.int64)
                 wide[:filled] = ids[:filled]
@@ -859,66 +900,10 @@ class NegativeSetFile:
             filled += len(block)
             tables.append(table)
             lengths.append(counts)
-        reader.finish()
-        offsets = np.zeros(self._count + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(lengths), out=offsets[1:])
+        offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
         return NegativeSampleSet.from_columns(self.strategy, self.q, self.seed,
                                               np.concatenate(tables, axis=1), offsets, ids,
                                               self.provenance)
-
-
-class _Reader:
-    """Decodes an opened file's records in order, one pass at a time.
-
-    A pass reads :data:`_BLOCK_BYTES` bytes from the file, and grows, and
-    stays grown, while one record outgrows it. The reader holds the records
-    of its last pass that were not taken yet, and no byte buffer. Malformed
-    records raise CorruptionError when a pass reaches them.
-    """
-
-    def __init__(self, opened: NegativeSetFile):
-        self.file, self.offset, self.records = opened, opened._body, 0
-        self.ids_left, self.size = opened._ids, _BLOCK_BYTES
-        self.held = None  # (fields, ids) of the last pass's records not taken yet
-
-    def take(self, wanted: int) -> tuple:
-        """``(table, counts, ids)`` of the next records, at most ``wanted`` of
-        them and at most the rest of one pass (at least one): their ``(5, k)``
-        query columns, their candidate counts and their candidates, int64."""
-        if self.held is None:
-            self.held = self._decode()
-        fields, ids = self.held
-        taken, cut = fields[:wanted], int(fields[:wanted, 5].sum())
-        self.held = (fields[wanted:], ids[cut:]) if len(fields) > wanted else None
-        self.records += len(taken)
-        return taken[:, :5].T, taken[:, 5], ids[:cut]
-
-    def _decode(self) -> tuple:
-        """(fields, ids) of the records of the next pass."""
-        opened = self.file
-        while True:
-            want = min(self.size, opened._limit - self.offset)
-            with _open(opened.path) as fh:
-                fh.seek(self.offset)
-                data = fh.read(want)
-            if len(data) < want:
-                raise CorruptionError("truncated negative-set file")
-            taken, fields, ids = _decode_block(np.frombuffer(data, dtype=np.uint8),
-                                               opened._count - self.records,
-                                               opened._limit - self.offset, self.ids_left)
-            if taken:
-                break
-            if want == opened._limit - self.offset:
-                raise CorruptionError("truncated negative-set file")
-            self.size *= 2  # one record outgrows the pass
-        self.offset += taken
-        self.ids_left -= len(ids)
-        return fields, ids
-
-    def finish(self) -> None:
-        """Check that no byte follows the last record."""
-        if self.offset != self.file._limit:
-            raise CorruptionError("trailing bytes after the last negative record")
 
 
 def read_negative_set(path) -> NegativeSampleSet:

@@ -59,3 +59,10 @@ def write_records(sample_set, records, path) -> None:
     struct.pack_into("<Q", header, 28, len(records))  # the header's record count
     body = bytes(header) + b"".join(blocks[k] for k in records)
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def first_out_of_order(sample_set, records) -> int:
+    """The first position in ``records`` whose record sorts before the one
+    ahead of it, by (timestamp, source, relation, truth, head)."""
+    keys = [tuple(sample_set.table[[2, 0, 1, 3, 4], k].tolist()) for k in records]
+    return next(i for i in range(1, len(keys)) if keys[i] < keys[i - 1])

@@ -38,6 +38,7 @@ from chronolink.cli import (
 )
 from chronolink.datasets import DatasetManifest, checksum_file, read_vocab
 from chronolink.graph import Granularity
+from conftest import first_out_of_order, write_records
 
 SYNTH_CFG = """\
 node_count = 35
@@ -126,6 +127,22 @@ def test_g4_stats_via_cli(tmp_path, g4_path):
     assert "consecutiveness = 1.5" in text
     assert "recurrency = 1\n" in text
     assert "direct_recurrency = 0\n" in text
+
+
+def test_stats_over_a_wide_time_span_exits_ok(tmp_path):
+    # 10**12 + 1 timestamp slots, four of them holding an edge
+    edges = tmp_path / "wide.csv"
+    edges.write_text("timestamp,subject,relation,object\n"
+                     "0,a,r,b\n1,b,r,a\n2,a,r,b\n1000000000000,b,r,a\n")
+    graph_dir, stats_dir = tmp_path / "graph", tmp_path / "stats"
+    assert main(["ingest", "--edgelist", str(edges), "--out-dir", str(graph_dir)]) == EXIT_OK
+    assert main(["stats", "--graph", str(graph_dir), "--test-start", "2",
+                 "--out-dir", str(stats_dir)]) == EXIT_OK
+    # twenty bins: the first of 50,000,000,001 slots, the last of 50,000,000,000
+    first, last = format(3 / 50_000_000_001, ".17g"), format(1 / 50_000_000_000, ".17g")
+    assert (stats_dir / "edges_over_time.tsv").read_text().splitlines() == [
+        "# manifest: run_manifest.json", "bin\tmean\tmin\tmax", f"0\t{first}\t0\t1",
+        *(f"{b}\t0\t0\t0" for b in range(1, 19)), f"19\t{last}\t0\t1"]
 
 
 def test_ingest_skip_mode(tmp_path):
@@ -922,6 +939,33 @@ def test_candidate_ids_outside_the_node_space_exit_data(pipeline, capsys):
     assert f"candidate id {int(ids[: ns.offsets[1]].max())} outside the graph's node space " \
            "[0, 35)" in err
     assert not (tmp_path / "out" / "result.txt").exists()
+
+
+@pytest.mark.parametrize("wrong", ["order", "queries"])
+def test_a_file_out_of_order_or_for_other_queries_exits_without_results(pipeline, monkeypatch,
+                                                                        capsys, wrong):
+    # found by the decode passes as the replay reaches them, never by a whole read
+    tmp_path, common, path = _sampled(pipeline)
+    ns = read_negative_set(path)
+    if wrong == "order":  # the last two records swapped
+        records = np.arange(len(ns))
+        records[-2:] = records[:-3:-1]
+        write_records(ns, records, path)
+        k = first_out_of_order(ns, records)
+        code, message = EXIT_INTEGRITY, f"negative record {k} is out of canonical order: "
+    else:  # every record a timestamp later: canonical, with the right count
+        table = np.array(ns.table)
+        table[2] += 1
+        write_negative_set(NegativeSampleSet.from_columns(ns.strategy, ns.q, ns.seed, table,
+                                                          ns.offsets, ns.ids), path)
+        code, message = EXIT_PROTOCOL, f"no negative record for query {ns.queries[0]}"
+    monkeypatch.setattr(negatives, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(negatives.NegativeSetFile, "read", None)
+    out = tmp_path / "out"
+    assert main(["eval", *common, "--scorer", "recurrency", "--negatives", str(path),
+                 "--out-dir", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not any((out / name).exists() for name in _RESULT_FILES)
 
 
 def test_a_corrupt_record_mid_stream_exits_integrity_without_results(pipeline, monkeypatch,

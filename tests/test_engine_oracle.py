@@ -75,7 +75,7 @@ class _Grid(RecurrencyScorer):
 GRID = [RecurrencyParams(*p) for p in
         itertools.product(DEFAULT_LAMBDA_GRID, DEFAULT_ALPHA_GRID, DEFAULT_WINDOW_GRID)]
 
-_WINDOWS = st.integers(0, 3)
+_WINDOWS = st.integers(0, _TIMES + 1)  # up to windows past the whole history
 _SCORERS = st.one_of(
     st.builds(lambda: ("edgebank pair", lambda: EdgeBankScorer("pair"))),
     st.builds(lambda: ("edgebank triple", lambda: EdgeBankScorer("triple"))),

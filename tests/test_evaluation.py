@@ -38,7 +38,7 @@ from chronolink import (
     write_negative_set,
 )
 from chronolink import evaluation, negatives
-from conftest import HashScorer, write_records
+from conftest import HashScorer, first_out_of_order, write_records
 
 
 def _tkg(seed=0, **overrides):
@@ -704,22 +704,21 @@ def _streamed_setup(tmp_path, seed=3):
 def test_decode_passes_and_timestamps_cut_each_other(tmp_path, block):
     g, history, test, ns, path = _streamed_setup(tmp_path)
     passes, chunks = [], []  # the timestamps of each decode pass and of each chunk
-    decode, take = negatives._decode_block, negatives._Reader.take
+    passes_of, chunks_of = negatives.NegativeSetFile.passes, evaluation._Lists.chunks
 
-    def decoded(*args):
-        taken, fields, ids = decode(*args)
-        if taken:
-            passes.append(set(fields[:, 2].tolist()))
-        return taken, fields, ids
+    def decoded(self):
+        for table, counts, ids in passes_of(self):
+            passes.append(set(table[2].tolist()))
+            yield table, counts, ids
 
-    def taken(self, wanted):
-        table, counts, ids = take(self, wanted)
-        chunks.append(set(table[2].tolist()))
-        return table, counts, ids
+    def chunked(self, i, j, truths):
+        for a, b, ids, starts in chunks_of(self, i, j, truths):
+            chunks.append(set(self.table[2, a:b].tolist()))
+            yield a, b, ids, starts
 
     with mock.patch.object(negatives, "_BLOCK_BYTES", block), \
-            mock.patch.object(negatives, "_decode_block", decoded), \
-            mock.patch.object(negatives._Reader, "take", taken):
+            mock.patch.object(negatives.NegativeSetFile, "passes", decoded), \
+            mock.patch.object(evaluation._Lists, "chunks", chunked):
         got = evaluate_single_step(RecurrencyScorer(), history, test, open_negative_set(path), g)
     assert got == evaluate_single_step(RecurrencyScorer(), history, test, ns, g)
     assert all(len(stamps) == 1 for stamps in chunks)  # a chunk never crosses a timestamp
@@ -731,22 +730,67 @@ def test_decode_passes_and_timestamps_cut_each_other(tmp_path, block):
 
 
 @pytest.mark.parametrize("reorder", ["shuffled", "last-timestamp-reversed"])
-def test_a_file_in_another_order_gives_the_canonical_result(tmp_path, reorder):
+def test_a_file_in_another_order_is_corruption_error(tmp_path, reorder):
     g, history, test, ns, _ = _streamed_setup(tmp_path)
     records = np.arange(len(ns))
     if reorder == "shuffled":
         records = np.random.default_rng(0).permutation(len(ns))
-    else:  # the passes before it hold the canonical records, so the join starts mid-stream
+    else:  # the passes before it hold the canonical records, so it is met mid-stream
         last = ns.table[2] == ns.table[2].max()
         records[last] = records[last][::-1]
     path = tmp_path / "reordered.bin"
     write_records(ns, records, path)
     assert path.read_bytes() != (tmp_path / "negatives.bin").read_bytes()
-    assert open_negative_set(path).read() == ns
-    with mock.patch.object(negatives, "_BLOCK_BYTES", 64):
-        for make in (EdgeBankScorer, RecurrencyScorer):
-            got = evaluate_single_step(make(), history, test, open_negative_set(path), g)
-            assert got == evaluate_single_step(make(), history, test, ns, g)
+    k = first_out_of_order(ns, records)
+    match = (f"^negative record {k} is out of canonical order: "
+             f"{re.escape(str(ns.queries[records[k]]))}$")
+    for read in (read_negative_set, lambda path: open_negative_set(path).read()):
+        with pytest.raises(CorruptionError, match=match):
+            read(path)
+    _Counting.observed = 0
+    with mock.patch.object(negatives, "_BLOCK_BYTES", 64), \
+            mock.patch.object(negatives.NegativeSetFile, "read", side_effect=AssertionError), \
+            pytest.raises(CorruptionError, match=match):
+        evaluate_single_step(_Counting(), history, test, open_negative_set(path), g)
+    if reorder == "last-timestamp-reversed":  # met after scoring earlier timestamps
+        assert _Counting.observed > 1
+
+
+def test_a_canonical_file_for_other_queries_is_protocol_error(tmp_path):
+    # as many test records as the validation split has queries: the count
+    # matches, and the first record sorts after the first validation query
+    g, train, valid, test = _tkg(seed=5)  # 60 validation and 74 test queries
+    queries = expand_queries(valid, "tkg")
+    ns = generate_negative_set("random", add_inverse_relations(g),
+                               expand_queries(test, "tkg")[:len(queries)], q=4, seed=0)
+    path = tmp_path / "test.bin"
+    write_negative_set(ns, path)
+    missing = re.escape(str(queries[0]))
+    with mock.patch.object(negatives.NegativeSetFile, "read", side_effect=AssertionError), \
+            pytest.raises(ProtocolError, match=f"^no negative record for query {missing}$"):
+        evaluate_single_step(EdgeBankScorer(), train, valid, open_negative_set(path), g)
+
+
+@pytest.mark.parametrize("record", ["repeated", "of-no-query"])
+def test_a_canonical_file_record_in_place_of_a_query_is_protocol_error(tmp_path, record):
+    # record k, the first of the last timestamp, replaced by a copy of record
+    # k - 1 or by a record between them that is no query of the split
+    g, history, test, ns, _ = _streamed_setup(tmp_path)
+    k = int(np.argmax(ns.table[2] == ns.table[2].max()))
+    table = np.array(ns.table)
+    if record == "repeated":
+        table[:, k] = ns.table[:, k - 1]
+        match = f"^negative record {k} repeats the one before it: "
+    else:  # at the timestamp before, with a source past every query's
+        table[:, k] = [g.node_count, 0, ns.table[2, k - 1], 0, 0]
+        match = f"^negative record {k} is no query of the split: "
+    path = tmp_path / "foreign.bin"
+    write_negative_set(NegativeSampleSet.from_columns(ns.strategy, ns.q, ns.seed, table,
+                                                      ns.offsets, ns.ids), path)
+    named = re.escape(str(open_negative_set(path).read().queries[k]))
+    with mock.patch.object(negatives, "_BLOCK_BYTES", 64), \
+            pytest.raises(ProtocolError, match=match + named + "$"):
+        evaluate_single_step(EdgeBankScorer(), history, test, open_negative_set(path), g)
 
 
 def test_an_opened_file_evaluated_twice_gives_equal_results(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 import warnings
@@ -34,7 +35,7 @@ from chronolink import (
     write_negative_set,
 )
 from chronolink import negatives
-from conftest import G4_QUADS, write_records
+from conftest import G4_QUADS, first_out_of_order, write_records
 
 
 def _tkg_setup(seed=0, **overrides):
@@ -614,12 +615,21 @@ def test_mutations_with_valid_crc_fail_cleanly(tmp_path):
 @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
 @pytest.mark.parametrize("built", ["constructor", "from_columns", "file"])
 def test_records_in_another_order_make_the_canonical_set(tmp_path, built, duplicated):
+    # a set in memory is put in canonical order; a file must hold it, so a
+    # file in another order is refused, naming its first record out of order
     g, universe, queries = _tkg_setup(seed=2)
     ns = generate_negative_set("random", universe, queries, q=3, seed=0,
                                provenance=Provenance("synthetic", "test"))
     records = np.random.default_rng(0).permutation(len(ns))
     if duplicated:  # record 7 a second time, at the front
         records = np.concatenate([[7], records])
+    if built == "file":
+        write_records(ns, records, tmp_path / "foreign.bin")
+        k = first_out_of_order(ns, records)
+        with pytest.raises(CorruptionError, match=f"^negative record {k} is out of canonical "
+                                                  f"order: {re.escape(str(queries[records[k]]))}$"):
+            read_negative_set(tmp_path / "foreign.bin")
+        return
     # the set's records are in canonical order, so sorted record numbers are too
     canonical = np.sort(records)
     want = NegativeSampleSet.from_columns(
@@ -628,13 +638,10 @@ def test_records_in_another_order_make_the_canonical_set(tmp_path, built, duplic
     if built == "constructor":
         got = NegativeSampleSet(ns.strategy, ns.q, ns.seed, [queries[k] for k in records],
                                 [ns.candidates[k] for k in records], ns.provenance)
-    elif built == "from_columns":
+    else:
         got = NegativeSampleSet.from_columns(
             ns.strategy, ns.q, ns.seed, ns.table[:, records],
             *negatives._flatten([ns.candidates[k] for k in records]), ns.provenance)
-    else:
-        write_records(ns, records, tmp_path / "foreign.bin")
-        got = read_negative_set(tmp_path / "foreign.bin")
     assert got == want
     assert got.queries == [queries[k] for k in canonical]
     assert [c.tolist() for c in got.candidates] == [ns.candidates[k].tolist() for k in canonical]

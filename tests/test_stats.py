@@ -20,6 +20,7 @@ from chronolink import (
     recurrency_degree,
     relation_histogram,
 )
+from conftest import G4_QUADS
 
 
 # -- naive oracles: per-triple scans, no shared machinery with the stats module ----
@@ -96,6 +97,11 @@ def test_g4_relation_histogram(g4):
 
 def test_g4_edges_over_time_two_bins(g4):
     assert edges_over_time(g4, 2) == [(1.5, 1, 2), (1.0, 0, 2)]
+    # the same slots at either end of the int64 range
+    for t0 in (-(2**63), 2**63 - 4):
+        shifted = from_quadruples([(s, r, o, t + t0) for s, r, o, t in G4_QUADS],
+                                  node_count=4, relation_count=2)
+        assert edges_over_time(shifted, 2) == [(1.5, 1, 2), (1.0, 0, 2)]
 
 
 # -- trivial cases --------------------------------------------------------------------
@@ -146,10 +152,39 @@ def test_single_relation_histogram():
 
 
 def test_edges_over_time_uniform_default_bins():
-    g = from_quadruples([(0, 0, 1, t) for t in range(40)], node_count=2, relation_count=1)
-    bins = edges_over_time(g)  # default bin count is 20
-    assert len(bins) == 20
-    assert all(entry == (1.0, 1, 1) for entry in bins)
+    for t0 in (0, -(2**63), 2**63 - 40):
+        g = from_quadruples([(0, 0, 1, t0 + t) for t in range(40)], node_count=2,
+                            relation_count=1)
+        bins = edges_over_time(g)  # default bin count is 20
+        assert len(bins) == 20
+        assert all(entry == (1.0, 1, 1) for entry in bins)
+
+
+def test_edges_over_time_spans_the_whole_int64_range():
+    # 2**64 slots in four bins of 2**62: the ends and 0 fall in bins 0, 3 and 2
+    g = from_quadruples([(0, 0, 1, -(2**63)), (0, 0, 1, 0), (0, 0, 1, 2**63 - 1)],
+                        node_count=2, relation_count=1)
+    assert edges_over_time(g, 4) == [(2.0**-62, 0, 1), (0.0, 0, 0), (2.0**-62, 0, 1),
+                                     (2.0**-62, 0, 1)]
+
+
+def _slot_bins(timestamps, bins):
+    """Per-slot reference: every slot of the span counted, then binned."""
+    t0, span = min(timestamps), max(timestamps) - min(timestamps) + 1
+    per_slot = [0] * span
+    for t in timestamps:
+        per_slot[t - t0] += 1
+    bins = min(bins, span)
+    held = [[c for x, c in enumerate(per_slot) if x * bins // span == b] for b in range(bins)]
+    return [(sum(h) / len(h), min(h), max(h)) for h in held]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=40), st.integers(1, 40),
+       st.integers(-(2**63), 2**63 - 301))
+def test_edges_over_time_equals_a_per_slot_reference(offsets, bins, t0):
+    g = from_quadruples([(0, 0, 1, t0 + x) for x in offsets], node_count=2, relation_count=1)
+    assert edges_over_time(g, bins) == _slot_bins(g.timestamps.tolist(), bins)
 
 
 def test_empty_inputs_are_errors(g4):
