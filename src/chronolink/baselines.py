@@ -19,9 +19,9 @@ implementations of the same idea.
 Both scorers read one sorted last-seen table, :class:`EdgeBankMemory`: int64
 codes ``key * node_count + destination`` with the latest time of each, where
 the key is the subject (pair mode) or ``subject * relation_count + relation``
-(triple mode). The recurrence baseline's strict term is the triple-mode table;
-its relaxed term reads one sparse table of object frequencies per (relation,
-timestamp, window).
+(triple mode). The recurrence baseline's strict term is the triple-mode table,
+its relaxed term one (windows × objects) frequency matrix per (relation,
+timestamp, windows); a query's parameter rows are one block of both.
 
 Both scorers score exactly 0.0 on every node they have not seen, so each
 gives the engine a support (:meth:`Scorer.support`): EdgeBank its key's
@@ -31,6 +31,8 @@ active destinations, the recurrence baseline its relation's observed objects.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -163,6 +165,16 @@ def _insert_sorted(at, columns, values) -> tuple:
     return tuple(merged)
 
 
+def _is(value, kind) -> bool:
+    """Whether ``value`` is a :mod:`numbers` ``kind`` but no bool, as the CLI reads numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_window(window) -> None:
+    if not (_is(window, numbers.Integral) and 0 <= window < 2**63):  # an int64 >= 0
+        raise ConfigError(f"window must be an integer >= 0, got {window!r}")
+
+
 class EdgeBankScorer(Scorer):
     """EdgeBank as an evaluation-engine scorer.
 
@@ -173,8 +185,7 @@ class EdgeBankScorer(Scorer):
     """
 
     def __init__(self, key_mode: str = "pair", window: int | None = None):
-        if window is not None and window < 0:
-            raise ConfigError("window must be non-negative")
+        _check_window(0 if window is None else window)
         self.memory = EdgeBankMemory(key_mode)
         self.window = window
         self.name = "edgebank-inf" if window is None else "edgebank-tw"
@@ -226,12 +237,11 @@ class RecurrencyParams:
     window: int = 0
 
     def __post_init__(self):
-        if not self.lam >= 0:  # also rejects NaN
-            raise ConfigError("lambda must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must be in [0, 1]")
-        if self.window < 0:
-            raise ConfigError("window must be >= 0")
+        if not (_is(self.lam, numbers.Real) and 0.0 <= self.lam < math.inf):  # NaN compares false
+            raise ConfigError(f"lambda must be a finite number >= 0, got {self.lam!r}")
+        if not (_is(self.alpha, numbers.Real) and 0.0 <= self.alpha <= 1.0):
+            raise ConfigError(f"alpha must be a number in [0, 1], got {self.alpha!r}")
+        _check_window(self.window)
 
 
 class HistoryIndex:
@@ -250,23 +260,21 @@ class HistoryIndex:
         self.latest = EdgeBankMemory("triple")
         self._relations = self._objects = self._times = _EMPTY
         self.high_water = None
-        self._frequencies = {}  # (relation, t_now, window) -> object_frequencies(...)
+        self._blocks = {}  # (relation, t_now, windows) -> frequency_block(...)
 
     def observe(self, quads: TemporalMultiGraph) -> None:
         if len(quads) == 0:
             return
         if self.high_water is not None and quads.t_min < self.high_water:
-            raise ProtocolError(
-                f"observations must arrive in ascending time order "
-                f"({quads.t_min} after {self.high_water})"
-            )
+            raise ProtocolError(f"observations must arrive in ascending time order "
+                                f"({quads.t_min} after {self.high_water})")
         bits = len(quads).bit_length()
         if quads.relation_count << bits >= 2**63:
             raise DataError(f"{quads.relation_count} relations and {len(quads)} rows "
                             "overflow int64 codes")
         self.latest.observe(quads)
         self.high_water = quads.t_max
-        self._frequencies.clear()
+        self._blocks.clear()
         # (relation, row) in one int64: one unstable sort orders by relation, then arrival
         key = quads.relations << bits
         key |= np.arange(len(quads))
@@ -278,89 +286,123 @@ class HistoryIndex:
             at, (self._relations, self._objects, self._times),
             (relations, quads.objects[rows], quads.timestamps[rows]))
 
-    def object_frequencies(self, relation: int, t_now: int, window: int) -> tuple:
-        """(ids, fractions): the sorted distinct objects of ``relation``, from
-        ``t_now - window`` on if window > 0, and each one's count divided by
-        the largest count.
+    def frequency_block(self, relation: int, t_now: int, windows: tuple) -> tuple:
+        """(ids, block): the sorted distinct objects of ``relation`` inside the widest of
+        ``windows``, and a (windows × ids) matrix whose row w holds each one's count from
+        ``t_now - windows[w]`` on (all of them for a window of 0) over the row's largest
+        count. Built once per (relation, t_now, windows) until the next observation."""
+        key = relation, t_now, windows
+        if key not in self._blocks:
+            lo, hi = self._relations.searchsorted((relation, relation + 1)).tolist()
+            # a relation's rows arrive in time order: each window is a suffix
+            starts = [lo + self._times[lo:hi].searchsorted(t_now - w) if w else lo
+                      for w in windows]
+            first = min(starts)
+            widest = np.bincount(self._objects[first:hi])
+            ids = (widest > 0).nonzero()[0]  # a bool nonzero is faster than an int one
+            block = np.empty((len(windows), len(ids)))
+            for row, start in zip(block, starts):
+                counts = (widest if start == first else np.bincount(
+                    self._objects[start:hi], minlength=len(widest)))[ids]
+                np.divide(counts, counts.max(initial=1), out=row)
+            self._blocks[key] = ids, block
+        return self._blocks[key]
 
-        Built once per (relation, t_now, window) until the next observation.
-        """
-        key = relation, t_now, window
-        if key not in self._frequencies:
-            lo, hi = np.searchsorted(self._relations, (relation, relation + 1))
-            if window > 0:
-                lo += np.searchsorted(self._times[lo:hi], t_now - window)
-            counts = np.bincount(self._objects[lo:hi])
-            ids = (counts > 0).nonzero()[0]
-            counts = counts[ids]
-            self._frequencies[key] = ids, counts / counts.max(initial=1)
-        return self._frequencies[key]
+
+class _Plan:
+    """A recurrency block's rows, grouped once: the distinct ``lams`` and ``windows``,
+    each row's index into them, the windows column ``bounds`` (0, unbounded, as the
+    int64 maximum) and the alpha and 1 - alpha columns ``alphas`` and ``betas``."""
+
+    def __init__(self, params):
+        self.params = params
+        self.single = isinstance(params, RecurrencyParams)
+        self.rows = (params,) if self.single else tuple(params)
+        if not self.rows:
+            raise ConfigError("no recurrency parameters to score")
+        self.lams, self.row_lam = _grouped([float(p.lam) for p in self.rows])
+        self.windows, self.row_win = _grouped([int(p.window) for p in self.rows])
+        self.bounds = np.array([[w or 2**63 - 1] for w in self.windows], dtype=np.int64)
+        mix = [(alpha, 1.0 - alpha) for alpha in (float(p.alpha) for p in self.rows)]
+        # one row's weights stay floats, whose products skip numpy's broadcasting
+        self.alphas, self.betas = mix[0] if len(mix) == 1 else np.array(mix).T[..., None]
+
+    def score(self, index: HistoryIndex, query: EvalQuery, candidates) -> np.ndarray:
+        t = query.timestamp
+        if index.high_water is not None and index.high_water >= t:
+            raise ProtocolError(f"causality: index high-water {index.high_water} >= query time {t}")
+        candidates = np.asarray(candidates, dtype=np.int64)
+        seen, last = index.latest.lookup(query.source, query.relation, candidates)
+        ids, block = index.frequency_block(query.relation, t, self.windows)
+        if len(ids):  # a take from an empty axis raises
+            at = ids.searchsorted(candidates)
+            # an unseen candidate's fraction is multiplied by False: exactly 0.0
+            relaxed = block.take(at, 1, mode="clip") * (ids.take(at, mode="clip") == candidates)
+        else:
+            relaxed = np.zeros((len(self.windows), len(candidates)))
+        scores = self.betas * relaxed[self.row_win]
+        seen = seen.nonzero()[0]
+        if len(seen):
+            gaps = t - last.take(seen)
+            # Python's float power over the seen gaps only: numpy's vectorised
+            # power may round differently on some CPUs, and scores stay bit-exact
+            strict = np.array([2.0 ** (-lam * gap) for lam in self.lams for gap in gaps.tolist()])
+            strict = self.alphas * strict.reshape(len(self.lams), len(seen))[self.row_lam]
+            if self.windows[-1]:  # some window is bounded
+                strict *= (gaps <= self.bounds)[self.row_win]
+            # alpha * strict, +0.0 where unseen, plus (1 - alpha) * relaxed: as addition
+            # commutes, bitwise each row's alpha * strict + (1 - alpha) * relaxed
+            full = np.zeros(scores.shape)
+            full[:, seen] = strict
+            scores += full
+        return scores[0] if self.single else scores
 
 
-def recurrency_score(
-    index: HistoryIndex,
-    params: RecurrencyParams | Sequence[RecurrencyParams],
-    query: EvalQuery,
-    candidates: np.ndarray,
-) -> np.ndarray:
+def _grouped(values) -> tuple:
+    """(sorted distinct values, each value's index into them: a ``slice`` for the identity)."""
+    distinct = tuple(sorted(set(values)))
+    at = [distinct.index(value) for value in values]
+    return distinct, slice(None) if at == list(range(len(distinct))) else np.array(at)
+
+
+def recurrency_score(index: HistoryIndex, params: RecurrencyParams | Sequence[RecurrencyParams],
+                     query: EvalQuery, candidates: np.ndarray) -> np.ndarray:
     """Mix strict (recency-decayed) and relaxed (frequency) recurrence scores.
 
     ``params`` is one :class:`RecurrencyParams`, giving one score per
     candidate, or a sequence of them, giving one row of scores per entry.
-    Rows share the history lookup, rows with the same window the relaxed
-    term, and rows with the same (lambda, window) the strict term, so each
-    row is bitwise what its parameters score alone.
+    Every row comes from one block: the strict term once per distinct lambda
+    over the seen candidates, masked per distinct window, and the relaxed
+    term one gather from the :meth:`HistoryIndex.frequency_block` of the
+    query's relation. Each row is bitwise what its parameters score alone.
 
     With nothing observed for any candidate the result is all zeros, a full
     tie resolved by the engine's average-rank rule.
     """
-    t = query.timestamp
-    if index.high_water is not None and index.high_water >= t:
-        raise ProtocolError(
-            f"causality: index high-water {index.high_water} >= query time {t}"
-        )
-    single = isinstance(params, RecurrencyParams)
-    candidates = np.asarray(candidates, dtype=np.int64)
-    seen, last = index.latest.lookup(query.source, query.relation, candidates)
-    gaps = t - last
-    strict, relaxed, scores = {}, {}, []
-    for p in [params] if single else params:
-        key = p.lam, p.window
-        if key not in strict:
-            strict[key] = _strict_term(seen, gaps, p.lam, p.window)
-        if p.window not in relaxed:
-            relaxed[p.window] = _relaxed_term(index, query.relation, t, candidates, p.window)
-        scores.append(p.alpha * strict[key] + (1.0 - p.alpha) * relaxed[p.window])
-    return scores[0] if single else np.array(scores)
-
-
-def _strict_term(seen, gaps, lam, window) -> np.ndarray:
-    if window > 0:
-        seen = seen & (gaps <= window)
-    strict = np.zeros(len(seen), dtype=np.float64)
-    # Python's float power over the seen candidates only: numpy's vectorised
-    # power may round differently on some CPUs, and scores stay bit-exact
-    strict[seen] = [2.0 ** (-lam * gap) for gap in gaps[seen].tolist()]
-    return strict
-
-
-def _relaxed_term(index, relation, t, candidates, window) -> np.ndarray:
-    ids, fractions = index.object_frequencies(relation, t, window)
-    if len(ids) == 0:
-        return np.zeros(len(candidates), dtype=np.float64)
-    at = np.searchsorted(ids, candidates)
-    # an unseen candidate's fraction is multiplied by False: exactly 0.0
-    return fractions.take(at, mode="clip") * (ids.take(at, mode="clip") == candidates)
+    return _Plan(params).score(index, query, candidates)
 
 
 class RecurrencyScorer(Scorer):
-    """The recurrence baseline as an evaluation-engine scorer."""
+    """The recurrence baseline as an evaluation-engine scorer.
+
+    ``params`` is one :class:`RecurrencyParams` or a sequence of them, as for
+    :func:`recurrency_score`; setting it groups the rows into the plan of
+    the block that :meth:`score_query` scores.
+    """
 
     name = "recurrency"
 
-    def __init__(self, params: RecurrencyParams | None = None):
-        self.params = params or RecurrencyParams()
+    def __init__(self, params: RecurrencyParams | Sequence[RecurrencyParams] | None = None):
+        self.params = RecurrencyParams() if params is None else params
         self.index = HistoryIndex()
+
+    @property
+    def params(self):
+        return self._plan.params
+
+    @params.setter
+    def params(self, params):
+        self._plan = _Plan(params)
 
     def fit(self, history, static_context=None):
         self.index.observe(history)
@@ -369,32 +411,18 @@ class RecurrencyScorer(Scorer):
         self.index.observe(quads)
 
     def score_query(self, query, candidates):
-        return recurrency_score(self.index, self.params, query, candidates)
+        return self._plan.score(self.index, query, candidates)
 
     def support(self, query):
         """The relation's objects inside the widest window of any row: outside
         them every row's strict and relaxed terms are 0."""
-        rows = [self.params] if isinstance(self.params, RecurrencyParams) else self.params
-        windows = [p.window for p in rows]
-        widest = 0 if 0 in windows else max(windows)
-        return self.index.object_frequencies(query.relation, query.timestamp, widest)[0]
+        return self.index.frequency_block(query.relation, query.timestamp, self._plan.windows)[0]
 
     def params_manifest(self):
-        return {
-            "scorer": self.name,
-            "formula": RECURRENCY_FORMULA,
-            "lambda": self.params.lam,
-            "alpha": self.params.alpha,
-            "window": self.params.window,
-        }
-
-
-class _GridScorer(RecurrencyScorer):
-    """Every grid point at once: one row of scores per :class:`RecurrencyParams`."""
-
-    def __init__(self, rows):
-        super().__init__()
-        self.params = rows
+        """The scorer, the formula and its parameters; a grid lists them per row."""
+        rows = [{"lambda": p.lam, "alpha": p.alpha, "window": p.window} for p in self._plan.rows]
+        head = {"scorer": self.name, "formula": RECURRENCY_FORMULA}
+        return {**head, **rows[0]} if self._plan.single else {**head, "rows": rows}
 
 
 def grid_search_recurrency(
@@ -414,22 +442,14 @@ def grid_search_recurrency(
     combination's result equals a separate run of its own scorer. Exact MRR
     ties break toward smaller lambda, then larger alpha, then smaller window.
     """
-    combos = sorted(
-        itertools.product(lam_grid, alpha_grid, window_grid),
-        key=lambda c: (c[0], -c[1], c[2]),
-    )
+    combos = sorted(itertools.product(lam_grid, alpha_grid, window_grid),
+                    key=lambda c: (c[0], -c[1], c[2]))
     if not combos:
         raise ConfigError("parameter grid is empty")
     rows = [RecurrencyParams(lam, alpha, window) for lam, alpha, window in combos]
-    results = evaluate_single_step(
-        _GridScorer(rows), train, valid, negatives, full_graph, kind=kind
-    )
+    results = evaluate_single_step(RecurrencyScorer(rows), train, valid, negatives, full_graph,
+                                   kind=kind)
     if not isinstance(results, tuple):  # no validation query was scored
         results = (results,) * len(rows)
-    best_params = None
-    best_mrr = -1.0
-    for params, result in zip(rows, results):
-        if result.mrr > best_mrr:
-            best_mrr = result.mrr
-            best_params = params
-    return best_params
+    # max keeps the first of equal MRRs, the preferred point
+    return max(zip(rows, results), key=lambda row: row[1].mrr)[0]

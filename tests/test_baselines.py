@@ -118,10 +118,15 @@ def test_object_frequencies_equal_a_naive_count(seed):
         assert index._objects.tolist() == [seen[i].object for i in order]
         assert index._times.tolist() == [seen[i].timestamp for i in order]
         for relation in range(4):
-            for window in (0, 1, 3, 100):
-                ids, fractions = index.object_frequencies(relation, hi, window)
-                assert (ids.tolist(), fractions.tolist()) == \
-                    _naive_frequencies(seen, relation, hi, window)
+            # one window alone, and several in one block in no sorted order
+            for windows in [(0,), (1,), (3,), (100,), (3, 0, 1, 100), (100, 1)]:
+                ids, block = index.frequency_block(relation, hi, windows)
+                widest = 0 if 0 in windows else max(windows)
+                assert ids.tolist() == _naive_frequencies(seen, relation, hi, widest)[0]
+                for window, row in zip(windows, block):
+                    inside = row > 0  # a window's own objects; the others read 0.0
+                    assert (ids[inside].tolist(), row[inside].tolist()) == \
+                        _naive_frequencies(seen, relation, hi, window)
 
 
 def test_edgebank_window_expiry():
@@ -592,7 +597,7 @@ _DIFF_GRID = ((0.0, 0.4, 0.4), (0.0, 1.0, 0.6), (0, 1, 3, 10**4))
 def test_single_grid_replay_equals_separate_runs(case, monkeypatch):
     g, train, valid, negatives = _grid_case(case)
     rows = [RecurrencyParams(*c) for c in itertools.product(*_DIFF_GRID)]
-    replay = evaluate_single_step(baselines._GridScorer(rows), train, valid, negatives, g)
+    replay = evaluate_single_step(RecurrencyScorer(rows), train, valid, negatives, g)
     separate = [evaluate_single_step(RecurrencyScorer(p), train, valid, negatives, g)
                 for p in rows]
     assert replay == tuple(separate)
@@ -803,3 +808,77 @@ def test_scores_match_naive_formulas(seed):
             for params in grid:
                 assert recurrency_score(index, params, query, candidates).tolist() \
                     == _naive_recurrency(seen_quads, params, query, candidates.tolist())
+
+
+# duplicate rows, windows in no sorted order, lambda 0, alpha 0 and 1, and
+# windows of 0, 1 and beyond the history
+_BLOCK = [RecurrencyParams(*p) for p in [(0.3, 0.6, 3), (0.0, 1.0, 0), (1.7, 0.0, 1),
+                                         (0.3, 0.6, 3), (0.0, 0.25, 10**4), (1.7, 1.0, 0),
+                                         (0.3, 0.0, 1)]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_block_row_is_bitwise_its_single_row_score(seed):
+    # tobytes tells -0.0 from 0.0, which tolist() comparisons cannot
+    rng = np.random.default_rng(seed)
+    n = 8
+    quads = sorted({(int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(n)),
+                     int(rng.integers(12))) for _ in range(40)}, key=lambda q: q[3])
+    index = _index_for(quads, node_count=n, relation_count=3)  # relation 2 has no history
+    # ids outside the id space, an empty list and lists that no source has seen
+    lists = [np.arange(-1, n + 1), np.array([], dtype=np.int64), np.array([n, -1, n])]
+    lists += [rng.integers(-1, n + 1, size=int(rng.integers(1, 2 * n))) for _ in range(5)]
+    seen_counts = set()
+    for relation, source, candidates in itertools.product(range(3), range(n), lists):
+        query = EvalQuery(source, relation, 12 + int(rng.integers(3)), 0)
+        block = recurrency_score(index, _BLOCK, query, candidates)
+        assert block.shape == (len(_BLOCK), len(candidates)) and block.dtype == np.float64
+        for row, params in zip(block, _BLOCK):
+            alone = recurrency_score(index, params, query, candidates)
+            naive = np.array(_naive_recurrency(quads, params, query, candidates.tolist()))
+            assert row.tobytes() == alone.tobytes() == naive.tobytes()
+        seen_counts.add(int(index.latest.lookup(source, relation, candidates)[0].sum()))
+    assert 0 in seen_counts and max(seen_counts) > 1
+    nothing = recurrency_score(HistoryIndex(), _BLOCK, EvalQuery(0, 0, 0, 1), np.arange(4))
+    assert nothing.tobytes() == np.zeros((len(_BLOCK), 4)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    {"window": float("nan")}, {"window": 2.5}, {"window": True}, {"window": 2**63},
+    {"window": "3"}, {"lam": float("inf")}, {"lam": True}, {"lam": "0.1"},
+    {"alpha": float("nan")}, {"alpha": False}, {"alpha": None},
+])
+def test_malformed_params_are_config_errors(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad)).replace("lam", "lambda")):
+        RecurrencyParams(**bad)
+
+
+def test_an_empty_row_sequence_is_config_error():
+    with pytest.raises(ConfigError, match="no recurrency"):
+        recurrency_score(_index_for([(0, 0, 1, 5)]), [], EvalQuery(0, 0, 9, 1), np.arange(3))
+    with pytest.raises(ConfigError, match="no recurrency"):
+        RecurrencyScorer([])
+
+
+@pytest.mark.parametrize("window", [float("nan"), 2.5, True, -1, "7"])
+def test_malformed_edgebank_window_is_config_error(window):
+    with pytest.raises(ConfigError, match="window"):
+        EdgeBankScorer(window=window)
+
+
+def test_numpy_scalars_are_valid_params():
+    index = _index_for([(0, 0, 1, 5), (2, 0, 1, 8), (0, 0, 3, 9)])
+    query, candidates = EvalQuery(0, 0, 11, 1), np.arange(5)
+    plain = recurrency_score(index, RecurrencyParams(0.5, 0.25, 4), query, candidates)
+    scalars = RecurrencyParams(np.float64(0.5), np.float32(0.25), np.int32(4))
+    assert recurrency_score(index, scalars, query, candidates).tobytes() == plain.tobytes()
+    assert EdgeBankScorer(window=np.int64(3)).params_manifest()["window"] == 3
+
+
+def test_grid_manifest_lists_its_rows_and_one_row_keeps_its_fields():
+    rows = [RecurrencyParams(0.1, 0.9, 0), RecurrencyParams(1.0, 0.5, 7)]
+    head = {"scorer": "recurrency", "formula": baselines.RECURRENCY_FORMULA}
+    assert RecurrencyScorer(rows).params_manifest() == {**head, "rows": [
+        {"lambda": 0.1, "alpha": 0.9, "window": 0}, {"lambda": 1.0, "alpha": 0.5, "window": 7}]}
+    one = RecurrencyScorer(rows[1]).params_manifest()
+    assert list(one.items()) == [*head.items(), ("lambda", 1.0), ("alpha", 0.5), ("window", 7)]
