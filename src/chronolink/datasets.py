@@ -11,13 +11,13 @@ exactly.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import re
 import shutil
 import urllib.error
 import urllib.request
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from pathlib import Path
@@ -42,7 +42,8 @@ _DENSE_INT = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 KINDS = ("tkg", "thg")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-_WRITE_BLOCK_ROWS = 1 << 16  # rows per formatted block, bounding the text buffer
+_WRITE_BLOCK_ROWS = 1 << 12  # rows per formatted block, bounding the text buffer
+_CHUNK_BYTES = 1 << 16  # bytes per read of a delimited input, cut after its last line end
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,8 @@ def listed(convert, separator: str):
 
 def read_fields(path, fields=None, what=None, required=(), error=ConfigError) -> dict:
     """:func:`keyvalue_fields` over the lines of the file at ``path``; not UTF-8 is an ``error``."""
-    lines = enumerate(_split_lines(_read_text(path, error)[0]), start=1)
+    # every chunk is read first, so text that is not UTF-8 outranks a bad line
+    lines = [line for first, chunk in _chunks(path, error) for line in enumerate(chunk, first)]
     return keyvalue_fields(lines, path, fields, what, required, error)
 
 
@@ -312,21 +314,58 @@ def fetch_dataset(manifest: DatasetManifest, cache_dir) -> Path:
 # -- delimited text --------------------------------------------------------------
 
 
-def _read_text(source, error=DataError) -> tuple:
-    """(text, path) of a file path, or of a text or binary file object (path None).
+def _chunks(source, error=DataError):
+    """(first, lines) of each chunk of whole lines of a path, or of a text or binary file object.
 
-    An unreadable path is a DataError (the CLI checks first that a flag's path
-    exists), and text that is not UTF-8 an ``error``.
+    A chunk is what is left of the last read and the next ``_CHUNK_BYTES``,
+    cut after their last line end, so it never splits a line, a "\\r\\n"
+    pair or a UTF-8 character; a "\\r" that ends a read waits for the next.
+    ``lines`` are its lines as :func:`_split_lines` cuts them, less the empty
+    piece after its last line end, and ``first`` is the 1-based number of
+    the first of them; an empty input has no chunk. An unreadable path is a
+    DataError (the CLI checks first that a flag's path exists), and bytes
+    that are not UTF-8 an ``error`` naming their position from the start of
+    the input (a text object that decodes bytes itself names the position
+    it reports).
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        return (data.decode("utf-8") if isinstance(data, bytes) else data), None
+    path = None if hasattr(source, "read") else source
     try:
-        return Path(source).read_text(encoding="utf-8"), source
+        opened = nullcontext(source) if path is None else open(path, "rb")
     except OSError as exc:
-        raise DataError(f"{source}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{source}: {exc}") from None
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+    with opened as fh:
+        first, offset = 1, 0  # the number of the chunk's first line, and the bytes before it
+        rest = fh.read(0)  # b"" or "", as the input reads
+        binary = isinstance(rest, bytes)
+        lf, cr = (b"\n", b"\r") if binary else ("\n", "\r")
+        try:
+            while True:
+                data = fh.read(_CHUNK_BYTES)
+                block = rest + data
+                cut = max(block.rfind(lf), block.rfind(cr, 0, -1)) + 1 if data else len(block)
+                block, rest = block[:cut], block[cut:]
+                if block:
+                    lines = _split_lines(block.decode("utf-8") if binary else block)
+                    if not lines[-1]:
+                        lines.pop()
+                    yield first, lines
+                    first += len(lines)
+                    offset += len(block) if binary else 0
+                if not data:
+                    break
+        except UnicodeDecodeError as exc:  # a text object's own keeps its position
+            message = _not_utf8(exc, offset)
+            raise error(message if path is None else f"{path}: {message}") from None
+
+
+def _not_utf8(exc: UnicodeDecodeError, offset: int) -> str:
+    """``str(exc)`` for the bytes ``exc`` names, counted ``offset`` bytes further on."""
+    start, end = exc.start + offset, exc.end + offset
+    if end - start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
 def _split_lines(text: str) -> list:
@@ -334,24 +373,24 @@ def _split_lines(text: str) -> list:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _rows(text: str, path, width: int, delimiter: str, header: bool = False,
-          split_last: bool = False) -> tuple:
-    """The fields of delimited text, in the grammar every text input shares.
+def _rows(lines: list, path, width: int, delimiter: str, header: bool = False,
+          split_last: bool = False, first: int = 1) -> tuple:
+    """The fields of ``lines``, numbered from ``first``, in the grammar every text input shares.
 
-    Lines end as :func:`_split_lines` says. With ``header`` the first line is
-    skipped, and so is every line holding only whitespace. Each other line is
-    split at ``delimiter`` into ``width`` fields, each stripped of the
-    whitespace around it; with ``split_last`` at its last ``width - 1``
-    delimiters, so the first field may hold the delimiter. A line with
-    another field count is a SchemaError naming ``path`` (when given) and the
-    line; such a line refuses the file before any field value is checked.
+    Lines end as :func:`_split_lines` says. Every line holding only
+    whitespace is skipped, and with ``header`` so is the first line. Each
+    other line is split at ``delimiter`` into ``width`` fields, each
+    stripped of the whitespace around it; with ``split_last`` at its last
+    ``width - 1`` delimiters, so the first field may hold the delimiter. A
+    line with another field count is a SchemaError naming ``path`` (when
+    given) and the line.
 
-    Returns (line numbers, fields): the 1-based number of each kept line, and
-    the ``width`` fields of every kept line in line order.
+    Returns (line numbers, fields): the number of each kept line, and the
+    ``width`` fields of every kept line in line order.
     """
-    lines = _split_lines(text)[int(header):]
+    lines = lines[int(header):]
     filled = list(map(str.strip, lines))
-    numbers = list(compress(count(1 + int(header)), filled))
+    numbers = list(compress(count(first + int(header)), filled))
     lines = list(compress(lines, filled))
     if split_last:
         rows = [line.rsplit(delimiter, width - 1) for line in lines]
@@ -363,6 +402,44 @@ def _rows(text: str, path, width: int, delimiter: str, header: bool = False,
         k = next(k for k, n in enumerate(cuts) if n != width - 1)
         raise SchemaError(f"expected {width} columns, got {cuts[k] + 1}", numbers[k], path)
     return numbers, list(map(str.strip, fields))
+
+
+def _read_columns(source, width: int, delimiter: str, convert, header: bool = False,
+                  split_last: bool = False) -> list:
+    """The int64 columns that ``convert`` makes of the rows of ``source``, joined over chunks.
+
+    ``source`` is read by :func:`_chunks`, and the lines of each chunk are
+    split by :func:`_rows` (``header`` skips the first line of the input).
+    ``convert(numbers, fields, path)`` turns one chunk's rows into a list of
+    int64 arrays, the same number for every chunk, raising a DataError for a
+    bad value; an input without lines is converted as one chunk of no rows.
+
+    An error stops the conversion but not the reading, so the error raised
+    is the one a read of the whole text at once would raise: text that is
+    not UTF-8 outranks a wrong field count, which outranks a bad value, and
+    of two errors of one rank the earlier line's wins.
+    """
+    path = None if hasattr(source, "read") else source
+    parts, held = [], None
+    for first, lines in _chunks(source):
+        if isinstance(held, SchemaError):
+            continue  # only text that is not UTF-8 outranks it
+        try:
+            numbers, fields = _rows(lines, path, width, delimiter, header and first == 1,
+                                    split_last, first)
+        except SchemaError as exc:
+            held = exc
+            continue
+        if held is None:
+            try:
+                parts.append(convert(numbers, fields, path))
+            except DataError as exc:
+                held = exc
+    if held is not None:
+        raise held
+    if not parts:
+        parts.append(convert([], [], path))
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _int64_fields(fields: list, numbers: list, path, what: str = "field") -> np.ndarray:
@@ -412,25 +489,30 @@ def parse_edgelist(
     schema = schema or EdgeListSchema()
     if on_invalid not in ("error", "skip"):
         raise ConfigError("on_invalid must be 'error' or 'skip'")
-    text, path = _read_text(source)
-    numbers, fields = _rows(text, path, 4, schema.delimiter, schema.header)
-    columns = [fields[schema.column_index(name)::4] for name in _FIELDS]
-    report = IngestReport()
-    if any("" in column for column in columns):
-        filled = ["" not in row for row in zip(*columns)]
-        if on_invalid == "error":
-            k = filled.index(False)
-            _int64_fields(columns[0][:k], numbers, path, "timestamp")  # an earlier line first
-            blank = [name for name, column in zip(_FIELDS, columns) if not column[k]]
-            raise ParseError(f"missing {', '.join(blank)} column", numbers[k], path)
-        report.skipped_lines = [n for n, keep in zip(numbers, filled) if not keep]
-        numbers = list(compress(numbers, filled))
-        columns = [list(compress(column, filled)) for column in columns]
-    times, subjects, relations, objects = columns
-    timestamps = _int64_fields(times, numbers, path, "timestamp")
-    nodes, relation_ids = {}, {}
-    ends = [nodes.setdefault(raw, len(nodes)) for pair in zip(subjects, objects) for raw in pair]
-    rels = [relation_ids.setdefault(raw, len(relation_ids)) for raw in relations]
+    report, nodes, relation_ids = IngestReport(), {}, {}
+    at = [schema.column_index(name) for name in _FIELDS]
+
+    def convert(numbers, fields, path):
+        columns = [fields[k::4] for k in at]
+        if any("" in column for column in columns):
+            filled = ["" not in row for row in zip(*columns)]
+            if on_invalid == "error":
+                k = filled.index(False)
+                _int64_fields(columns[0][:k], numbers, path, "timestamp")  # an earlier line first
+                blank = [name for name, column in zip(_FIELDS, columns) if not column[k]]
+                raise ParseError(f"missing {', '.join(blank)} column", numbers[k], path)
+            report.skipped_lines += [n for n, keep in zip(numbers, filled) if not keep]
+            numbers = list(compress(numbers, filled))
+            columns = [list(compress(column, filled)) for column in columns]
+        times, subjects, relations, objects = columns
+        timestamps = _int64_fields(times, numbers, path, "timestamp")
+        ends = np.array([nodes.setdefault(raw, len(nodes))
+                         for pair in zip(subjects, objects) for raw in pair], dtype=np.int64)
+        rels = [relation_ids.setdefault(raw, len(relation_ids)) for raw in relations]
+        return [timestamps, ends[0::2], np.array(rels, dtype=np.int64), ends[1::2]]
+
+    timestamps, subjects, relations, objects = _read_columns(
+        source, 4, schema.delimiter, convert, schema.header)
 
     node_types = None
     if schema.node_type_path is not None:
@@ -439,9 +521,9 @@ def parse_edgelist(
         )
 
     graph = TemporalMultiGraph(
-        ends[0::2],
-        rels,
-        ends[1::2],
+        subjects,
+        relations,
+        objects,
         timestamps,
         node_count=len(nodes),
         relation_count=len(relation_ids),
@@ -461,10 +543,14 @@ def _parse_node_types(path, nodes: dict, delimiter: str):
     Rows naming a node absent from ``nodes`` are ignored; a node named twice
     keeps its last type.
     """
-    _, fields = _rows(*_read_text(path), 2, delimiter)
-    types = {}
-    typed = {nodes[node]: types.setdefault(kind, len(types))
-             for node, kind in zip(fields[0::2], fields[1::2]) if node in nodes}
+    types, typed = {}, {}
+
+    def convert(numbers, fields, path):
+        typed.update((nodes[node], types.setdefault(kind, len(types)))
+                     for node, kind in zip(fields[0::2], fields[1::2]) if node in nodes)
+        return []
+
+    _read_columns(path, 2, delimiter, convert)
     assigned = np.full(len(nodes), -1, dtype=np.int64)
     assigned[list(typed)] = list(typed.values())
     missing = int((assigned < 0).sum())
@@ -484,20 +570,29 @@ def parse_static_edgelist(source, node_index: dict, *, delimiter: str = ",", hea
 
     Returns (TemporalMultiGraph, relation_vocab, skipped_count).
     """
-    _, fields = _rows(*_read_text(source), 3, delimiter, header)
-    subjects, relations, objects = fields[0::3], fields[1::3], fields[2::3]
-    known = [s in node_index and o in node_index for s, o in zip(subjects, objects)]
-    relation_ids = {}
-    rels = [relation_ids.setdefault(raw, len(relation_ids)) for raw in compress(relations, known)]
+    relation_ids, skipped = {}, 0
+
+    def convert(numbers, fields, path):
+        nonlocal skipped
+        subjects, relations, objects = fields[0::3], fields[1::3], fields[2::3]
+        known = [s in node_index and o in node_index for s, o in zip(subjects, objects)]
+        rels = [relation_ids.setdefault(raw, len(relation_ids))
+                for raw in compress(relations, known)]
+        skipped += len(known) - len(rels)
+        subjects = [node_index[raw] for raw in compress(subjects, known)]
+        objects = [node_index[raw] for raw in compress(objects, known)]
+        return [np.array(column, dtype=np.int64) for column in (subjects, rels, objects)]
+
+    subjects, rels, objects = _read_columns(source, 3, delimiter, convert, header)
     graph = TemporalMultiGraph(
-        [node_index[raw] for raw in compress(subjects, known)],
+        subjects,
         rels,
-        [node_index[raw] for raw in compress(objects, known)],
-        [STATIC_TIMESTAMP] * len(rels),
+        objects,
+        np.full(len(rels), STATIC_TIMESTAMP),
         node_count=max(node_index.values()) + 1 if node_index else 0,
         relation_count=len(relation_ids),
     )
-    return graph, list(relation_ids), len(known) - len(rels)
+    return graph, list(relation_ids), skipped
 
 
 def _read_int_table(source, width: int, delimiter: str, header: bool) -> np.ndarray:
@@ -506,34 +601,31 @@ def _read_int_table(source, width: int, delimiter: str, header: bool) -> np.ndar
     The text follows :func:`_rows` with ``width`` fields per line, each an
     integer as in :func:`_int64_fields`.
 
-    ``np.loadtxt`` parses the whole file in one bulk pass. Text it refuses or
-    warns about is re-read by :func:`_int_table_by_line`, which accepts what
-    the grammar allows and otherwise raises: SchemaError for a wrong field
-    count, ParseError for a bad field.
+    ``np.loadtxt`` parses a file in one bulk pass. Text it refuses or warns
+    about, and a file object, are read by :func:`_int_table_by_line`, which
+    accepts what the grammar allows and otherwise raises: SchemaError for a
+    wrong field count, ParseError for a bad field.
     """
-    text, path = _read_text(source) if hasattr(source, "read") else (None, source)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            table = np.loadtxt(
-                io.StringIO(text, newline=None) if path is None else path,
-                dtype=np.int64, delimiter=delimiter, comments=None,
-                skiprows=int(header), ndmin=2, encoding="utf-8",
-            )
-        if table.shape[1] == width:
-            return table
-    except (ValueError, UserWarning, OSError):
-        pass
-    if path is not None:
-        text = _read_text(path)[0]
-    return _int_table_by_line(text, width, delimiter, header, path)
+    if not hasattr(source, "read"):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. "input contained no data"
+                table = np.loadtxt(source, dtype=np.int64, delimiter=delimiter, comments=None,
+                                   skiprows=int(header), ndmin=2, encoding="utf-8")
+            if table.shape[1] == width:
+                return table
+        except (ValueError, UserWarning, OSError):
+            pass
+    return _int_table_by_line(source, width, delimiter, header)
 
 
-def _int_table_by_line(text: str, width: int, delimiter: str, header: bool, path) -> np.ndarray:
-    """:func:`_read_int_table` through the row reader, naming ``path`` in its errors."""
-    numbers, fields = _rows(text, path, width, delimiter, header)
-    lines = [lineno for lineno in numbers for _ in range(width)]
-    return _int64_fields(fields, lines, path).reshape(-1, width)
+def _int_table_by_line(source, width: int, delimiter: str, header: bool) -> np.ndarray:
+    """:func:`_read_int_table` through the row reader."""
+    def convert(numbers, fields, path):
+        lines = [lineno for lineno in numbers for _ in range(width)]
+        return [_int64_fields(fields, lines, path)]
+
+    return _read_columns(source, width, delimiter, convert, header)[0].reshape(-1, width)
 
 
 def _write_int_table(fh, columns, delimiter: str) -> None:
@@ -609,13 +701,19 @@ def read_vocab(path) -> list:
     The text follows :func:`_rows`, each line split at its last tab, since a
     raw id may hold a tab. The dense ids must read 0..n-1 in line order.
     """
-    numbers, fields = _rows(*_read_text(path), 2, "\t", split_last=True)
-    dense = _int64_fields(fields[1::2], numbers, path, "dense id")
+    raw_ids = []
+
+    def convert(numbers, fields, path):
+        raw_ids.extend(fields[0::2])
+        return [_int64_fields(fields[1::2], numbers, path, "dense id"),
+                np.array(numbers, dtype=np.int64)]
+
+    dense, numbers = _read_columns(path, 2, "\t", convert, split_last=True)
     out_of_order = np.flatnonzero(dense != np.arange(len(dense)))
     if out_of_order.size:
-        lineno = numbers[out_of_order[0]]
+        lineno = int(numbers[out_of_order[0]])
         raise DataError("dense ids must be 0..n-1 in order", lineno, path)
-    return fields[0::2]
+    return raw_ids
 
 
 # -- chronological split --------------------------------------------------------

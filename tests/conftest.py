@@ -46,6 +46,21 @@ class HashScorer(Scorer):
         return mixed.astype(np.float64) / 104729.0
 
 
+def write_string_id_csv(graph, path) -> None:
+    """``graph`` as a raw edge list whose ids are names: node n is ``Qn`` and relation r ``Pr``.
+
+    Rows keep the graph's order under a ``timestamp,subject,relation,object``
+    header, so ``parse_edgelist`` gives the nodes and relations new dense ids
+    in first-seen order.
+    """
+    columns = (graph.timestamps, graph.subjects, graph.relations, graph.objects)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("timestamp,subject,relation,object\n")
+        for lo in range(0, len(graph), 1 << 12):
+            block = np.column_stack([column[lo:lo + (1 << 12)] for column in columns])
+            fh.write("%d,Q%d,P%d,Q%d\n" * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_records(sample_set, records, path) -> None:
     """A negative-set file holding the set's records ``records`` in that order,
     as a tool that does not sort its records would write it; the writer here

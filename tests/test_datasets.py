@@ -1,7 +1,9 @@
 import http.server
 import io
 import threading
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from chronolink import (
     write_edgelist,
     write_graph_dir,
 )
+from chronolink import datasets
 from chronolink.datasets import (
     _int_table_by_line,
     _read_int_table,
@@ -43,6 +46,7 @@ from chronolink.datasets import (
     write_vocab,
 )
 from chronolink.synthetic import SynthConfig, generate
+from conftest import write_string_id_csv
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -341,13 +345,12 @@ def test_bulk_parse_accepts_exactly_the_line_grammar(tmp_path_factory, case, hea
         except (ParseError, SchemaError) as exc:
             return type(exc), str(exc)
 
-    want = outcome(lambda: _int_table_by_line(text, width, ",", header, None))
-    assert outcome(lambda: _read_int_table(io.StringIO(text), width, ",", header)) == want
+    want = outcome(lambda: _int_table_by_line(io.StringIO(text), width, ",", header))
+    assert outcome(lambda: _read_int_table(io.BytesIO(text.encode()), width, ",", header)) == want
     path = tmp_path_factory.mktemp("grammar") / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    on_disk = path.read_text(encoding="utf-8")  # as the reader sees it: universal newlines
     assert outcome(lambda: _read_int_table(path, width, ",", header)) == outcome(
-        lambda: _int_table_by_line(on_disk, width, ",", header, path))
+        lambda: _int_table_by_line(path, width, ",", header))
 
 
 # -- chronological split -----------------------------------------------------------
@@ -726,8 +729,10 @@ def _edge_cases(draw):
 def test_parse_edgelist_matches_the_old_line_loop(case, on_invalid):
     schema, text = case
     want = _outcome(lambda: _old_parse_edgelist(io.StringIO(text), schema, on_invalid))
-    assert _outcome(lambda: parse_edgelist(io.StringIO(text), schema,
-                                           on_invalid=on_invalid)) == want
+    for chunk in (datasets._CHUNK_BYTES, 1):  # 1: a chunk per line
+        with mock.patch.object(datasets, "_CHUNK_BYTES", chunk):
+            assert _outcome(lambda: parse_edgelist(io.StringIO(text), schema,
+                                                   on_invalid=on_invalid)) == want
 
 
 @st.composite
@@ -749,8 +754,10 @@ def test_parse_static_edgelist_matches_the_old_line_loop(case):
     text, node_index, delimiter, header = case
     want = _outcome(lambda: _old_parse_static_edgelist(io.StringIO(text), node_index,
                                                        delimiter, header))
-    assert _outcome(lambda: parse_static_edgelist(
-        io.StringIO(text), node_index, delimiter=delimiter, header=header)) == want
+    for chunk in (datasets._CHUNK_BYTES, 1):
+        with mock.patch.object(datasets, "_CHUNK_BYTES", chunk):
+            assert _outcome(lambda: parse_static_edgelist(
+                io.StringIO(text), node_index, delimiter=delimiter, header=header)) == want
 
 
 @st.composite
@@ -775,7 +782,9 @@ def test_node_type_sidecar_matches_the_old_line_loop(tmp_path_factory, case):
     types.write_bytes(sidecar.encode("utf-8"))
     schema = EdgeListSchema(header=False, delimiter=delimiter, node_type_path=types)
     want = _outcome(lambda: _old_parse_edgelist(io.StringIO(edges), schema, "error"))
-    assert _outcome(lambda: parse_edgelist(io.StringIO(edges), schema)) == want
+    for chunk in (datasets._CHUNK_BYTES, 1):
+        with mock.patch.object(datasets, "_CHUNK_BYTES", chunk):
+            assert _outcome(lambda: parse_edgelist(io.StringIO(edges), schema)) == want
 
 
 @pytest.mark.parametrize("value,want", [
@@ -792,3 +801,154 @@ def test_integers_longer_than_int_digit_limit_follow_the_int64_rule(value, want)
                 read()
         else:
             assert read().timestamps.tolist() == [want]
+
+
+# -- reading in chunks of whole lines ------------------------------------------------
+
+_HEAD = b"timestamp,subject,relation,object"
+_CHUNKED = {
+    "crlf-pairs": _HEAD + b"\r\n0,a,r,b\r\n1,b,r,c\r\n\r\n2,c,r,a\r\n3,a,r,c",
+    "cr-only": _HEAD + b"\r0,a,r,b\r1,b,r,c\r\r2,c,r,a\r",
+    "header-only": _HEAD + b"\n",
+    "blank-lines": _HEAD + b"\n0,a,r,b\n\n  \n\t\n1,b,r,c\n \n\n2,c,r,a\n\n",
+    "blank-fields": _HEAD + b"\n0,a,r,\n1,b,r,c\n2, ,r,a\nx,c,r,a\n3,c,r,a\n",
+    "bad-value-then-field-count": _HEAD + b"\n0,a,r,b\nx,a,r,b\n1,b,r,c\n2,c,r,a\n3,a,r\n",
+    "not-utf8-in-last-chunk": _HEAD + b"\n0,a,r,b\n1,a,r\nx,b,r,c\n2,c,r,a\n3,c,r,\xff\n",
+    "line-separator-in-id": (_HEAD + "\n0,a\u2028b,r\x85s,c\n1,c,r\x85s,a\u2028b\n"
+                                     "2,\u00e9\u2028,r,c".encode()),
+}
+
+
+def _forms(data, tmp_path):
+    """The path, binary object and (when UTF-8) text object forms of ``data``."""
+    path = tmp_path / "edges.csv"
+    path.write_bytes(data)
+    yield lambda: path
+    yield lambda: io.BytesIO(data)
+    try:
+        yield lambda text=data.decode("utf-8"): io.StringIO(text)
+    except UnicodeDecodeError:
+        pass
+
+
+def _result(read):
+    try:
+        return read()
+    except DataError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
+def _same_in_every_chunk_size(data, read):
+    """``read()`` gives what it gives in one chunk for every chunk size from one byte up,
+    so for chunks of one, two and seven lines, and for every cut between two bytes."""
+    with mock.patch.object(datasets, "_CHUNK_BYTES", len(data) + 1):
+        want = _result(read)
+    for size in range(1, len(data) + 1):
+        with mock.patch.object(datasets, "_CHUNK_BYTES", size):
+            assert _result(read) == want, size
+    return want
+
+
+@pytest.mark.parametrize("on_invalid", ["error", "skip"])
+@pytest.mark.parametrize("case", list(_CHUNKED))
+def test_chunked_parse_equals_one_chunk(tmp_path, case, on_invalid):
+    data = _CHUNKED[case]
+    for source in _forms(data, tmp_path):
+        _same_in_every_chunk_size(data, lambda: parse_edgelist(source(), on_invalid=on_invalid))
+
+
+def test_chunked_errors_keep_the_precedence_of_one_read(tmp_path):
+    """Not UTF-8 outranks a wrong field count, which outranks a bad value, wherever the
+    chunks are cut; of one rank the first line wins."""
+    path = tmp_path / "edges.csv"
+    with pytest.raises(UnicodeDecodeError) as not_utf8:
+        _CHUNKED["not-utf8-in-last-chunk"].decode("utf-8")
+    cases = {
+        "bad-value-then-field-count": (SchemaError, f"{path} line 6: expected 4 columns, got 3"),
+        "not-utf8-in-last-chunk": (DataError, f"{path}: {not_utf8.value}"),
+        "blank-fields": (ParseError, f"{path} line 2: missing object column"),
+    }
+    for case, (error, message) in cases.items():
+        path.write_bytes(_CHUNKED[case])
+        want = _same_in_every_chunk_size(_CHUNKED[case], lambda: parse_edgelist(path))
+        assert want[:2] == (error, message)
+
+
+@pytest.mark.parametrize("text,error,line", [
+    ("a\t0\nb\t5\nc\t1\n", DataError, 2),
+    ("a\t0\nb\t5\nc\tx\n", ParseError, 3),  # a bad id outranks an earlier line out of order
+    ("a\t0\nb\t5\nc\n\td\tx\n", SchemaError, 3),
+], ids=["order", "bad-id-after-order", "field-count-after-both"])
+def test_chunked_vocab_and_dense_reads_equal_one_chunk(tmp_path, text, error, line):
+    data = text.encode()
+    path = tmp_path / "v.vocab"
+    path.write_bytes(data)
+    want = _same_in_every_chunk_size(data, lambda: read_vocab(path))
+    assert (want[0], want[2]) == (error, line)
+    table = _HEAD + b"\n" + text.replace("\t", ",0,0,").encode()
+    for source in _forms(table, tmp_path):
+        _same_in_every_chunk_size(table, lambda: _int_table_by_line(source(), 4, ",", True))
+
+
+def test_not_utf8_is_a_data_error_in_every_form(tmp_path):
+    """A file object's bytes are refused as a path's are, counted from the start of the input."""
+    data = b"t,s,r,o\n0,a\xff,r,b\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    message = "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+    readers = {
+        "parse_edgelist": parse_edgelist,
+        "load_dense_edgelist": lambda source: load_dense_edgelist(
+            source, node_count=2, relation_count=1),
+        "parse_static_edgelist": lambda source: parse_static_edgelist(source, {"a": 0}),
+        "read_vocab": read_vocab,
+    }
+    forms = {
+        "path": (lambda: path, f"{path}: {message}"),
+        "binary": (lambda: io.BytesIO(data), message),
+        "text": (lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), message),
+    }
+    for name, read in readers.items():
+        for form, (source, want) in forms.items():
+            with pytest.raises(DataError) as caught:
+                read(source())
+            assert str(caught.value) == want, (name, form)
+    schema = EdgeListSchema(node_type_path=path, header=False)
+    with pytest.raises(DataError, match=f"^{path}: {message}$"):
+        parse_edgelist(io.StringIO("0,a,r,b\n"), schema)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r"])
+def test_parse_memory_is_its_result_plus_a_few_chunks(tmp_path, line_end):
+    """The peak of parsing a string-id edge list is what the result holds, plus what
+    building the graph from columns in memory takes, plus a few chunks: never a
+    multiple of the file, whichever line end it uses."""
+    source = generate(SynthConfig(node_count=3000, relation_count=20, timestep_count=50,
+                                  rate=1700, p_rep=0.5, seed=7))
+    path = tmp_path / "edges.csv"
+    write_string_id_csv(source, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
+    assert path.stat().st_size >= 40 * datasets._CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        graph, report = parse_edgelist(path)
+        held, peak = tracemalloc.get_traced_memory()
+        nodes = {raw: dense for dense, raw in enumerate(report.node_vocab)}
+        relations = {raw: dense for dense, raw in enumerate(report.relation_vocab)}
+        columns = [np.array([nodes[f"Q{n}"] for n in source.subjects.tolist()]),
+                   np.array([relations[f"P{r}"] for r in source.relations.tolist()]),
+                   np.array([nodes[f"Q{n}"] for n in source.objects.tolist()]),
+                   source.timestamps.copy()]
+        del nodes, relations
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rebuilt = TemporalMultiGraph(*columns, node_count=graph.node_count,
+                                     relation_count=graph.relation_count)
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rebuilt == graph
+    build = build_peak - before
+    assert peak - start < (held - start) + build + 32 * datasets._CHUNK_BYTES, (
+        peak - start, held - start, build)
